@@ -23,6 +23,13 @@ cargo build --release --offline
 echo "==> cargo test"
 cargo test -q --offline
 
+echo "==> gcbench (the repo benchmark) builds and its tests pass"
+# gcbench/ is a workspace of its own that imports the crates' public
+# API by path; building it here means an API trim that breaks the
+# benchmark fails CI rather than the benchmark run.
+cargo build --release --offline --manifest-path gcbench/Cargo.toml
+cargo test --release --offline --manifest-path gcbench/Cargo.toml
+
 echo "==> metrics sidecar smoke (fig15, --jobs 1 vs --jobs 8)"
 SIDECAR_DIR=$(mktemp -d)
 trap 'rm -rf "$SIDECAR_DIR"' EXIT
@@ -48,34 +55,6 @@ for f in fig15.csv fig15.metrics.json fig20.csv fig20.metrics.json \
          conc.csv conc.metrics.json; do
     cmp "$SIDECAR_DIR/pace_ff/$f" "$SIDECAR_DIR/pace_ls/$f"
 done
-
-echo "==> partition-pool equivalence (--par-engines 4 vs single-threaded, byte-identical)"
-# The bulk-synchronous partition pool must be invisible in every
-# output: each sweep experiment's grid points run on 4 workers yet the
-# CSVs and sidecars must match the single-threaded run bit for bit
-# (tests/metrics_sidecar.rs pins the full jobs x par-engines cross;
-# this gate pins it end-to-end through the CLI).
-./target/release/experiments --quick --par-engines 1 \
-    --out "$SIDECAR_DIR/par1" fig15 fig20 conc multi multiunit >/dev/null
-./target/release/experiments --quick --par-engines 4 \
-    --out "$SIDECAR_DIR/par4" fig15 fig20 conc multi multiunit >/dev/null
-for f in fig15.csv fig15.metrics.json fig20.csv fig20.metrics.json \
-         conc.csv conc.metrics.json multi.csv multi.metrics.json \
-         multiunit.csv multiunit.metrics.json; do
-    cmp "$SIDECAR_DIR/par1/$f" "$SIDECAR_DIR/par4/$f"
-done
-
-echo "==> bench doc smoke (experiments --bench writes BENCH_10.json)"
-./target/release/experiments --quick --bench --out "$SIDECAR_DIR/bench" fig15 >/dev/null
-test -s "$SIDECAR_DIR/bench/BENCH_10.json"
-grep -q '"schema": "tracegc-bench-v1"' "$SIDECAR_DIR/bench/BENCH_10.json"
-grep -q '"peak_rss_kb_fastforward"' "$SIDECAR_DIR/bench/BENCH_10.json"
-grep -q '"par_engines"' "$SIDECAR_DIR/bench/BENCH_10.json"
-grep -q '"host_cpus"' "$SIDECAR_DIR/bench/BENCH_10.json"
-grep -q '"wall_s_parallel"' "$SIDECAR_DIR/bench/BENCH_10.json"
-python3 -c "import json,sys; json.load(open(sys.argv[1]))" \
-    "$SIDECAR_DIR/bench/BENCH_10.json" 2>/dev/null \
-    || grep -q '"speedup_parallel"' "$SIDECAR_DIR/bench/BENCH_10.json"
 
 echo "==> paper calibration gate (experiments --calibrate on committed results/)"
 # The committed results/ (scale 0.25) must conform to the paper's
@@ -108,13 +87,6 @@ test "$rc" -eq 2
 cmp "$SIDECAR_DIR/fs1/faultsweep.csv" "$SIDECAR_DIR/fs8/faultsweep.csv"
 cmp "$SIDECAR_DIR/fs1/faultsweep.metrics.json" "$SIDECAR_DIR/fs8/faultsweep.metrics.json"
 cmp "$SIDECAR_DIR/fs1/faultsweep.csv" tests/golden/faultsweep.csv
-# The fault grid on the partition pool: same bytes, same exit code.
-rc=0
-./target/release/experiments --scale 0.015 --pauses 1 --par-engines 4 \
-    --out "$SIDECAR_DIR/fs_par" faultsweep >/dev/null 2>&1 || rc=$?
-test "$rc" -eq 2
-cmp "$SIDECAR_DIR/fs_par/faultsweep.csv" "$SIDECAR_DIR/fs1/faultsweep.csv"
-cmp "$SIDECAR_DIR/fs_par/faultsweep.metrics.json" "$SIDECAR_DIR/fs1/faultsweep.metrics.json"
 # Fault injection (traps, retries, fallbacks) under lockstep must
 # reproduce the fast-forward run above byte for byte.
 rc=0
@@ -124,33 +96,29 @@ test "$rc" -eq 2
 cmp "$SIDECAR_DIR/fs_ls/faultsweep.csv" "$SIDECAR_DIR/fs1/faultsweep.csv"
 cmp "$SIDECAR_DIR/fs_ls/faultsweep.metrics.json" "$SIDECAR_DIR/fs1/faultsweep.metrics.json"
 
-echo "==> heapscale smoke (golden cmp + byte-equality across --jobs x --par-engines)"
+echo "==> heapscale smoke (golden cmp)"
 # The production-heap-size sweep at the golden scale: bytes must match
-# the committed goldens and be invariant to both parallelism knobs.
-./target/release/experiments --scale 0.015 --pauses 1 --jobs 1 --par-engines 1 \
+# the committed goldens.
+./target/release/experiments --scale 0.015 --pauses 1 --jobs 1 \
     --out "$SIDECAR_DIR/hs1" heapscale >/dev/null
 cmp "$SIDECAR_DIR/hs1/heapscale.csv" tests/golden/heapscale.csv
 cmp "$SIDECAR_DIR/hs1/heapscale.metrics.json" tests/golden/heapscale.metrics.json
-./target/release/experiments --scale 0.015 --pauses 1 --jobs 4 --par-engines 4 \
-    --out "$SIDECAR_DIR/hs4" heapscale >/dev/null
-cmp "$SIDECAR_DIR/hs1/heapscale.csv" "$SIDECAR_DIR/hs4/heapscale.csv"
-cmp "$SIDECAR_DIR/hs1/heapscale.metrics.json" "$SIDECAR_DIR/hs4/heapscale.metrics.json"
 
-echo "==> fleet smoke (golden cmp + parallelism/pacing cross + exit-code contract)"
+echo "==> fleet smoke (golden cmp + pacing cross + exit-code contract)"
 # Multi-tenant serving at the golden scale: bytes must match the
-# committed goldens and be invariant to --jobs, --par-engines and the
-# scheduler pacing. Clean fleets exit 0; with injected faults tenants
-# degrade to the software fallback (exit 2) but never fail the
-# differential reachability check (which would exit 3).
-./target/release/experiments --scale 0.015 --pauses 1 --jobs 1 --par-engines 1 \
+# committed goldens and be invariant to the scheduler pacing. Clean
+# fleets exit 0; with injected faults tenants degrade to the software
+# fallback (exit 2) but never fail the differential reachability check
+# (which would exit 3).
+./target/release/experiments --scale 0.015 --pauses 1 --jobs 1 \
     --out "$SIDECAR_DIR/fl1" fleet >/dev/null
 for f in fleet_0.csv fleet_1.csv fleet.metrics.json; do
     cmp "$SIDECAR_DIR/fl1/$f" "tests/golden/$f"
 done
-./target/release/experiments --scale 0.015 --pauses 1 --jobs 4 --par-engines 4 \
-    --sched lockstep --out "$SIDECAR_DIR/fl4" fleet >/dev/null
+./target/release/experiments --scale 0.015 --pauses 1 --sched lockstep \
+    --out "$SIDECAR_DIR/fl_ls" fleet >/dev/null
 for f in fleet_0.csv fleet_1.csv fleet.metrics.json; do
-    cmp "$SIDECAR_DIR/fl1/$f" "$SIDECAR_DIR/fl4/$f"
+    cmp "$SIDECAR_DIR/fl1/$f" "$SIDECAR_DIR/fl_ls/$f"
 done
 rc=0
 ./target/release/experiments --scale 0.015 --pauses 1 --fault-rate 1e-3 --fault-seed 7 \

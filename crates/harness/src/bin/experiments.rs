@@ -10,14 +10,11 @@
 //!
 //! Each experiment prints its tables and writes CSVs under `results/`,
 //! plus a `<id>.metrics.json` sidecar with cycle-attributed stall
-//! breakdowns per phase. Two independent levels of parallelism are
-//! available: `--jobs N` runs N *experiments* concurrently, and
-//! `--par-engines N` runs the independent grid points *inside* each
-//! sweep experiment on N bulk-synchronous partition workers. Output
-//! order, CSV contents, and sidecar bytes are identical to a serial
-//! run for any combination of the two. `--trace FILE` (single
-//! experiment only) additionally dumps a Chrome trace-event JSON
-//! viewable in `about:tracing`/Perfetto.
+//! breakdowns per phase. `--jobs N` runs N experiments concurrently;
+//! output order, CSV contents, and sidecar bytes are identical to a
+//! serial run for any N. `--trace FILE` (single experiment only)
+//! additionally dumps a Chrome trace-event JSON viewable in
+//! `about:tracing`/Perfetto.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -25,24 +22,17 @@ use std::process::ExitCode;
 use tracegc::calib;
 use tracegc::experiments::{self, Options};
 use tracegc::metrics;
-use tracegc::nondet;
 use tracegc_sim::sched::{set_default_pacing, Pacing};
 
 fn usage() -> String {
     format!(
-        "usage: experiments [--quick] [--scale F] [--pauses N] [--jobs N] \
-         [--par-engines N] [--out DIR] \
+        "usage: experiments [--quick] [--scale F] [--pauses N] [--jobs N] [--out DIR] \
          [--trace FILE] [--fault-rate R] [--fault-seed S] \
-         [--sched lockstep|fastforward] [--bench] [--rss-ceiling-mb N] <id>...\n\
+         [--sched lockstep|fastforward] [--rss-ceiling-mb N] <id>...\n\
          \x20      experiments --calibrate [--out DIR] [<figure>...]\n\
          ids: all {}\n\
          --sched picks the scheduler pacing (default fastforward; both produce \
          byte-identical results)\n\
-         --par-engines runs each sweep experiment's independent grid points on N \
-         partition workers (byte-identical outputs for any N; default 1)\n\
-         --bench times every listed experiment under both pacings and once more \
-         with the partition pool, checks the outputs match, and writes \
-         BENCH_{}.json next to the results\n\
          --calibrate checks DIR's CSVs and sidecars (default results/) against the \
          paper's numbers and writes DIR/calibration.json; figures default to all of: {}\n\
          --rss-ceiling-mb fails the run (exit 5) if the process's peak RSS exceeds \
@@ -50,17 +40,9 @@ fn usage() -> String {
          exit codes: 0 clean, 2 degraded to the software-fallback mark, 3 a run \
          failed, 4 calibration out of tolerance, 5 peak RSS over the ceiling",
         experiments::ALL.join(" "),
-        BENCH_ISSUE,
         calib::FIGURES.join(" "),
     )
 }
-
-/// The BENCH trajectory point this build records (see ROADMAP item 5).
-const BENCH_ISSUE: u32 = 10;
-
-/// Partition workers `--bench` uses when `--par-engines` was not given:
-/// the acceptance point of the multi-core batch is measured at 4.
-const BENCH_PAR_ENGINES: usize = 4;
 
 fn default_jobs() -> usize {
     std::thread::available_parallelism()
@@ -75,8 +57,6 @@ fn main() -> ExitCode {
     };
     let mut out_dir = PathBuf::from("results");
     let mut trace_path: Option<PathBuf> = None;
-    let mut par_engines_set = false;
-    let mut bench = false;
     let mut calibrate = false;
     let mut rss_ceiling_mb: Option<u64> = None;
     let mut ids: Vec<String> = Vec::new();
@@ -90,7 +70,6 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--bench" => bench = true,
             "--calibrate" => calibrate = true,
             "--quick" => {
                 opts.scale = 0.05;
@@ -114,16 +93,6 @@ fn main() -> ExitCode {
                 Some(v) if v >= 1 => opts.jobs = v,
                 _ => {
                     eprintln!("--jobs needs a positive number\n{}", usage());
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--par-engines" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v >= 1 => {
-                    opts.par_engines = v;
-                    par_engines_set = true;
-                }
-                _ => {
-                    eprintln!("--par-engines needs a positive number\n{}", usage());
                     return ExitCode::FAILURE;
                 }
             },
@@ -264,47 +233,6 @@ fn main() -> ExitCode {
     }
 
     let id_refs: Vec<&str> = ids.iter().map(String::as_str).collect();
-    // --bench: run the same batch three ways — the cycle-by-cycle
-    // lockstep reference, single-threaded fast-forward, and
-    // fast-forward with the bulk-synchronous partition pool
-    // (`--par-engines`, default 4 here) — hard-check that all three
-    // outputs agree byte for byte, and record every wall in
-    // BENCH_<issue>.json. The partition-pool batch doubles as the
-    // normal output below. The RSS high-water mark is reset between
-    // batches (where the kernel allows) so each batch is attributed
-    // separately.
-    let reference_batches = if bench {
-        if !par_engines_set {
-            opts.par_engines = BENCH_PAR_ENGINES;
-        }
-        let serial = Options {
-            par_engines: 1,
-            ..opts
-        };
-        set_default_pacing(Pacing::Lockstep);
-        let lockstep = match experiments::run_ids(&id_refs, &serial) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("{e}\n{}", usage());
-                return ExitCode::FAILURE;
-            }
-        };
-        let lockstep_rss = metrics::peak_rss_kb();
-        metrics::reset_peak_rss();
-        set_default_pacing(Pacing::FastForward);
-        let fastforward = match experiments::run_ids(&id_refs, &serial) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("{e}\n{}", usage());
-                return ExitCode::FAILURE;
-            }
-        };
-        let fastforward_rss = metrics::peak_rss_kb();
-        metrics::reset_peak_rss();
-        Some((lockstep, lockstep_rss, fastforward, fastforward_rss))
-    } else {
-        None
-    };
     let started = std::time::Instant::now();
     let completed = match experiments::run_ids(&id_refs, &opts) {
         Ok(completed) => completed,
@@ -314,87 +242,6 @@ fn main() -> ExitCode {
         }
     };
     let wall = started.elapsed();
-    if let Some((lockstep, lockstep_rss, fastforward, fastforward_rss)) = &reference_batches {
-        for (label, reference) in [("pacings", lockstep), ("worker counts", fastforward)] {
-            for (par, r) in completed.iter().zip(reference) {
-                let id = par.output.id;
-                // Byte-equality after scrubbing the centralized
-                // nondeterministic-field list (a no-op for sidecars,
-                // which contain none of those fields — the scrub
-                // guarantees the comparison can never trip on a
-                // host-measured value).
-                let scrubbed = |doc: &tracegc::MetricsDoc| match nondet::scrub_json(&doc.to_json())
-                {
-                    Ok(s) => s,
-                    Err(e) => {
-                        eprintln!("bench: {id} sidecar is not valid JSON: {e}");
-                        String::new()
-                    }
-                };
-                let (par_doc, ref_doc) =
-                    (scrubbed(&par.output.metrics), scrubbed(&r.output.metrics));
-                if par_doc.is_empty() || par_doc != ref_doc {
-                    eprintln!("bench: {id} metrics sidecars differ between {label}");
-                    return ExitCode::FAILURE;
-                }
-                let csv = |c: &experiments::CompletedExperiment| {
-                    c.output
-                        .tables
-                        .iter()
-                        .map(tracegc::table::Table::to_csv)
-                        .collect::<Vec<_>>()
-                };
-                if csv(par) != csv(r) {
-                    eprintln!("bench: {id} CSV tables differ between {label}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        let doc = metrics::BenchDoc {
-            issue: BENCH_ISSUE,
-            jobs: opts.jobs,
-            par_engines: opts.par_engines,
-            scale: opts.scale,
-            pauses: opts.pauses,
-            host_cpus: metrics::host_cpus(),
-            peak_rss_kb_fastforward: *fastforward_rss,
-            peak_rss_kb_lockstep: *lockstep_rss,
-            peak_rss_kb_parallel: metrics::peak_rss_kb(),
-            entries: completed
-                .iter()
-                .zip(fastforward)
-                .zip(lockstep)
-                .map(|((par, ff), ls)| metrics::BenchEntry {
-                    id: par.output.id.to_string(),
-                    sim_cycles: par.output.metrics.phases.iter().map(|p| p.cycles).sum(),
-                    wall_s_fastforward: ff.wall.as_secs_f64(),
-                    wall_s_lockstep: ls.wall.as_secs_f64(),
-                    wall_s_parallel: par.wall.as_secs_f64(),
-                })
-                .collect(),
-        };
-        match metrics::write_bench(&out_dir, &doc) {
-            Ok(path) => println!(
-                "bench: {} ({:.1}s lockstep / {:.1}s fastforward = {:.2}x, \
-                 / {:.1}s at --par-engines {} = a further {:.2}x \
-                 on {} host CPU(s), outputs byte-identical)",
-                path.display(),
-                doc.total_wall_lockstep(),
-                doc.total_wall_fastforward(),
-                doc.total_speedup(),
-                doc.total_wall_parallel(),
-                opts.par_engines,
-                doc.total_speedup_parallel(),
-                doc.host_cpus
-                    .map_or_else(|| "?".to_string(), |n| n.to_string()),
-            ),
-            Err(e) => {
-                eprintln!("bench: could not write BENCH_{BENCH_ISSUE}.json: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
     // Rendering happens after the pool drains, in registry order, so
     // output and CSVs are identical for every --jobs value.
     for (id, done) in id_refs.iter().zip(&completed) {
@@ -454,13 +301,12 @@ fn main() -> ExitCode {
     let busy: f64 = completed.iter().map(|c| c.wall.as_secs_f64()).sum();
     let wall_s = wall.as_secs_f64();
     println!(
-        "\n[{} experiments in {:.1}s wall with --jobs {} --par-engines {} \
+        "\n[{} experiments in {:.1}s wall with --jobs {} \
          ({:.1} experiment-seconds of work, \
          {:.2}x parallel speedup, {:.2} experiments/s)]",
         completed.len(),
         wall_s,
         opts.jobs,
-        opts.par_engines,
         busy,
         busy / wall_s.max(1e-9),
         completed.len() as f64 / wall_s.max(1e-9),

@@ -48,7 +48,7 @@ pub fn run_memsched(opts: &Options) -> ExperimentOutput {
         "ablA: memory scheduler sensitivity (avrora mark phase)",
         &["config", "unit-mark-ms", "cpu-mark-ms"],
     );
-    let rows = super::par_grid(opts, variants.to_vec(), |(name, cfg)| {
+    let rows = variants.into_iter().map(|(name, cfg)| {
         let unit = run_unit_gc_faulted(
             &spec,
             LayoutKind::Bidirectional,
@@ -103,7 +103,7 @@ pub fn run_layout(opts: &Options) -> ExperimentOutput {
         ("bidirectional", LayoutKind::Bidirectional),
         ("conventional-tib", LayoutKind::Conventional),
     ];
-    let results = super::par_grid(opts, layouts, |(name, layout)| {
+    let results = layouts.into_iter().map(|(name, layout)| {
         let unit = run_unit_gc_faulted(
             &spec,
             layout,
@@ -171,7 +171,7 @@ pub fn run_tlb(opts: &Options) -> ExperimentOutput {
         ("hit-under-miss, 1 walk", false, 1),
         ("hit-under-miss, 4 walks", false, 4),
     ];
-    let results = super::par_grid(opts, variants.to_vec(), |(name, blocking, walks)| {
+    let results = variants.into_iter().map(|(name, blocking, walks)| {
         let cfg = GcUnitConfig {
             tlb: TlbConfig {
                 blocking_requesters: blocking,
@@ -309,7 +309,7 @@ pub fn run_superpages(opts: &Options) -> ExperimentOutput {
     );
     let mut times = Vec::new();
     let variants = vec![("4KiB", false), ("2MiB-superpages", true)];
-    let results = super::par_grid(opts, variants, |(name, superpages)| {
+    let results = variants.into_iter().map(|(name, superpages)| {
         let run = run_unit_gc_faulted(
             &spec,
             LayoutKind::Bidirectional,
@@ -365,7 +365,7 @@ pub fn run_throttle(opts: &Options) -> ExperimentOutput {
             "mutator-p-high-latency",
         ],
     );
-    let rows = super::par_grid(opts, vec![0u64, 4, 16], |interval| {
+    let rows = [0u64, 4, 16].into_iter().map(|interval| {
         let mut workload =
             tracegc_workloads::generate::generate_heap(&spec, LayoutKind::Bidirectional);
         let mut mem = MemKind::ddr3_default().fresh();
@@ -427,18 +427,22 @@ pub fn run_ooo(opts: &Options) -> ExperimentOutput {
         &["ooo-window", "cpu-mark-ms", "speedup-vs-inorder"],
     );
     let windows = vec![1usize, 2, 4, 8];
-    let cycles = super::par_grid(opts, windows.clone(), |window| {
-        let mut workload =
-            tracegc_workloads::generate::generate_heap(&spec, LayoutKind::Bidirectional);
-        let mut mem = MemKind::ddr3_default().fresh();
-        let cfg = tracegc_cpu::CpuConfig {
-            ooo_window: window,
-            ..tracegc_cpu::CpuConfig::default()
-        };
-        let mut cpu = tracegc_cpu::Cpu::new(cfg, &mut workload.heap);
-        let mark = cpu.run_mark(&mut workload.heap, &mut mem);
-        (mark.cycles, mark.stalls)
-    });
+    let cycles: Vec<_> = windows
+        .iter()
+        .copied()
+        .map(|window| {
+            let mut workload =
+                tracegc_workloads::generate::generate_heap(&spec, LayoutKind::Bidirectional);
+            let mut mem = MemKind::ddr3_default().fresh();
+            let cfg = tracegc_cpu::CpuConfig {
+                ooo_window: window,
+                ..tracegc_cpu::CpuConfig::default()
+            };
+            let mut cpu = tracegc_cpu::Cpu::new(cfg, &mut workload.heap);
+            let mark = cpu.run_mark(&mut workload.heap, &mut mem);
+            (mark.cycles, mark.stalls)
+        })
+        .collect();
     let base = cycles[0].0;
     let mut metrics = MetricsDoc::new("ablG");
     for (window, (mark_cycles, stalls)) in windows.into_iter().zip(cycles) {

@@ -39,7 +39,7 @@ pub fn run(opts: &Options) -> ExperimentOutput {
         Some(("concurrent/medium", 60, 0.2)),
         Some(("concurrent/heavy", 25, 0.4)),
     ];
-    let rows = super::par_grid(opts, modes, |mode| {
+    let rows = modes.into_iter().map(|mode| {
         let mut workload = generate_heap(&spec, LayoutKind::Bidirectional);
         let mut mem = MemKind::ddr3_default().fresh();
         let mut unit = TraversalUnit::new(GcUnitConfig::default(), &mut workload.heap);
@@ -135,13 +135,17 @@ pub fn run_multi(opts: &Options) -> ExperimentOutput {
         &["processes", "wall-ms", "vs-serial", "mean-per-process-ms"],
     );
     let counts = vec![1usize, 2, 4];
-    let results = super::par_grid(opts, counts.clone(), |n| {
-        let mut procs: Vec<ProcessContext> = (0..n as u64).map(make_context).collect();
-        let mut mem = MemKind::ddr3_default().fresh();
-        let report = run_multiprocess_mark(&mut procs, &mut mem, 0);
-        let mean: u64 = report.per_process.iter().map(|r| r.cycles()).sum::<u64>() / n as u64;
-        (report.total_cycles(0), mean, report.per_process)
-    });
+    let results: Vec<_> = counts
+        .iter()
+        .copied()
+        .map(|n| {
+            let mut procs: Vec<ProcessContext> = (0..n as u64).map(make_context).collect();
+            let mut mem = MemKind::ddr3_default().fresh();
+            let report = run_multiprocess_mark(&mut procs, &mut mem, 0);
+            let mean: u64 = report.per_process.iter().map(|r| r.cycles()).sum::<u64>() / n as u64;
+            (report.total_cycles(0), mean, report.per_process)
+        })
+        .collect();
     let solo_wall = results[0].0;
     // The round-robin scheduler charges each process's ledger on every
     // cycle it is live (its own bottleneck when served, PortBusy when

@@ -52,16 +52,20 @@ pub fn run(opts: &Options) -> ExperimentOutput {
         .flat_map(|ri| (0..repeats).map(move |rep| (ri, rep)))
         .collect();
 
-    let runs = super::par_grid(opts, grid.clone(), |(ri, rep)| {
-        let rate = RATES[ri];
-        run_faulted_mark(
-            &spec,
-            LayoutKind::Bidirectional,
-            GcUnitConfig::default(),
-            MemKind::ddr3_default(),
-            fault_config(rate, ri * repeats + rep),
-        )
-    });
+    let runs: Vec<_> = grid
+        .iter()
+        .copied()
+        .map(|(ri, rep)| {
+            let rate = RATES[ri];
+            run_faulted_mark(
+                &spec,
+                LayoutKind::Bidirectional,
+                GcUnitConfig::default(),
+                MemKind::ddr3_default(),
+                fault_config(rate, ri * repeats + rep),
+            )
+        })
+        .collect();
 
     // Clean baseline: mean total mark cycles at rate 0 (all its runs
     // are identical — zero rates inject nothing).

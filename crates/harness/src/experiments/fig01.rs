@@ -10,7 +10,6 @@ use tracegc_heap::LayoutKind;
 use tracegc_workloads::queries::{QueryLatencySim, QueryLatencySpec};
 use tracegc_workloads::spec::{by_name, DACAPO};
 
-use super::par_grid;
 use super::{ExperimentOutput, Options};
 use crate::metrics::MetricsDoc;
 use crate::runner::{run_cpu_gc, MemKind};
@@ -22,7 +21,7 @@ pub fn run_1a(opts: &Options) -> ExperimentOutput {
         "Fig 1a: CPU time spent in GC pauses",
         &["bench", "gc-ms/pause", "mutator-ms/pause", "gc-%"],
     );
-    let results = par_grid(opts, DACAPO.to_vec(), |spec| {
+    let results = DACAPO.into_iter().map(|spec| {
         let spec = spec.scaled(opts.scale);
         let run = run_cpu_gc(&spec, LayoutKind::Bidirectional, MemKind::ddr3_default());
         (

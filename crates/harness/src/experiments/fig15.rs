@@ -31,7 +31,7 @@ pub fn run(opts: &Options) -> ExperimentOutput {
     let mut mark_speedups = Vec::new();
     let mut sweep_speedups = Vec::new();
     let mut total_speedups = Vec::new();
-    let results = super::par_grid(opts, DACAPO.to_vec(), |spec| {
+    let results = DACAPO.into_iter().map(|spec| {
         let spec = spec.scaled(opts.scale);
         let pauses = spec.pauses.min(opts.pauses);
         let mut run = DualRun::new(&spec, LayoutKind::Bidirectional, GcUnitConfig::default());

@@ -14,9 +14,8 @@ use crate::table::Table;
 
 /// Captures the bandwidth time series of the last avrora pause.
 ///
-/// This experiment has no independent grid points to hand to the worker
-/// pool: successive pauses share the churned heap, so they must run in
-/// order. `--jobs` still overlaps fig16 with other experiment ids.
+/// Successive pauses share the churned heap, so they run in order;
+/// `--jobs` overlaps fig16 with other experiment ids.
 pub fn run(opts: &Options) -> ExperimentOutput {
     let spec = by_name("avrora").expect("avrora exists").scaled(opts.scale);
     let pauses = spec.pauses.min(opts.pauses);

@@ -37,7 +37,7 @@ pub fn run(opts: &Options) -> ExperimentOutput {
         ],
     );
     let mut mark_speedups = Vec::new();
-    let results = super::par_grid(opts, DACAPO.to_vec(), |spec| {
+    let results = DACAPO.into_iter().map(|spec| {
         let spec = spec.scaled(opts.scale);
         let mut run = DualRun::new(&spec, LayoutKind::Bidirectional, GcUnitConfig::default());
         (spec.name, run.run_pause(MemKind::pipe_8gbps()))

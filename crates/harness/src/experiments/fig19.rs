@@ -59,12 +59,12 @@ pub fn run(opts: &Options) -> ExperimentOutput {
             "mark-ms",
         ],
     );
-    // The 4x3 size-by-variant grid is embarrassingly parallel.
+    // The 4x3 size-by-variant grid.
     let grid: Vec<(u64, Variant)> = SIZES_KB
         .iter()
         .flat_map(|&kb| VARIANTS.map(|v| (kb, v)))
         .collect();
-    let rows = super::par_grid(opts, grid, |(kb, v)| {
+    let rows = grid.into_iter().map(|(kb, v)| {
         let side = 32usize;
         let entry = if v.compress { 4 } else { 8 };
         let total_entries = (kb * 1024 / entry) as usize;

@@ -35,29 +35,32 @@ pub fn run(opts: &Options) -> ExperimentOutput {
             std::iter::once((spec, None)).chain(SWEEPERS.iter().map(move |&n| (spec, Some(n))))
         })
         .collect();
-    let results = super::par_grid(opts, grid, |(spec, sweepers)| {
-        let spec = spec.scaled(opts.scale);
-        let mut w = generate_heap(&spec, LayoutKind::Bidirectional);
-        software_mark(&mut w.heap);
-        let mut mem = MemKind::ddr3_default().fresh();
-        match sweepers {
-            // Software baseline: the CPU collector sweeping a marked heap.
-            None => {
-                let mut cpu = Cpu::new(CpuConfig::default(), &mut w.heap);
-                let sweep = cpu.run_sweep(&mut w.heap, &mut mem);
-                (sweep.cycles, 1, sweep.stalls)
+    let results: Vec<_> = grid
+        .into_iter()
+        .map(|(spec, sweepers)| {
+            let spec = spec.scaled(opts.scale);
+            let mut w = generate_heap(&spec, LayoutKind::Bidirectional);
+            software_mark(&mut w.heap);
+            let mut mem = MemKind::ddr3_default().fresh();
+            match sweepers {
+                // Software baseline: the CPU collector sweeping a marked heap.
+                None => {
+                    let mut cpu = Cpu::new(CpuConfig::default(), &mut w.heap);
+                    let sweep = cpu.run_sweep(&mut w.heap, &mut mem);
+                    (sweep.cycles, 1, sweep.stalls)
+                }
+                Some(n) => {
+                    let cfg = GcUnitConfig {
+                        sweepers: n,
+                        ..GcUnitConfig::default()
+                    };
+                    let mut unit = ReclamationUnit::new(cfg, &w.heap);
+                    let sweep = unit.run_sweep(&mut w.heap, &mut mem, 0);
+                    (sweep.cycles(), sweep.lanes, sweep.stalls)
+                }
             }
-            Some(n) => {
-                let cfg = GcUnitConfig {
-                    sweepers: n,
-                    ..GcUnitConfig::default()
-                };
-                let mut unit = ReclamationUnit::new(cfg, &w.heap);
-                let sweep = unit.run_sweep(&mut w.heap, &mut mem, 0);
-                (sweep.cycles(), sweep.lanes, sweep.stalls)
-            }
-        }
-    });
+        })
+        .collect();
     let mut metrics = MetricsDoc::new("fig20");
     for (spec, per_bench) in DACAPO.iter().zip(results.chunks(1 + SWEEPERS.len())) {
         let (sw_cycles, sw_lanes, sw_stalls) = per_bench[0];

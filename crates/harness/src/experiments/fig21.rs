@@ -63,7 +63,7 @@ pub fn run(opts: &Options) -> ExperimentOutput {
             "mark-ms",
         ],
     );
-    let rows = super::par_grid(opts, CACHE_SIZES.to_vec(), |size| {
+    let rows = CACHE_SIZES.into_iter().map(|size| {
         let cfg = GcUnitConfig {
             markbit_cache: size,
             ..GcUnitConfig::default()

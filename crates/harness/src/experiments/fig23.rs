@@ -34,7 +34,7 @@ pub fn run(opts: &Options) -> ExperimentOutput {
     );
     let mut savings = Vec::new();
     let mut xalan_power: Option<(f64, f64, f64, f64)> = None;
-    let pauses = super::par_grid(opts, DACAPO.to_vec(), |spec| {
+    let pauses = DACAPO.into_iter().map(|spec| {
         let spec = spec.scaled(opts.scale);
         let mut run = DualRun::new(&spec, LayoutKind::Bidirectional, GcUnitConfig::default());
         (spec.name, run.run_pause(MemKind::ddr3_default()))

@@ -8,21 +8,21 @@
 //!
 //! Two phases:
 //!
-//! 1. **Measure** (parallel over tenants via the partition pool): each
-//!    tenant's mark is run cycle-exactly three times — clean at full
-//!    bandwidth (the SLO baseline), with the per-tenant seeded fault
-//!    injection plus a request timeout (`mark_budget` = 4× the clean
-//!    service, tripping [`TrapKind::RequestTimeout`] through the
-//!    trap/fallback path), and under the §VII issue throttle (the
-//!    bandwidth-partitioning policy's service time). Every degraded
-//!    tenant is differentially checked against the reachability oracle
-//!    inside `run_faulted_mark_stream`.
+//! 1. **Measure**: each tenant's mark is run cycle-exactly three
+//!    times — clean at full bandwidth (the SLO baseline), with the
+//!    per-tenant seeded fault injection plus a request timeout
+//!    (`mark_budget` = 4× the clean service, tripping
+//!    [`TrapKind::RequestTimeout`] through the trap/fallback path), and
+//!    under the §VII issue throttle (the bandwidth-partitioning
+//!    policy's service time). Every degraded tenant is differentially
+//!    checked against the reachability oracle inside
+//!    `run_faulted_mark_stream`.
 //! 2. **Replay** ([`tracegc_sim::fleet`]): the measured service times
 //!    drive a deterministic queueing simulation per (policy, offered
 //!    load) grid point, sweeping load past saturation.
 //!
-//! Everything is byte-identical across `--jobs`, `--par-engines` and
-//! both pacings; `tests/fleet_determinism.rs` pins that cross.
+//! Everything is byte-identical across `--jobs` and both pacings;
+//! `tests/fleet_determinism.rs` pins the pacing cross.
 //!
 //! [`TrapKind::RequestTimeout`]: tracegc_hwgc::TrapKind::RequestTimeout
 
@@ -196,12 +196,10 @@ pub fn run(opts: &Options) -> ExperimentOutput {
     let n_tenants = specs.len();
     let requests_per_tenant = opts.pauses.max(1);
 
-    // Phase 1: measure every tenant (independent grid points on the
-    // partition pool; the per-tenant seed never depends on worker
-    // order).
-    let measured = super::par_grid(opts, (0..n_tenants).collect(), |i| {
-        measure_tenant(&specs[i], tenant_fault(opts.fault, i))
-    });
+    // Phase 1: measure every tenant.
+    let measured: Vec<_> = (0..n_tenants)
+        .map(|i| measure_tenant(&specs[i], tenant_fault(opts.fault, i)))
+        .collect();
 
     let mut tenant_table = Table::new(
         "fleet tenants: measured per-tenant mark service",
@@ -279,19 +277,23 @@ pub fn run(opts: &Options) -> ExperimentOutput {
         .iter()
         .flat_map(|&p| LOADS.map(move |rho| (p, rho)))
         .collect();
-    let sweeps: Vec<FleetStats> = super::par_grid(opts, grid.clone(), |(policy, rho)| {
-        let cfg = FleetConfig {
-            units: UNITS,
-            channels: CHANNELS,
-            policy,
-            requests_per_tenant,
-            mean_period: ((n_tenants as f64 * mean_service) / (rho * UNITS as f64)).max(1.0)
-                as Cycle,
-            queue_cap: n_tenants,
-            seed: 0xF1EE_70AD,
-        };
-        run_fleet(&cfg, &profiles).expect("fleet replay cannot deadlock")
-    });
+    let sweeps: Vec<FleetStats> = grid
+        .iter()
+        .copied()
+        .map(|(policy, rho)| {
+            let cfg = FleetConfig {
+                units: UNITS,
+                channels: CHANNELS,
+                policy,
+                requests_per_tenant,
+                mean_period: ((n_tenants as f64 * mean_service) / (rho * UNITS as f64)).max(1.0)
+                    as Cycle,
+                queue_cap: n_tenants,
+                seed: 0xF1EE_70AD,
+            };
+            run_fleet(&cfg, &profiles).expect("fleet replay cannot deadlock")
+        })
+        .collect();
 
     let mut sweep_table = Table::new(
         "fleet sweep: policy x offered load (queueing delay and sojourn in cycles)",

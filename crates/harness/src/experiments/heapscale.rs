@@ -146,7 +146,7 @@ pub fn run(opts: &Options) -> ExperimentOutput {
             "sweep-ms",
         ],
     );
-    let rows = super::par_grid(opts, grid(), |(mb, expo, spec)| {
+    let rows = grid().into_iter().map(|(mb, expo, spec)| {
         let spec = spec.scaled(opts.scale.powf(expo));
         let run = run_unit_gc_stream(
             &spec,
@@ -206,8 +206,8 @@ pub fn run(opts: &Options) -> ExperimentOutput {
             "resident-mb counts sparse physical chunks actually written — the \
              simulated footprint the CI host-RSS ceiling is a multiple of."
                 .into(),
-            "Columns are simulated counters only, byte-identical across --jobs and \
-             --par-engines; host RSS is gated separately via --rss-ceiling-mb."
+            "Columns are simulated counters only, byte-identical across --jobs; \
+             host RSS is gated separately via --rss-ceiling-mb."
                 .into(),
         ],
     }

@@ -36,16 +36,11 @@ pub struct Options {
     pub scale: f64,
     /// Maximum GC pauses measured per benchmark.
     pub pauses: usize,
-    /// Worker threads used to run *experiments* concurrently (the outer
-    /// level of parallelism). Results are byte-identical for any value
-    /// (see `crate::parallel`).
+    /// Worker threads used to run experiments concurrently (`--jobs`
+    /// on the CLI). Each experiment builds its whole simulated context
+    /// from seeds, so results are byte-identical for any value; see
+    /// [`run_ids`] and DESIGN.md §10.
     pub jobs: usize,
-    /// Worker threads used to run the independent grid points *inside*
-    /// one sweep-style experiment (the inner, partition level —
-    /// `--par-engines` on the CLI). Each grid point owns its whole
-    /// simulated context, so outputs are byte-identical for any value;
-    /// see [`tracegc_sim::run_partitions`] and DESIGN.md §10.
-    pub par_engines: usize,
     /// Turns on event-ring tracing in the experiments that support it
     /// (those that run a single instrumented unit); the drained events
     /// land in [`ExperimentOutput::trace`].
@@ -61,36 +56,13 @@ impl Default for Options {
         Self {
             scale: 0.25,
             pauses: 3,
-            jobs: 1,
-            // Seeded from TRACEGC_PAR_ENGINES (or any enclosing
-            // `with_exec` scope) so library entry points honor the same
-            // knob as the CLI flag.
-            par_engines: tracegc_sim::default_exec().workers(),
+            // The process default exec (serial unless an embedder set
+            // one with `tracegc_sim::set_default_exec`).
+            jobs: tracegc_sim::default_exec().workers(),
             trace: false,
             fault: None,
         }
     }
-}
-
-/// Runs a sweep experiment's independent grid points under the
-/// partition budget (`Options::par_engines`), returning results in grid
-/// order.
-///
-/// Every grid point builds and ticks its own simulated context (heap,
-/// memory system, unit), so the points form trivially disjoint
-/// partitions and the bulk-synchronous runner keeps the outputs
-/// byte-identical to a serial sweep for any worker count.
-pub(crate) fn par_grid<T, U, F>(opts: &Options, items: Vec<T>, f: F) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-    F: Fn(T) -> U + Sync,
-{
-    tracegc_sim::run_partitions(
-        tracegc_sim::Exec::from_workers(opts.par_engines),
-        items,
-        |_, item| f(item),
-    )
 }
 
 /// The output of one experiment: tables plus free-form notes.
@@ -202,15 +174,22 @@ pub struct CompletedExperiment {
 /// Runs a batch of experiments on `opts.jobs` workers, returning the
 /// outputs in the order the ids were given.
 ///
-/// This is the library entry point behind the CLI's `--jobs` flag; the
-/// determinism tests call it directly to assert that `jobs = 1` and
-/// `jobs = 8` produce identical tables. Unknown ids are rejected up
-/// front (before anything runs) with an error naming the offender.
+/// This is the library entry point behind the CLI's `--jobs` flag and
+/// the harness's only level of parallelism: experiments never share
+/// simulated state, so they are the partitions of one
+/// [`tracegc_sim::run_partitions`] superstep, and the outputs come back
+/// in id order whatever the worker count. A panic in one experiment
+/// stops the batch before any further experiment starts. The
+/// determinism tests call this directly to assert that `jobs = 1` and
+/// `jobs = 8` produce identical tables and sidecars. Unknown ids are
+/// rejected up front (before anything runs) with an error naming the
+/// offender.
 pub fn run_ids(ids: &[&str], opts: &Options) -> Result<Vec<CompletedExperiment>, String> {
     if let Some(bad) = ids.iter().find(|id| !ALL.contains(id)) {
         return Err(format!("unknown experiment '{bad}'"));
     }
-    Ok(crate::parallel::par_map(opts.jobs, ids.to_vec(), |id| {
+    let exec = tracegc_sim::Exec::from_workers(opts.jobs);
+    Ok(tracegc_sim::run_partitions(exec, ids.to_vec(), |_, id| {
         let started = std::time::Instant::now();
         let output = run(id, opts).expect("ids were validated against ALL");
         CompletedExperiment {

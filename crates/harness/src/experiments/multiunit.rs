@@ -28,44 +28,47 @@ pub fn run(opts: &Options) -> ExperimentOutput {
         "multiunit: N traversal units sharing one DDR3 (xalan-sized heaps)",
         &["units", "wall-ms", "vs-1-unit-serial", "mean-unit-ms"],
     );
-    let results = super::par_grid(opts, UNITS.to_vec(), |n| {
-        // N independent processes: same generator, distinct seeds.
-        let mut workloads: Vec<_> = (0..n as u64)
-            .map(|i| {
-                let mut s = spec;
-                s.seed ^= i.wrapping_mul(0x9e37_79b9);
-                generate_heap(&s, LayoutKind::Bidirectional)
-            })
-            .collect();
-        let mut units: Vec<TraversalUnit> = workloads
-            .iter_mut()
-            .map(|w| TraversalUnit::new(GcUnitConfig::default(), &mut w.heap))
-            .collect();
-        for (u, w) in units.iter_mut().zip(&workloads) {
-            u.begin(&w.heap, 0);
-        }
-        let mut mem = MemKind::ddr3_default().fresh();
-        let report = {
-            let heaps: Vec<&mut Heap> = workloads.iter_mut().map(|w| &mut w.heap).collect();
-            let mut engines: Vec<MarkEngine> = units
-                .iter_mut()
-                .enumerate()
-                .map(|(i, u)| MarkEngine::new(u, i))
+    let results: Vec<_> = UNITS
+        .into_iter()
+        .map(|n| {
+            // N independent processes: same generator, distinct seeds.
+            let mut workloads: Vec<_> = (0..n as u64)
+                .map(|i| {
+                    let mut s = spec;
+                    s.seed ^= i.wrapping_mul(0x9e37_79b9);
+                    generate_heap(&s, LayoutKind::Bidirectional)
+                })
                 .collect();
-            let mut ctx = SocCtx::new(&mut mem, heaps);
-            let mut dyns: Vec<&mut dyn Engine<SocCtx>> = engines
+            let mut units: Vec<TraversalUnit> = workloads
                 .iter_mut()
-                .map(|e| e as &mut dyn Engine<SocCtx>)
+                .map(|w| TraversalUnit::new(GcUnitConfig::default(), &mut w.heap))
                 .collect();
-            Scheduler::new(Policy::Lockstep).run(&mut dyns, &mut ctx, 0)
-        };
-        let per_unit: Vec<_> = units
-            .iter()
-            .zip(&report.ends)
-            .map(|(u, &end)| u.result_at(0, end))
-            .collect();
-        (report.end, per_unit)
-    });
+            for (u, w) in units.iter_mut().zip(&workloads) {
+                u.begin(&w.heap, 0);
+            }
+            let mut mem = MemKind::ddr3_default().fresh();
+            let report = {
+                let heaps: Vec<&mut Heap> = workloads.iter_mut().map(|w| &mut w.heap).collect();
+                let mut engines: Vec<MarkEngine> = units
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(i, u)| MarkEngine::new(u, i))
+                    .collect();
+                let mut ctx = SocCtx::new(&mut mem, heaps);
+                let mut dyns: Vec<&mut dyn Engine<SocCtx>> = engines
+                    .iter_mut()
+                    .map(|e| e as &mut dyn Engine<SocCtx>)
+                    .collect();
+                Scheduler::new(Policy::Lockstep).run(&mut dyns, &mut ctx, 0)
+            };
+            let per_unit: Vec<_> = units
+                .iter()
+                .zip(&report.ends)
+                .map(|(u, &end)| u.result_at(0, end))
+                .collect();
+            (report.end, per_unit)
+        })
+        .collect();
     let solo_wall = results[0].0;
     let mut metrics = MetricsDoc::new("multiunit");
     for (n, (wall, per_unit)) in UNITS.into_iter().zip(results) {

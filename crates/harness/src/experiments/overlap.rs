@@ -56,37 +56,41 @@ pub fn run(opts: &Options) -> ExperimentOutput {
         &["mode", "wall-ms", "mark-ms", "sweep-ms", "vs-serial"],
     );
     let modes = vec![Mode::Serial, Mode::Lockstep, Mode::Throttled { period: 4 }];
-    let results = super::par_grid(opts, modes, |mode| {
-        let mut a = generate_heap(&mark_spec, LayoutKind::Bidirectional);
-        let mut b = generate_heap(&sweep_spec, LayoutKind::Bidirectional);
-        software_mark(&mut b.heap);
-        let mut mem = MemKind::ddr3_default().fresh();
-        let mut unit = TraversalUnit::new(GcUnitConfig::default(), &mut a.heap);
-        let mut rec = ReclamationUnit::new(GcUnitConfig::default(), &b.heap);
-        match mode {
-            Mode::Serial => {
-                let mark = unit.run_mark(&mut a.heap, &mut mem, 0);
-                let sweep = rec.run_sweep(&mut b.heap, &mut mem, mark.end);
-                (mode, sweep.end, mark, sweep)
+    let results: Vec<_> = modes
+        .into_iter()
+        .map(|mode| {
+            let mut a = generate_heap(&mark_spec, LayoutKind::Bidirectional);
+            let mut b = generate_heap(&sweep_spec, LayoutKind::Bidirectional);
+            software_mark(&mut b.heap);
+            let mut mem = MemKind::ddr3_default().fresh();
+            let mut unit = TraversalUnit::new(GcUnitConfig::default(), &mut a.heap);
+            let mut rec = ReclamationUnit::new(GcUnitConfig::default(), &b.heap);
+            match mode {
+                Mode::Serial => {
+                    let mark = unit.run_mark(&mut a.heap, &mut mem, 0);
+                    let sweep = rec.run_sweep(&mut b.heap, &mut mem, mark.end);
+                    (mode, sweep.end, mark, sweep)
+                }
+                Mode::Lockstep | Mode::Throttled { .. } => {
+                    let policy = match mode {
+                        Mode::Throttled { period } => Policy::Throttled { period },
+                        _ => Policy::Lockstep,
+                    };
+                    unit.begin(&a.heap, 0);
+                    let mut sweep_eng = SweepEngine::new(&mut rec, 1, 0);
+                    let report = {
+                        let mut mark_eng = MarkEngine::new(&mut unit, 0);
+                        let mut ctx = SocCtx::new(&mut mem, vec![&mut a.heap, &mut b.heap]);
+                        let mut engines: [&mut dyn Engine<SocCtx>; 2] =
+                            [&mut mark_eng, &mut sweep_eng];
+                        Scheduler::new(policy).run(&mut engines, &mut ctx, 0)
+                    };
+                    let mark = unit.result_at(0, report.ends[0]);
+                    (mode, report.end, mark, sweep_eng.into_result())
+                }
             }
-            Mode::Lockstep | Mode::Throttled { .. } => {
-                let policy = match mode {
-                    Mode::Throttled { period } => Policy::Throttled { period },
-                    _ => Policy::Lockstep,
-                };
-                unit.begin(&a.heap, 0);
-                let mut sweep_eng = SweepEngine::new(&mut rec, 1, 0);
-                let report = {
-                    let mut mark_eng = MarkEngine::new(&mut unit, 0);
-                    let mut ctx = SocCtx::new(&mut mem, vec![&mut a.heap, &mut b.heap]);
-                    let mut engines: [&mut dyn Engine<SocCtx>; 2] = [&mut mark_eng, &mut sweep_eng];
-                    Scheduler::new(policy).run(&mut engines, &mut ctx, 0)
-                };
-                let mark = unit.result_at(0, report.ends[0]);
-                (mode, report.end, mark, sweep_eng.into_result())
-            }
-        }
-    });
+        })
+        .collect();
     let serial_wall = results[0].1;
     let mut metrics = MetricsDoc::new("overlap");
     for (mode, wall, mark, sweep) in results {

@@ -37,8 +37,6 @@ pub mod calib;
 pub mod experiments;
 pub mod json;
 pub mod metrics;
-pub mod nondet;
-pub mod parallel;
 pub mod runner;
 pub mod table;
 

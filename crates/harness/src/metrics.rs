@@ -253,246 +253,15 @@ pub fn write_sidecar(dir: &Path, doc: &MetricsDoc) -> std::io::Result<std::path:
     Ok(path)
 }
 
-/// Schema tag written into every self-timing bench document.
-pub const BENCH_SCHEMA: &str = "tracegc-bench-v1";
-
-/// One experiment's simulator-performance sample: the same simulated
-/// work (identical cycles, CSVs and sidecars by construction) timed
-/// under both pacings and once more with the partition pool.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchEntry {
-    /// Experiment id (`fig15`, ...).
-    pub id: String,
-    /// Simulated cycles attributed by the experiment's metrics phases
-    /// (identical under every pacing and worker count).
-    pub sim_cycles: u64,
-    /// Wall seconds under event-driven fast-forward pacing,
-    /// single-threaded.
-    pub wall_s_fastforward: f64,
-    /// Wall seconds under the cycle-by-cycle lockstep reference.
-    pub wall_s_lockstep: f64,
-    /// Wall seconds under fast-forward pacing with the experiment's
-    /// independent grid points on the bulk-synchronous partition pool
-    /// (`--par-engines`, see [`BenchDoc::par_engines`]).
-    pub wall_s_parallel: f64,
-}
-
-impl BenchEntry {
-    /// Lockstep wall over fast-forward wall (how much the event-driven
-    /// scheduler buys on this experiment).
-    pub fn speedup(&self) -> f64 {
-        self.wall_s_lockstep / self.wall_s_fastforward.max(1e-9)
-    }
-
-    /// Single-threaded fast-forward wall over partition-pool wall (what
-    /// multi-core execution buys *on top of* fast-forward pacing).
-    pub fn speedup_parallel(&self) -> f64 {
-        self.wall_s_fastforward / self.wall_s_parallel.max(1e-9)
-    }
-}
-
-/// The `BENCH_<issue>.json` document (schema [`BENCH_SCHEMA`]): the
-/// simulator's own performance trajectory, so a scheduling regression
-/// shows up as a number, not a feeling. Written by
-/// `experiments --bench`; validated by `tests/metrics_sidecar.rs` and
-/// `ci.sh`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchDoc {
-    /// Trajectory point (the PR that recorded it); names the file.
-    pub issue: u32,
-    /// Worker threads the batch ran with (experiments in flight at
-    /// once; `--jobs`).
-    pub jobs: usize,
-    /// Partition-pool workers used for the multi-core batch (grid
-    /// points in flight inside one experiment; `--par-engines`).
-    pub par_engines: usize,
-    /// Scale factor of the batch.
-    pub scale: f64,
-    /// Pause budget of the batch.
-    pub pauses: usize,
-    /// CPUs available to the recording host (`None` when the host
-    /// could not report it). The partition-pool batch cannot beat
-    /// single-threaded fast-forward when this is 1, so the trajectory
-    /// point is uninterpretable without it. Host-measured, so excluded
-    /// from byte-equality comparisons (see [`crate::nondet`]).
-    pub host_cpus: Option<usize>,
-    /// Peak resident set size (KiB, `VmHWM`) observed over the
-    /// fast-forward batch; `None` where `/proc` is unavailable.
-    /// Host-measured, so excluded from byte-equality comparisons (see
-    /// [`crate::nondet`]).
-    pub peak_rss_kb_fastforward: Option<u64>,
-    /// Peak resident set size (KiB) observed over the lockstep batch.
-    pub peak_rss_kb_lockstep: Option<u64>,
-    /// Peak resident set size (KiB) observed over the partition-pool
-    /// batch.
-    pub peak_rss_kb_parallel: Option<u64>,
-    /// Per-experiment samples, in registry order.
-    pub entries: Vec<BenchEntry>,
-}
-
-impl BenchDoc {
-    /// Total simulated cycles across all entries.
-    pub fn total_sim_cycles(&self) -> u64 {
-        self.entries.iter().map(|e| e.sim_cycles).sum()
-    }
-
-    /// Summed per-experiment wall seconds (experiment-seconds of work,
-    /// independent of `--jobs` overlap) under fast-forward pacing.
-    pub fn total_wall_fastforward(&self) -> f64 {
-        self.entries.iter().map(|e| e.wall_s_fastforward).sum()
-    }
-
-    /// Summed per-experiment wall seconds under lockstep pacing.
-    pub fn total_wall_lockstep(&self) -> f64 {
-        self.entries.iter().map(|e| e.wall_s_lockstep).sum()
-    }
-
-    /// Summed per-experiment wall seconds under fast-forward pacing on
-    /// the partition pool.
-    pub fn total_wall_parallel(&self) -> f64 {
-        self.entries.iter().map(|e| e.wall_s_parallel).sum()
-    }
-
-    /// Whole-batch speedup of fast-forward over the lockstep reference.
-    pub fn total_speedup(&self) -> f64 {
-        self.total_wall_lockstep() / self.total_wall_fastforward().max(1e-9)
-    }
-
-    /// Whole-batch speedup of the partition pool over single-threaded
-    /// fast-forward (the additional multi-core win).
-    pub fn total_speedup_parallel(&self) -> f64 {
-        self.total_wall_fastforward() / self.total_wall_parallel().max(1e-9)
-    }
-
-    /// The document's file name, `BENCH_<issue>.json`.
-    pub fn file_name(&self) -> String {
-        format!("BENCH_{}.json", self.issue)
-    }
-
-    /// Renders the document as deterministic, pretty-printed JSON.
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(1024);
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"schema\": {},", json_string(BENCH_SCHEMA));
-        let _ = writeln!(s, "  \"issue\": {},", self.issue);
-        let _ = writeln!(s, "  \"jobs\": {},", self.jobs);
-        let _ = writeln!(s, "  \"par_engines\": {},", self.par_engines);
-        let _ = writeln!(s, "  \"scale\": {},", json_f64(self.scale));
-        let _ = writeln!(s, "  \"pauses\": {},", self.pauses);
-        match self.host_cpus {
-            Some(n) => {
-                let _ = writeln!(s, "  \"host_cpus\": {n},");
-            }
-            None => {
-                let _ = writeln!(s, "  \"host_cpus\": null,");
-            }
-        }
-        s.push_str("  \"experiments\": [");
-        for (i, e) in self.entries.iter().enumerate() {
-            s.push_str(if i == 0 { "\n" } else { ",\n" });
-            let _ = write!(
-                s,
-                "    {{\"id\": {}, \"sim_cycles\": {}, \
-                 \"wall_s_fastforward\": {}, \"wall_s_lockstep\": {}, \
-                 \"wall_s_parallel\": {}, \
-                 \"speedup\": {}, \"speedup_parallel\": {}, \
-                 \"cycles_per_sec_fastforward\": {}, \
-                 \"cycles_per_sec_lockstep\": {}, \
-                 \"cycles_per_sec_parallel\": {}}}",
-                json_string(&e.id),
-                e.sim_cycles,
-                json_f64(e.wall_s_fastforward),
-                json_f64(e.wall_s_lockstep),
-                json_f64(e.wall_s_parallel),
-                json_f64(e.speedup()),
-                json_f64(e.speedup_parallel()),
-                json_f64(e.sim_cycles as f64 / e.wall_s_fastforward.max(1e-9)),
-                json_f64(e.sim_cycles as f64 / e.wall_s_lockstep.max(1e-9)),
-                json_f64(e.sim_cycles as f64 / e.wall_s_parallel.max(1e-9)),
-            );
-        }
-        s.push_str(if self.entries.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
-        });
-        let _ = writeln!(s, "  \"total\": {{");
-        let _ = writeln!(s, "    \"sim_cycles\": {},", self.total_sim_cycles());
-        let _ = writeln!(
-            s,
-            "    \"wall_s_fastforward\": {},",
-            json_f64(self.total_wall_fastforward())
-        );
-        let _ = writeln!(
-            s,
-            "    \"wall_s_lockstep\": {},",
-            json_f64(self.total_wall_lockstep())
-        );
-        let _ = writeln!(
-            s,
-            "    \"wall_s_parallel\": {},",
-            json_f64(self.total_wall_parallel())
-        );
-        let _ = writeln!(s, "    \"speedup\": {},", json_f64(self.total_speedup()));
-        let _ = writeln!(
-            s,
-            "    \"speedup_parallel\": {},",
-            json_f64(self.total_speedup_parallel())
-        );
-        let rss = |v: Option<u64>| v.map_or("null".to_string(), |kb| kb.to_string());
-        let _ = writeln!(
-            s,
-            "    \"peak_rss_kb_fastforward\": {},",
-            rss(self.peak_rss_kb_fastforward)
-        );
-        let _ = writeln!(
-            s,
-            "    \"peak_rss_kb_lockstep\": {},",
-            rss(self.peak_rss_kb_lockstep)
-        );
-        let _ = writeln!(
-            s,
-            "    \"peak_rss_kb_parallel\": {}",
-            rss(self.peak_rss_kb_parallel)
-        );
-        s.push_str("  }\n}\n");
-        s
-    }
-}
-
 /// Peak resident set size of this process in KiB: the `VmHWM` line of
 /// `/proc/self/status`. `None` where `/proc` is unavailable (non-Linux)
-/// or unparsable. A high-water mark, not an instantaneous reading — see
-/// [`reset_peak_rss`].
+/// or unparsable. A high-water mark, not an instantaneous reading.
 pub fn peak_rss_kb() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     status
         .lines()
         .find_map(|l| l.strip_prefix("VmHWM:"))
         .and_then(|rest| rest.trim().trim_end_matches("kB").trim().parse().ok())
-}
-
-/// CPUs available to this process, for [`BenchDoc::host_cpus`]. `None`
-/// when the host cannot report it.
-pub fn host_cpus() -> Option<usize> {
-    std::thread::available_parallelism().ok().map(usize::from)
-}
-
-/// Asks the kernel to reset the RSS high-water mark (`5` to
-/// `/proc/self/clear_refs`), so consecutive batches can be attributed
-/// separately. Returns whether the reset took; when it does not, the
-/// next [`peak_rss_kb`] reading is a running maximum over both batches,
-/// which is still a valid upper bound.
-pub fn reset_peak_rss() -> bool {
-    std::fs::write("/proc/self/clear_refs", "5").is_ok()
-}
-
-/// Writes `doc` to `<dir>/BENCH_<issue>.json`; returns the path written.
-pub fn write_bench(dir: &Path, doc: &BenchDoc) -> std::io::Result<std::path::PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(doc.file_name());
-    std::fs::write(&path, doc.to_json())?;
-    Ok(path)
 }
 
 /// Renders drained ring events in the Chrome trace-event format

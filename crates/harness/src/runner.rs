@@ -12,7 +12,7 @@
 
 use tracegc_cpu::{Cpu, CpuConfig};
 use tracegc_heap::verify::check_marks_match_reachability;
-use tracegc_heap::LayoutKind;
+use tracegc_heap::{Heap, LayoutKind};
 use tracegc_hwgc::{GcUnit, GcUnitConfig, Trap, TraversalUnit};
 use tracegc_mem::ddr3::Ddr3Config;
 use tracegc_mem::pipe::PipeConfig;
@@ -318,29 +318,17 @@ pub fn run_unit_gc(
     cfg: GcUnitConfig,
     mem_kind: MemKind,
 ) -> UnitRun {
-    run_unit_gc_opts(spec, layout, cfg, mem_kind, false)
+    run_unit_gc_faulted(spec, layout, cfg, mem_kind, false, None)
 }
 
 /// Like [`run_unit_gc`], optionally mapping the heap with 2 MiB
-/// superpages (the §VII `ablE` ablation).
-pub fn run_unit_gc_opts(
-    spec: &BenchSpec,
-    layout: LayoutKind,
-    cfg: GcUnitConfig,
-    mem_kind: MemKind,
-    superpages: bool,
-) -> UnitRun {
-    run_unit_gc_faulted(spec, layout, cfg, mem_kind, superpages, None)
-}
-
-/// Like [`run_unit_gc_opts`], optionally injecting faults from `fault`.
+/// superpages (the §VII `ablE` ablation) and injecting faults from
+/// `fault`.
 ///
 /// The degradation protocol mirrors what the driver would do: a trapped
-/// mark leaves the unit frozen; the driver drains its architected state
-/// (mark bitmap is already in the heap, pending reference words come
-/// out of the queues), detaches the memory-system injector (recovery
-/// runs on recovered memory), finishes the mark with the software
-/// collector, and only then lets the unit sweep.
+/// mark leaves the unit frozen; the driver drains its architected state,
+/// finishes the mark with the software collector on recovered memory,
+/// and only then lets the unit sweep.
 ///
 /// # Panics
 ///
@@ -375,44 +363,27 @@ pub fn run_unit_gc_faulted(
                 .trap()
                 .unwrap_or_else(|| panic!("mark failed without a trap: {e}"));
             let mark = unit.traversal().result_at(0, trap.at);
-            let pending = unit.traversal_mut().drain_architected_state(&workload.heap);
-            // The trap may have left a latched unrecoverable fault in
-            // the memory system; clear it and detach the injector so
-            // the fallback runs on recovered memory.
-            let _ = mem.take_fault();
-            if let Some(inj) = mem.take_fault_injector() {
-                fault_stats.merge(inj.stats());
-            }
-            let mut cpu = Cpu::new(CpuConfig::default(), &mut workload.heap);
-            cpu.advance_to(trap.at);
-            let fb = cpu.resume_mark_from(&mut workload.heap, &mut mem, &pending);
+            let (info, _) = fall_back_to_software(
+                trap,
+                unit.traversal_mut(),
+                &mut workload.heap,
+                &mut mem,
+                &mut fault_stats,
+            );
             check_marks_match_reachability(&workload.heap)
                 .expect("software fallback must complete the mark exactly");
             let marked_total = workload.heap.marked_set().len() as u64;
             let sweep = unit.sweep_after_fallback(
                 &mut workload.heap,
                 &mut mem,
-                trap.at + fb.cycles,
+                trap.at + info.cycles,
                 marked_total,
             );
-            fallback = Some(FallbackInfo {
-                trap,
-                drained: pending.len(),
-                cycles: fb.cycles,
-            });
+            fallback = Some(info);
             tracegc_hwgc::GcReport { mark, sweep }
         }
     };
-
-    if let Some(inj) = mem.take_fault_injector() {
-        fault_stats.merge(inj.stats());
-    }
-    if let Some(s) = unit.traversal().fault_stats() {
-        fault_stats.merge(s);
-    }
-    if let Some(s) = unit.traversal().ptw_fault_stats() {
-        fault_stats.merge(s);
-    }
+    merge_fault_stats(&mut fault_stats, &mut mem, unit.traversal());
 
     UnitRun {
         report,
@@ -421,6 +392,52 @@ pub fn run_unit_gc_faulted(
         workload,
         fault_stats,
         fallback,
+    }
+}
+
+/// The driver's trap-recovery protocol, shared by every faulted run:
+/// drains the frozen unit's architected state (the mark bitmap is
+/// already in the heap; pending reference words come out of the
+/// queues), clears any unrecoverable fault the trap left latched in
+/// the memory system, detaches its injector (folding the counters into
+/// `stats`) so recovery runs on recovered memory, and finishes the mark
+/// with the software collector from the trap cycle. Returns the
+/// fallback record and the collector's cycle attribution.
+fn fall_back_to_software(
+    trap: Trap,
+    unit: &mut TraversalUnit,
+    heap: &mut Heap,
+    mem: &mut MemSystem,
+    stats: &mut FaultStats,
+) -> (FallbackInfo, StallAccounting) {
+    let pending = unit.drain_architected_state(heap);
+    let _ = mem.take_fault();
+    if let Some(inj) = mem.take_fault_injector() {
+        stats.merge(inj.stats());
+    }
+    let mut cpu = Cpu::new(CpuConfig::default(), heap);
+    cpu.advance_to(trap.at);
+    let fb = cpu.resume_mark_from(heap, mem, &pending);
+    let info = FallbackInfo {
+        trap,
+        drained: pending.len(),
+        cycles: fb.cycles,
+    };
+    (info, fb.stalls)
+}
+
+/// Folds the injector counters still attached after a run — the memory
+/// system's (unless a fallback already detached it), the marker
+/// datapath's and the page-table walker's — into `stats`.
+fn merge_fault_stats(stats: &mut FaultStats, mem: &mut MemSystem, unit: &TraversalUnit) {
+    if let Some(inj) = mem.take_fault_injector() {
+        stats.merge(inj.stats());
+    }
+    if let Some(s) = unit.fault_stats() {
+        stats.merge(s);
+    }
+    if let Some(s) = unit.ptw_fault_stats() {
+        stats.merge(s);
     }
 }
 
@@ -476,77 +493,20 @@ pub fn run_faulted_mark(
     mem_kind: MemKind,
     fault: FaultConfig,
 ) -> FaultedMarkRun {
-    let mut workload = generate_heap(spec, layout);
-    let mut mem = mem_kind.fresh();
-    let mut unit = TraversalUnit::new(cfg, &mut workload.heap);
-
-    let plan = fault.is_active().then(|| FaultPlan::new(fault));
-    if let Some(plan) = &plan {
-        mem.set_fault_injector(plan.injector(FaultSite::Mem));
-        unit.install_fault_plan(plan);
-    }
-
-    let mut stats = FaultStats::default();
-    let mut fallback_stalls = StallAccounting::default();
-    let (outcome, unit_cycles, fallback_cycles) =
-        match unit.try_run_mark(&mut workload.heap, &mut mem, 0) {
-            Ok(res) => (MarkOutcome::Clean, res.cycles(), 0),
-            Err(e) => match unit.trap() {
-                Some(trap) => {
-                    let pending = unit.drain_architected_state(&workload.heap);
-                    let _ = mem.take_fault();
-                    if let Some(inj) = mem.take_fault_injector() {
-                        stats.merge(inj.stats());
-                    }
-                    let mut cpu = Cpu::new(CpuConfig::default(), &mut workload.heap);
-                    cpu.advance_to(trap.at);
-                    let fb = cpu.resume_mark_from(&mut workload.heap, &mut mem, &pending);
-                    fallback_stalls = fb.stalls;
-                    let info = FallbackInfo {
-                        trap,
-                        drained: pending.len(),
-                        cycles: fb.cycles,
-                    };
-                    (MarkOutcome::Fallback(info), trap.at, fb.cycles)
-                }
-                None => (MarkOutcome::Failed(e), 0, 0),
-            },
-        };
-
-    if let Some(inj) = mem.take_fault_injector() {
-        stats.merge(inj.stats());
-    }
-    if let Some(s) = unit.fault_stats() {
-        stats.merge(s);
-    }
-    if let Some(s) = unit.ptw_fault_stats() {
-        stats.merge(s);
-    }
-
-    if !matches!(outcome, MarkOutcome::Failed(_)) {
-        check_marks_match_reachability(&workload.heap)
-            .expect("fault-injected mark must agree with reachability");
-    }
-
-    FaultedMarkRun {
-        outcome,
-        unit_cycles,
-        fallback_cycles,
-        objects_marked: workload.heap.marked_set().len() as u64,
-        stats,
-        unit_stalls: *unit.stalls(),
-        fallback_stalls,
-    }
+    faulted_mark(
+        &mut generate_heap(spec, layout).heap,
+        cfg,
+        mem_kind,
+        Some(fault),
+    )
 }
 
 /// Like [`run_faulted_mark`], over a *streamed* workload (the fleet's
-/// tenant heaps): one traversal-only pass under optional fault
-/// injection and the configured per-request budget
-/// (`cfg.mark_budget`) / throttle (`cfg.min_issue_interval`), degraded
-/// to the software fallback on any trap — including
-/// [`TrapKind::RequestTimeout`](tracegc_hwgc::TrapKind::RequestTimeout).
-/// Every non-failed run is differentially checked against the
-/// reachability oracle, whichever path completed the mark.
+/// tenant heaps), with the configured per-request budget
+/// (`cfg.mark_budget`) / throttle (`cfg.min_issue_interval`) and
+/// optional fault injection; any trap — including
+/// [`TrapKind::RequestTimeout`](tracegc_hwgc::TrapKind::RequestTimeout)
+/// — degrades to the software fallback.
 pub fn run_faulted_mark_stream(
     spec: &tracegc_workloads::StreamSpec,
     layout: LayoutKind,
@@ -554,9 +514,20 @@ pub fn run_faulted_mark_stream(
     mem_kind: MemKind,
     fault: Option<FaultConfig>,
 ) -> FaultedMarkRun {
-    let mut streamed = tracegc_workloads::generate_streamed(spec, layout);
+    let heap = &mut tracegc_workloads::generate_streamed(spec, layout).heap;
+    faulted_mark(heap, cfg, mem_kind, fault)
+}
+
+/// The mark driver behind [`run_faulted_mark`] and
+/// [`run_faulted_mark_stream`], over an already generated `heap`.
+fn faulted_mark(
+    heap: &mut Heap,
+    cfg: GcUnitConfig,
+    mem_kind: MemKind,
+    fault: Option<FaultConfig>,
+) -> FaultedMarkRun {
     let mut mem = mem_kind.fresh();
-    let mut unit = TraversalUnit::new(cfg, &mut streamed.heap);
+    let mut unit = TraversalUnit::new(cfg, heap);
 
     let plan = fault.filter(|f| f.is_active()).map(FaultPlan::new);
     if let Some(plan) = &plan {
@@ -566,51 +537,30 @@ pub fn run_faulted_mark_stream(
 
     let mut stats = FaultStats::default();
     let mut fallback_stalls = StallAccounting::default();
-    let (outcome, unit_cycles, fallback_cycles) =
-        match unit.try_run_mark(&mut streamed.heap, &mut mem, 0) {
-            Ok(res) => (MarkOutcome::Clean, res.cycles(), 0),
-            Err(e) => match unit.trap() {
-                Some(trap) => {
-                    let pending = unit.drain_architected_state(&streamed.heap);
-                    let _ = mem.take_fault();
-                    if let Some(inj) = mem.take_fault_injector() {
-                        stats.merge(inj.stats());
-                    }
-                    let mut cpu = Cpu::new(CpuConfig::default(), &mut streamed.heap);
-                    cpu.advance_to(trap.at);
-                    let fb = cpu.resume_mark_from(&mut streamed.heap, &mut mem, &pending);
-                    fallback_stalls = fb.stalls;
-                    let info = FallbackInfo {
-                        trap,
-                        drained: pending.len(),
-                        cycles: fb.cycles,
-                    };
-                    (MarkOutcome::Fallback(info), trap.at, fb.cycles)
-                }
-                None => (MarkOutcome::Failed(e), 0, 0),
-            },
-        };
-
-    if let Some(inj) = mem.take_fault_injector() {
-        stats.merge(inj.stats());
-    }
-    if let Some(s) = unit.fault_stats() {
-        stats.merge(s);
-    }
-    if let Some(s) = unit.ptw_fault_stats() {
-        stats.merge(s);
-    }
+    let (outcome, unit_cycles, fallback_cycles) = match unit.try_run_mark(heap, &mut mem, 0) {
+        Ok(res) => (MarkOutcome::Clean, res.cycles(), 0),
+        Err(e) => match unit.trap() {
+            Some(trap) => {
+                let (info, stalls) =
+                    fall_back_to_software(trap, &mut unit, heap, &mut mem, &mut stats);
+                fallback_stalls = stalls;
+                (MarkOutcome::Fallback(info), trap.at, info.cycles)
+            }
+            None => (MarkOutcome::Failed(e), 0, 0),
+        },
+    };
+    merge_fault_stats(&mut stats, &mut mem, &unit);
 
     if !matches!(outcome, MarkOutcome::Failed(_)) {
-        check_marks_match_reachability(&streamed.heap)
-            .expect("fault-injected streamed mark must agree with reachability");
+        check_marks_match_reachability(heap)
+            .expect("fault-injected mark must agree with reachability");
     }
 
     FaultedMarkRun {
         outcome,
         unit_cycles,
         fallback_cycles,
-        objects_marked: streamed.heap.marked_set().len() as u64,
+        objects_marked: heap.marked_set().len() as u64,
         stats,
         unit_stalls: *unit.stalls(),
         fallback_stalls,

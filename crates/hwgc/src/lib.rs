@@ -67,12 +67,9 @@ pub use engine::{MarkEngine, MutatorEngine};
 pub use markbit_cache::MarkBitCache;
 pub use markq::{MarkQueue, MarkQueueConfig, MarkQueueStats};
 pub use multiproc::{
-    run_multiprocess_mark, run_partitioned_mark, try_run_multiprocess_mark,
-    try_run_partitioned_mark, MultiProcessReport, PartitionedProcess, ProcessContext,
+    run_multiprocess_mark, try_run_multiprocess_mark, MultiProcessReport, ProcessContext,
 };
-pub use reclaim::{
-    run_partitioned_sweep, ReclaimResult, ReclamationUnit, SweepEngine, SweepPartition,
-};
+pub use reclaim::{ReclaimResult, ReclamationUnit, SweepEngine};
 pub use trap::{Trap, TrapKind};
 pub use traversal::{TraversalResult, TraversalUnit};
 pub use unit::{GcReport, GcUnit};

@@ -366,9 +366,8 @@ impl<'a> Engine<FleetCtx> for ServerEngine<'a> {
 /// Runs one fleet configuration over the measured tenant profiles and
 /// returns the completed-request history.
 ///
-/// Deterministic under both pacings, any `--jobs` and any
-/// `--par-engines`: the queueing layer itself is one single-threaded
-/// scheduler run (grid points parallelize above it).
+/// Deterministic under both pacings and any `--jobs`: the queueing
+/// layer itself is one single-threaded scheduler run.
 pub fn run_fleet(cfg: &FleetConfig, profiles: &[TenantProfile]) -> Result<FleetStats, SimError> {
     assert!(cfg.units > 0, "fleet needs at least one unit");
     let mut ctx = FleetCtx {

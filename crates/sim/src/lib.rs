@@ -8,11 +8,11 @@
 //! * [`Cycle`] — the global clock domain (1 GHz in the paper's Table I).
 //! * [`BoundedQueue`] — a fixed-capacity FIFO with back-pressure, the direct
 //!   analogue of a Chisel `Queue`.
-//! * [`stats`] — counters, histograms, latency percentiles and windowed
-//!   bandwidth time series used to regenerate the paper's figures.
+//! * [`stats`] — latency percentiles and windowed bandwidth time series
+//!   used to regenerate the paper's figures.
 //! * [`metrics`] — cycle-attributed observability: [`StallReason`]-keyed
-//!   stall accounting, a bounded [`EventTrace`] ring, and the
-//!   [`MetricSet`] registry behind the harness's JSON sidecars.
+//!   stall accounting and a bounded [`EventTrace`] ring (the harness
+//!   renders them into its JSON sidecars and Chrome traces).
 //! * [`rng`] — the in-tree deterministic PRNG (SplitMix64-seeded
 //!   xoshiro256++); the project has no external dependencies, so all
 //!   randomness flows through this module.
@@ -57,14 +57,14 @@ pub use fault::{
     EccOutcome, FaultConfig, FaultInjector, FaultPlan, FaultSite, FaultStats, SimError,
 };
 pub use fleet::{Completion, FleetConfig, FleetPolicy, FleetStats, TenantProfile};
-pub use metrics::{EventTrace, MetricSet, StallAccounting, StallReason, TraceEvent};
+pub use metrics::{EventTrace, StallAccounting, StallReason, TraceEvent};
 pub use queue::BoundedQueue;
 pub use rng::{Rng, SplitMix64, StdRng};
 pub use sched::{
-    default_exec, default_pacing, run_partitions, set_default_exec, set_default_pacing, with_exec,
-    with_pacing, Engine, Exec, Pacing, Partition, Policy, Progress, Scheduler, SocReport,
+    default_exec, default_pacing, run_partitions, set_default_exec, set_default_pacing,
+    with_pacing, Engine, Exec, Pacing, Policy, Progress, Scheduler, SocReport,
 };
-pub use stats::{BandwidthMeter, Counter, Histogram, LatencyRecorder};
+pub use stats::{BandwidthMeter, LatencyRecorder};
 
 /// A point in simulated time, measured in core clock cycles.
 ///

@@ -1,5 +1,5 @@
-//! Cycle-attributed observability primitives: stall accounting, typed
-//! event tracing, and a small metric registry.
+//! Cycle-attributed observability primitives: stall accounting and
+//! typed event tracing.
 //!
 //! The paper's key findings are *attribution* results — the blocking PTW
 //! is the traversal unit's bottleneck (§VI-A), PTW refills are ~2/3 of
@@ -279,102 +279,6 @@ impl EventTrace {
     }
 }
 
-/// An insertion-ordered registry of named metrics: integer counters,
-/// floating-point gauges, [`Histogram`](crate::Histogram)s, and
-/// per-component [`StallAccounting`] blocks.
-///
-/// Insertion order is deterministic serialization order, which is what
-/// makes the JSON sidecars byte-identical across `--jobs` values.
-#[derive(Debug, Clone, Default)]
-pub struct MetricSet {
-    counters: Vec<(String, u64)>,
-    gauges: Vec<(String, f64)>,
-    histograms: Vec<(String, crate::Histogram)>,
-    stalls: Vec<(String, StallAccounting)>,
-}
-
-impl MetricSet {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `n` to counter `name`, creating it at zero first if needed.
-    pub fn counter_add(&mut self, name: &str, n: u64) {
-        match self.counters.iter_mut().find(|(k, _)| k == name) {
-            Some((_, v)) => *v += n,
-            None => self.counters.push((name.to_string(), n)),
-        }
-    }
-
-    /// Sets gauge `name` to `v`, creating it if needed.
-    pub fn gauge_set(&mut self, name: &str, v: f64) {
-        match self.gauges.iter_mut().find(|(k, _)| k == name) {
-            Some((_, g)) => *g = v,
-            None => self.gauges.push((name.to_string(), v)),
-        }
-    }
-
-    /// The histogram `name`, created with (`bin_width`, `bins`) on first
-    /// use.
-    pub fn histogram_mut(
-        &mut self,
-        name: &str,
-        bin_width: u64,
-        bins: usize,
-    ) -> &mut crate::Histogram {
-        if let Some(i) = self.histograms.iter().position(|(k, _)| k == name) {
-            return &mut self.histograms[i].1;
-        }
-        self.histograms
-            .push((name.to_string(), crate::Histogram::new(bin_width, bins)));
-        &mut self.histograms.last_mut().unwrap().1
-    }
-
-    /// The stall ledger for `component`, created empty on first use.
-    pub fn stalls_mut(&mut self, component: &str) -> &mut StallAccounting {
-        if let Some(i) = self.stalls.iter().position(|(k, _)| k == component) {
-            return &mut self.stalls[i].1;
-        }
-        self.stalls
-            .push((component.to_string(), StallAccounting::default()));
-        &mut self.stalls.last_mut().unwrap().1
-    }
-
-    /// Counter `name`, if registered.
-    pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|&(_, v)| v)
-    }
-
-    /// Gauge `name`, if registered.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.iter().find(|(k, _)| k == name).map(|&(_, v)| v)
-    }
-
-    /// Counters in insertion order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Gauges in insertion order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.gauges.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Histograms in insertion order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &crate::Histogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Stall ledgers in insertion order.
-    pub fn stall_blocks(&self) -> impl Iterator<Item = (&str, &StallAccounting)> {
-        self.stalls.iter().map(|(k, v)| (k.as_str(), v))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -423,24 +327,5 @@ mod tests {
         let cycles: Vec<u64> = t.events().map(|e| e.cycle).collect();
         assert_eq!(cycles, vec![0, 1, 2]);
         assert_eq!(t.into_vec().len(), 3);
-    }
-
-    #[test]
-    fn metric_set_accumulates_and_preserves_order() {
-        let mut m = MetricSet::new();
-        m.counter_add("b_second", 1);
-        m.counter_add("a_first", 2);
-        m.counter_add("b_second", 3);
-        m.gauge_set("g", 1.5);
-        m.gauge_set("g", 2.5);
-        m.stalls_mut("marker").busy(4);
-        m.histogram_mut("h", 8, 4).record(10);
-        assert_eq!(m.counter("b_second"), Some(4));
-        assert_eq!(m.counter("a_first"), Some(2));
-        assert_eq!(m.gauge("g"), Some(2.5));
-        let order: Vec<&str> = m.counters().map(|(k, _)| k).collect();
-        assert_eq!(order, vec!["b_second", "a_first"]);
-        assert_eq!(m.stall_blocks().next().unwrap().1.busy_cycles(), 4);
-        assert_eq!(m.histograms().next().unwrap().1.count(), 1);
     }
 }

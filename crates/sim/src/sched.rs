@@ -76,44 +76,34 @@
 //! would let the two pacings step engines at different service cycles,
 //! breaking pacing equivalence.
 //!
-//! The process-wide default pacing is [`Pacing::FastForward`], can be
-//! set at startup from the `TRACEGC_SCHED` environment variable
-//! (`lockstep` / `fastforward`), overridden per process via
-//! [`set_default_pacing`] (the experiment driver's `--sched` flag), per
-//! scope via [`with_pacing`] (how the differential tests run one driver
-//! both ways), and per scheduler via [`Scheduler::pacing`].
+//! The process-wide default pacing is [`Pacing::FastForward`],
+//! overridden per process via [`set_default_pacing`] (the experiment
+//! driver's `--sched` flag), per scope via [`with_pacing`] (how the
+//! differential tests run one driver both ways), and per scheduler via
+//! [`Scheduler::pacing`]. A [`with_pacing`] scope reaches the workers
+//! of [`run_partitions`] too.
 //!
 //! # Exec: bulk-synchronous partition parallelism
 //!
 //! Orthogonal to both [`Policy`] (who is served within a schedule) and
 //! [`Pacing`] (how the clock advances between service rounds), an
 //! [`Exec`] selects how many *host* worker threads execute independent
-//! partitions of the engine set. The partitioning rule is strict:
-//! engines that share a scheduler context (one [`Scheduler::run`] call —
-//! in the SoC, one DDR3 controller) interact at every service round
-//! through that context, so a shared-context schedule is one
-//! indivisible partition. What can run in parallel are *whole
-//! partitions*: disjoint `(engines, ctx)` groups that provably never
-//! exchange state — the multi-unit sweep's grid points, faultsweep's
-//! independent fault-rate runs, per-process marks on private memory
-//! channels. [`run_partitions`] executes such groups on up to
-//! `workers` threads between two barriers (the fork at submission and
-//! the join before results are read), returns results in partition
-//! order regardless of OS scheduling, and short-circuits the work
-//! queue when any partition panics. [`Scheduler::try_run_partitioned`]
-//! is the typed entry point: each [`Partition`] owns its engine set
-//! *and* its context, so non-interaction is enforced by construction,
-//! and the per-partition reports and stall ledgers come back in
-//! partition order for a deterministic merge (`busy + Σ stalls ==
-//! cycles × lanes` closes per partition, hence over any merge order —
-//! the harness always merges in partition order so sidecars are
-//! byte-identical for every worker count).
+//! partitions. The partitioning rule is strict: engines that share a
+//! scheduler context (one [`Scheduler::run`] call — in the SoC, one
+//! DDR3 controller) interact at every service round through that
+//! context, so a shared-context schedule is one indivisible partition.
+//! What can run in parallel are *whole simulations* that provably never
+//! exchange state — in the harness, whole experiments, each of which
+//! builds every heap, memory system and unit it ticks from seeds.
+//! [`run_partitions`] executes such work on up to `workers` threads
+//! between two barriers (the fork at submission and the join before
+//! results are read), returns results in partition order regardless of
+//! OS scheduling, and short-circuits the work queue when any partition
+//! panics.
 //!
-//! The process-wide default is [`Exec::Serial`], can be set at startup
-//! from the `TRACEGC_PAR_ENGINES` environment variable (a worker
-//! count), overridden per process via [`set_default_exec`] (the
-//! experiment driver's `--par-engines` flag) and per scope via
-//! [`with_exec`].
+//! The process-wide default is [`Exec::Serial`], overridden via
+//! [`set_default_exec`]; the harness seeds its `--jobs` default from
+//! [`default_exec`].
 //!
 //! A no-progress watchdog replaces ad-hoc per-loop deadlock panics:
 //! after [`DEFAULT_NO_PROGRESS_LIMIT`] cycles (configurable via
@@ -297,7 +287,7 @@ pub enum Pacing {
 }
 
 impl Pacing {
-    /// Parses a CLI/env spelling (`lockstep` / `fastforward`, with
+    /// Parses a CLI spelling (`lockstep` / `fastforward`, with
     /// `fast-forward` accepted as an alias).
     pub fn parse(s: &str) -> Option<Self> {
         match s {
@@ -316,8 +306,8 @@ impl Pacing {
     }
 }
 
-/// Process-wide default pacing: 0 = uninitialized, else `Pacing` + 1.
-static DEFAULT_PACING: AtomicU8 = AtomicU8::new(0);
+/// Process-wide default pacing, stored as `Pacing as u8`.
+static DEFAULT_PACING: AtomicU8 = AtomicU8::new(Pacing::FastForward as u8);
 
 thread_local! {
     /// Scoped override installed by [`with_pacing`]; beats the process
@@ -325,38 +315,25 @@ thread_local! {
     static PACING_OVERRIDE: std::cell::Cell<Option<Pacing>> = const { std::cell::Cell::new(None) };
 }
 
-fn decode_pacing(v: u8) -> Option<Pacing> {
-    match v {
-        1 => Some(Pacing::Lockstep),
-        2 => Some(Pacing::FastForward),
-        _ => None,
-    }
-}
-
 /// The pacing a [`Scheduler::new`] starts with: a [`with_pacing`] scope
 /// if one is active, else the process default ([`set_default_pacing`],
-/// falling back to the `TRACEGC_SCHED` environment variable, falling
-/// back to [`Pacing::FastForward`]).
+/// falling back to [`Pacing::FastForward`]).
 pub fn default_pacing() -> Pacing {
-    if let Some(p) = PACING_OVERRIDE.with(std::cell::Cell::get) {
-        return p;
-    }
-    if let Some(p) = decode_pacing(DEFAULT_PACING.load(Ordering::Relaxed)) {
-        return p;
-    }
-    let p = std::env::var("TRACEGC_SCHED")
-        .ok()
-        .as_deref()
-        .and_then(Pacing::parse)
-        .unwrap_or(Pacing::FastForward);
-    DEFAULT_PACING.store(p as u8 + 1, Ordering::Relaxed);
-    p
+    PACING_OVERRIDE
+        .with(std::cell::Cell::get)
+        .unwrap_or_else(|| {
+            if DEFAULT_PACING.load(Ordering::Relaxed) == Pacing::Lockstep as u8 {
+                Pacing::Lockstep
+            } else {
+                Pacing::FastForward
+            }
+        })
 }
 
 /// Sets the process-wide default pacing (the experiment driver's
 /// `--sched` flag calls this before spawning its worker pool).
 pub fn set_default_pacing(p: Pacing) {
-    DEFAULT_PACING.store(p as u8 + 1, Ordering::Relaxed);
+    DEFAULT_PACING.store(p as u8, Ordering::Relaxed);
 }
 
 /// Runs `f` with `p` as this thread's default pacing, restoring the
@@ -388,8 +365,8 @@ pub enum Exec {
 }
 
 impl Exec {
-    /// The `Exec` for a `--par-engines N` worker budget: `0` and `1`
-    /// are [`Exec::Serial`], anything larger [`Exec::Parallel`].
+    /// The `Exec` for a `--jobs N` worker budget: `0` and `1` are
+    /// [`Exec::Serial`], anything larger [`Exec::Parallel`].
     pub fn from_workers(workers: usize) -> Self {
         if workers <= 1 {
             Self::Serial
@@ -407,51 +384,19 @@ impl Exec {
     }
 }
 
-/// Process-wide default exec: 0 = uninitialized, else workers + 1.
-static DEFAULT_EXEC: AtomicUsize = AtomicUsize::new(0);
+/// Process-wide default exec, stored as its worker budget.
+static DEFAULT_EXEC: AtomicUsize = AtomicUsize::new(1);
 
-thread_local! {
-    /// Scoped override installed by [`with_exec`]; beats the process
-    /// default so parallel tests can pick an exec without racing.
-    static EXEC_OVERRIDE: std::cell::Cell<Option<Exec>> = const { std::cell::Cell::new(None) };
-}
-
-/// The exec a partitioned driver starts with: a [`with_exec`] scope if
-/// one is active, else the process default ([`set_default_exec`],
-/// falling back to the `TRACEGC_PAR_ENGINES` environment variable,
-/// falling back to [`Exec::Serial`]).
+/// The process default exec ([`set_default_exec`], falling back to
+/// [`Exec::Serial`]). The harness's `Options::default()` seeds its
+/// worker budget from it.
 pub fn default_exec() -> Exec {
-    if let Some(e) = EXEC_OVERRIDE.with(std::cell::Cell::get) {
-        return e;
-    }
-    match DEFAULT_EXEC.load(Ordering::Relaxed) {
-        0 => {
-            let e = std::env::var("TRACEGC_PAR_ENGINES")
-                .ok()
-                .and_then(|s| s.parse::<usize>().ok())
-                .map(Exec::from_workers)
-                .unwrap_or(Exec::Serial);
-            DEFAULT_EXEC.store(e.workers() + 1, Ordering::Relaxed);
-            e
-        }
-        v => Exec::from_workers(v - 1),
-    }
+    Exec::from_workers(DEFAULT_EXEC.load(Ordering::Relaxed))
 }
 
-/// Sets the process-wide default exec (the experiment driver's
-/// `--par-engines` flag calls this before running the registry).
+/// Sets the process-wide default exec.
 pub fn set_default_exec(e: Exec) {
-    DEFAULT_EXEC.store(e.workers() + 1, Ordering::Relaxed);
-}
-
-/// Runs `f` with `e` as this thread's default exec, restoring the
-/// previous scope afterwards (how the jobs-crossed determinism tests
-/// run the same experiment at several worker counts without racing).
-pub fn with_exec<R>(e: Exec, f: impl FnOnce() -> R) -> R {
-    let prev = EXEC_OVERRIDE.with(|o| o.replace(Some(e)));
-    let r = f();
-    EXEC_OVERRIDE.with(|o| o.set(prev));
-    r
+    DEFAULT_EXEC.store(e.workers(), Ordering::Relaxed);
 }
 
 /// Sets the shared poison flag iff its owner is unwinding, so sibling
@@ -469,18 +414,20 @@ impl Drop for PoisonOnPanic<'_> {
 /// Executes independent partitions under `exec`, returning results in
 /// partition order.
 ///
-/// This is the bulk-synchronous superstep primitive behind
-/// [`Scheduler::try_run_partitioned`] and the harness's worker pool:
-/// the call is bracketed by two barriers (workers fork on entry and all
-/// join before any result is read), partitions are claimed dynamically
-/// from an atomic cursor so long partitions do not strand workers
-/// behind a static split, and each result lands in the slot of its
-/// input index, so the output order — and therefore every downstream
-/// merge — is independent of both `exec` and OS scheduling.
+/// This is the bulk-synchronous superstep primitive behind the
+/// harness's experiment pool (`--jobs`): the call is bracketed by two
+/// barriers (workers fork on entry and all join before any result is
+/// read), partitions are claimed dynamically from an atomic cursor so
+/// long partitions do not strand workers behind a static split, and
+/// each result lands in the slot of its input index, so the output
+/// order — and therefore every downstream merge — is independent of
+/// both `exec` and OS scheduling.
 ///
 /// `f` receives the partition index alongside the item, so callers can
 /// seed or label per-partition state without smuggling an index through
-/// the item type.
+/// the item type. Every partition runs under the caller's
+/// [`default_pacing`], including a [`with_pacing`] scope, which is
+/// thread-local and would otherwise not reach the workers.
 ///
 /// # Panics
 ///
@@ -511,6 +458,7 @@ where
     let out: Vec<Mutex<Option<U>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
     let poison = AtomicBool::new(false);
+    let pacing = default_pacing();
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
@@ -528,7 +476,7 @@ where
                     .take()
                     .expect("the cursor hands out each index once");
                 let guard = PoisonOnPanic(&poison);
-                let result = f(i, item);
+                let result = with_pacing(pacing, || f(i, item));
                 drop(guard);
                 *out[i].lock().expect("a result slot is locked at most once") = Some(result);
             });
@@ -542,18 +490,6 @@ where
                 .expect("every partition was executed")
         })
         .collect()
-}
-
-/// One independent engine group for [`Scheduler::try_run_partitioned`]:
-/// the engines *and* the context they share. Because every partition
-/// owns its context exclusively (`&mut`), two partitions cannot
-/// exchange state through a scheduler context by construction — the
-/// type-level form of the module docs' partitioning rule.
-pub struct Partition<'a, Ctx> {
-    /// The partition's engine set (one shared-context schedule).
-    pub engines: Vec<&'a mut (dyn Engine<Ctx> + Send)>,
-    /// The context exclusively owned by this partition.
-    pub ctx: &'a mut Ctx,
 }
 
 /// Default no-progress watchdog: panic after this many consecutive
@@ -669,45 +605,6 @@ impl Scheduler {
                 self.run_synchronous(engines, ctx, start, None, (*period).max(1))
             }
         }
-    }
-
-    /// Runs independent engine partitions to completion from cycle
-    /// `start`, each under this scheduler's policy/pacing/watchdog, on
-    /// up to [`Exec::workers`] host threads.
-    ///
-    /// Each [`Partition`] is one shared-context schedule — exactly one
-    /// [`Scheduler::try_run`] call — so partitions provably never
-    /// interact (see the module docs). Reports come back in partition
-    /// order regardless of `exec` or OS scheduling; on error the first
-    /// failing partition *in partition order* wins, so error surfacing
-    /// is deterministic too.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first partition's [`SimError::Deadlock`] in
-    /// partition order, if any partition wedges.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the caller errors [`Scheduler::try_run`] rejects
-    /// (empty engine set, no foreground engine, bad priority order) in
-    /// any partition, and propagates panics out of engine code.
-    pub fn try_run_partitioned<Ctx: Send>(
-        &self,
-        exec: Exec,
-        parts: Vec<Partition<'_, Ctx>>,
-        start: Cycle,
-    ) -> Result<Vec<SocReport>, SimError> {
-        run_partitions(exec, parts, |_, p| {
-            let Partition { mut engines, ctx } = p;
-            let mut dyns: Vec<&mut dyn Engine<Ctx>> = engines
-                .iter_mut()
-                .map(|e| &mut **e as &mut dyn Engine<Ctx>)
-                .collect();
-            self.try_run(&mut dyns, ctx, start)
-        })
-        .into_iter()
-        .collect()
     }
 
     /// Lockstep / priority / throttled: every live engine is offered
@@ -1500,22 +1397,28 @@ mod tests {
     }
 
     #[test]
-    fn with_exec_scopes_and_restores() {
-        let outer = default_exec();
-        let inner = with_exec(Exec::Parallel { workers: 3 }, default_exec);
-        assert_eq!(inner, Exec::Parallel { workers: 3 });
-        assert_eq!(default_exec(), outer);
+    fn with_pacing_reaches_run_partitions_workers() {
+        let seen = with_pacing(Pacing::Lockstep, || {
+            run_partitions(Exec::Parallel { workers: 2 }, vec![(); 4], |_, ()| {
+                default_pacing()
+            })
+        });
+        assert_eq!(seen, vec![Pacing::Lockstep; 4]);
     }
 
     #[test]
     fn run_partitions_preserves_partition_order_for_any_worker_count() {
-        let items: Vec<u64> = (0..23).collect();
-        let serial = run_partitions(Exec::Serial, items.clone(), |i, x| (i as u64) * 100 + x * 2);
-        for workers in [2, 3, 8] {
-            let par = run_partitions(Exec::Parallel { workers }, items.clone(), |i, x| {
-                (i as u64) * 100 + x * 2
-            });
-            assert_eq!(par, serial, "workers={workers}");
+        // Owned, non-Copy items; no items at all; and more workers than
+        // items (the budget is clamped) all keep partition order.
+        for n in [0, 2, 23] {
+            let items: Vec<String> = (0..n).map(|x| x.to_string()).collect();
+            let label = |i: usize, s: String| format!("{i}:{s}");
+            let serial = run_partitions(Exec::Serial, items.clone(), label);
+            assert_eq!(serial.len(), n);
+            for workers in [2, 3, 8] {
+                let par = run_partitions(Exec::Parallel { workers }, items.clone(), label);
+                assert_eq!(par, serial, "n={n} workers={workers}");
+            }
         }
     }
 
@@ -1552,97 +1455,5 @@ mod tests {
             !started[2].load(Ordering::SeqCst) && !started[3].load(Ordering::SeqCst),
             "partitions after the panic must not be started"
         );
-    }
-
-    #[test]
-    fn try_run_partitioned_matches_serial_runs_exactly() {
-        let build = || {
-            (0..5)
-                .map(|i| Toy::new("toy", 3 + i as u64))
-                .collect::<Vec<_>>()
-        };
-        let serial: Vec<SocReport> = build()
-            .iter_mut()
-            .map(|t| {
-                Scheduler::new(Policy::Lockstep)
-                    .try_run(&mut [t as &mut dyn Engine<_>], &mut Vec::new(), 0)
-                    .unwrap()
-            })
-            .collect();
-        for exec in [Exec::Serial, Exec::Parallel { workers: 4 }] {
-            let mut toys = build();
-            let mut ctxs: Vec<Vec<&'static str>> = (0..toys.len()).map(|_| Vec::new()).collect();
-            let parts: Vec<Partition<'_, Vec<&'static str>>> = toys
-                .iter_mut()
-                .zip(ctxs.iter_mut())
-                .map(|(t, ctx)| Partition {
-                    engines: vec![t as &mut (dyn Engine<_> + Send)],
-                    ctx,
-                })
-                .collect();
-            let reports = Scheduler::new(Policy::Lockstep)
-                .try_run_partitioned(exec, parts, 0)
-                .unwrap();
-            assert_eq!(reports, serial, "{exec:?}");
-            // Ledgers merge deterministically in partition order and
-            // stay closed: busy + stalls == cycles per engine.
-            let mut merged = StallAccounting::default();
-            for (t, r) in toys.iter().zip(&reports) {
-                assert_eq!(t.ledger.total(), r.cycles());
-                merged.merge(&t.ledger);
-            }
-            assert_eq!(merged.total(), reports.iter().map(SocReport::cycles).sum());
-        }
-    }
-
-    #[test]
-    fn try_run_partitioned_surfaces_the_first_deadlock_in_partition_order() {
-        struct Stuck;
-        impl Engine<()> for Stuck {
-            fn name(&self) -> &'static str {
-                "stuck"
-            }
-            fn step(&mut self, _now: Cycle, _ctx: &mut ()) -> Progress {
-                Progress::Stalled
-            }
-            fn next_event_at(&self) -> Option<Cycle> {
-                None
-            }
-        }
-        /// Completes after `n` cycles.
-        struct Countdown(u64);
-        impl Engine<()> for Countdown {
-            fn name(&self) -> &'static str {
-                "countdown"
-            }
-            fn step(&mut self, _now: Cycle, _ctx: &mut ()) -> Progress {
-                if self.0 == 0 {
-                    return Progress::Done;
-                }
-                self.0 -= 1;
-                Progress::Advanced
-            }
-            fn next_event_at(&self) -> Option<Cycle> {
-                None
-            }
-        }
-        // Partition 0 completes; partition 1 deadlocks immediately.
-        let mut a = Countdown(4);
-        let mut stuck = Stuck;
-        let (mut ctx_a, mut ctx_b) = ((), ());
-        let parts = vec![
-            Partition {
-                engines: vec![&mut a as &mut (dyn Engine<()> + Send)],
-                ctx: &mut ctx_a,
-            },
-            Partition {
-                engines: vec![&mut stuck as &mut (dyn Engine<()> + Send)],
-                ctx: &mut ctx_b,
-            },
-        ];
-        let err = Scheduler::new(Policy::Lockstep)
-            .try_run_partitioned(Exec::Parallel { workers: 2 }, parts, 0)
-            .unwrap_err();
-        assert!(matches!(err, SimError::Deadlock { .. }));
     }
 }

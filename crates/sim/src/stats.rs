@@ -1,142 +1,10 @@
-//! Measurement instruments: counters, histograms, latency percentiles and
-//! windowed bandwidth meters.
+//! Measurement instruments: latency percentiles and windowed bandwidth
+//! meters.
 //!
-//! Each of the paper's evaluation figures is driven by one of these
-//! instruments: Fig. 16's bandwidth-over-time plot by [`BandwidthMeter`],
-//! Fig. 21a's object-access-frequency histogram by [`Histogram`], and
-//! Fig. 1b's query-latency CDF by [`LatencyRecorder`].
+//! Fig. 16's bandwidth-over-time plot is driven by [`BandwidthMeter`]
+//! and Fig. 1b's query-latency CDF by [`LatencyRecorder`].
 
 use crate::Cycle;
-
-/// A named monotonic event counter.
-///
-/// # Examples
-///
-/// ```
-/// use tracegc_sim::Counter;
-///
-/// let mut marks = Counter::default();
-/// marks.add(3);
-/// marks.inc();
-/// assert_eq!(marks.get(), 4);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a counter starting at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Increments the counter by one.
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `n` events.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current count.
-    pub fn get(self) -> u64 {
-        self.0
-    }
-}
-
-impl std::fmt::Display for Counter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.0.fmt(f)
-    }
-}
-
-/// A linear-binned histogram over `u64` samples.
-///
-/// Samples beyond the last bin are accumulated in an overflow bin so no
-/// event is ever lost.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    bin_width: u64,
-    bins: Vec<u64>,
-    overflow: u64,
-    count: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` bins of `bin_width` each, covering
-    /// `[0, bins * bin_width)`, plus an overflow bin.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bin_width` or `bins` is zero.
-    pub fn new(bin_width: u64, bins: usize) -> Self {
-        assert!(bin_width > 0, "bin width must be non-zero");
-        assert!(bins > 0, "bin count must be non-zero");
-        Self {
-            bin_width,
-            bins: vec![0; bins],
-            overflow: 0,
-            count: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: u64) {
-        let idx = (value / self.bin_width) as usize;
-        if idx < self.bins.len() {
-            self.bins[idx] += 1;
-        } else {
-            self.overflow += 1;
-        }
-        self.count += 1;
-        self.sum += value;
-        self.max = self.max.max(value);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of all recorded samples, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Largest sample recorded.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Sample count in the bin covering `[i*w, (i+1)*w)`.
-    pub fn bin(&self, i: usize) -> u64 {
-        self.bins.get(i).copied().unwrap_or(0)
-    }
-
-    /// Sample count beyond the last bin.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// `(lower_bound, count)` pairs for every non-empty bin.
-    pub fn nonzero_bins(&self) -> Vec<(u64, u64)> {
-        self.bins
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (i as u64 * self.bin_width, c))
-            .collect()
-    }
-}
 
 /// Records individual latency samples and reports percentiles and CDFs.
 ///
@@ -335,48 +203,6 @@ impl BandwidthMeter {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new();
-        c.inc();
-        c.add(10);
-        assert_eq!(c.get(), 11);
-        assert_eq!(c.to_string(), "11");
-    }
-
-    #[test]
-    fn histogram_bins_and_overflow() {
-        let mut h = Histogram::new(10, 4);
-        h.record(0);
-        h.record(9);
-        h.record(10);
-        h.record(39);
-        h.record(40); // overflow
-        assert_eq!(h.bin(0), 2);
-        assert_eq!(h.bin(1), 1);
-        assert_eq!(h.bin(3), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.max(), 40);
-    }
-
-    #[test]
-    fn histogram_mean() {
-        let mut h = Histogram::new(1, 8);
-        h.record(2);
-        h.record(4);
-        assert_eq!(h.mean(), 3.0);
-    }
-
-    #[test]
-    fn histogram_nonzero_bins() {
-        let mut h = Histogram::new(5, 4);
-        h.record(7);
-        h.record(8);
-        let nz = h.nonzero_bins();
-        assert_eq!(nz, vec![(5, 2)]);
-    }
 
     #[test]
     fn latency_percentiles() {

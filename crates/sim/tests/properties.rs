@@ -4,7 +4,7 @@
 
 use tracegc_sim::dist::Zipf;
 use tracegc_sim::rng::{Rng, StdRng};
-use tracegc_sim::{BandwidthMeter, BoundedQueue, Histogram, LatencyRecorder};
+use tracegc_sim::{BandwidthMeter, BoundedQueue, LatencyRecorder};
 
 const CASES: u64 = 100;
 
@@ -35,25 +35,6 @@ fn bounded_queue_is_fifo_and_lossless() {
             assert_eq!(q.len(), model.len(), "case {case}");
             assert_eq!(q.is_full(), model.len() == capacity, "case {case}");
         }
-    }
-}
-
-#[test]
-fn histogram_counts_every_sample() {
-    for case in 0..CASES {
-        let mut rng = case_rng(2, case);
-        let bin_width = rng.random_range(1u64..50);
-        let samples: Vec<u64> = (0..rng.random_range(1usize..200))
-            .map(|_| rng.random_range(0u64..1000))
-            .collect();
-        let mut h = Histogram::new(bin_width, 16);
-        for &s in &samples {
-            h.record(s);
-        }
-        assert_eq!(h.count(), samples.len() as u64, "case {case}");
-        let binned: u64 = (0..16).map(|i| h.bin(i)).sum::<u64>() + h.overflow();
-        assert_eq!(binned, samples.len() as u64, "case {case}");
-        assert_eq!(h.max(), *samples.iter().max().unwrap(), "case {case}");
     }
 }
 

@@ -43,7 +43,7 @@ pub struct BenchSpec {
 
 impl BenchSpec {
     /// Scales the benchmark's object count (and roots) by `factor`,
-    /// for quick runs and Criterion benches.
+    /// for quick runs and the benchmark.
     pub fn scaled(&self, factor: f64) -> BenchSpec {
         BenchSpec {
             objects: ((self.objects as f64 * factor) as usize).max(64),

@@ -1,15 +1,20 @@
 //! The fleet experiment's determinism wall: tables and the metrics
-//! sidecar must be byte-identical across `--jobs`, `--par-engines` and
-//! both scheduler pacings, with and without active fault injection —
-//! the in-process counterpart of ci.sh's cross-process `cmp` gate.
+//! sidecar must be byte-identical under both scheduler pacings, with
+//! and without active fault injection — the in-process counterpart of
+//! ci.sh's cross-process `cmp` gate. (One experiment id never fans out
+//! under `--jobs`; `tests/determinism.rs` pins that axis.)
 
-use tracegc::experiments::{exit_code_for, run_ids, Options};
+use tracegc::experiments::{exit_code_for, run_ids, CompletedExperiment, Options};
 use tracegc::sim::{with_pacing, FaultConfig, Pacing};
 
-/// Runs the fleet experiment and flattens every byte the CLI would
-/// write: all table CSVs plus the metrics sidecar JSON.
-fn fleet_bytes(opts: &Options) -> String {
-    let done = run_ids(&["fleet"], opts).expect("fleet is registered");
+/// Runs the fleet experiment under `pacing`.
+fn run_fleet(opts: &Options, pacing: Pacing) -> Vec<CompletedExperiment> {
+    with_pacing(pacing, || run_ids(&["fleet"], opts)).expect("fleet is registered")
+}
+
+/// Flattens every byte the CLI would write for a fleet run: all table
+/// CSVs plus the metrics sidecar JSON.
+fn fleet_bytes(done: &[CompletedExperiment]) -> String {
     let out = &done[0].output;
     let mut bytes = String::new();
     for t in &out.tables {
@@ -44,31 +49,13 @@ fn active_fault(rate: f64) -> FaultConfig {
 }
 
 #[test]
-fn fleet_is_byte_identical_across_jobs_par_engines_and_pacing() {
-    let reference = with_pacing(Pacing::Lockstep, || {
-        fleet_bytes(&Options {
-            jobs: 1,
-            par_engines: 1,
-            ..smoke_opts(None)
-        })
-    });
-    for jobs in [1usize, 4] {
-        for par_engines in [1usize, 4] {
-            for pacing in [Pacing::Lockstep, Pacing::FastForward] {
-                let got = with_pacing(pacing, || {
-                    fleet_bytes(&Options {
-                        jobs,
-                        par_engines,
-                        ..smoke_opts(None)
-                    })
-                });
-                assert_eq!(
-                    got, reference,
-                    "fleet output differs at jobs={jobs} par_engines={par_engines} {pacing:?}"
-                );
-            }
-        }
-    }
+fn fleet_is_byte_identical_across_pacings() {
+    let opts = smoke_opts(None);
+    assert_eq!(
+        fleet_bytes(&run_fleet(&opts, Pacing::FastForward)),
+        fleet_bytes(&run_fleet(&opts, Pacing::Lockstep)),
+        "fleet output differs between pacings"
+    );
 }
 
 #[test]
@@ -78,11 +65,8 @@ fn faulted_fleet_degrades_gracefully_and_stays_deterministic() {
     // the reachability oracle inside the runner (a mismatch becomes a
     // failed run), so `fallback_runs` without `failed_runs` *is* the
     // graceful-degradation property. The exit-code contract follows.
-    let opts = |par_engines| Options {
-        par_engines,
-        ..smoke_opts(Some(active_fault(1e-3)))
-    };
-    let done = run_ids(&["fleet"], &opts(1)).expect("fleet is registered");
+    let opts = smoke_opts(Some(active_fault(1e-3)));
+    let done = run_fleet(&opts, Pacing::FastForward);
     let metrics = &done[0].output.metrics;
     assert!(
         metrics.fault_value("fallback_runs").unwrap_or(0) > 0,
@@ -95,6 +79,11 @@ fn faulted_fleet_degrades_gracefully_and_stays_deterministic() {
     );
     assert_eq!(exit_code_for(&done), 2, "degraded-but-correct exits 2");
 
-    // And the faulted run is just as deterministic as the clean one.
-    assert_eq!(fleet_bytes(&opts(1)), fleet_bytes(&opts(4)));
+    // And the faulted run is just as pacing-invariant as the clean one:
+    // traps, retries and fallbacks land on the same cycles.
+    assert_eq!(
+        fleet_bytes(&done),
+        fleet_bytes(&run_fleet(&opts, Pacing::Lockstep)),
+        "faulted fleet output differs between pacings"
+    );
 }
