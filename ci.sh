@@ -30,6 +30,13 @@ echo "==> gcbench (the repo benchmark) builds and its tests pass"
 cargo build --release --offline --manifest-path gcbench/Cargo.toml
 cargo test --release --offline --manifest-path gcbench/Cargo.toml
 
+echo "==> golden wall, fig18 and ablE (release)"
+# tests/golden.rs::golden_wall_full is #[ignore]d because these two
+# experiments force their own large workload scales (minutes under the
+# debug profile). They are the only golden experiments that put a large
+# heap through the DDR3 model, so CI byte-checks them here.
+cargo test --release --offline -p tracegc --test golden golden_wall_full -- --ignored
+
 echo "==> metrics sidecar smoke (fig15, --jobs 1 vs --jobs 8)"
 SIDECAR_DIR=$(mktemp -d)
 trap 'rm -rf "$SIDECAR_DIR"' EXIT
@@ -125,16 +132,16 @@ rc=0
     --out "$SIDECAR_DIR/fl_fault" fleet >/dev/null 2>&1 || rc=$?
 test "$rc" -eq 2
 
-echo "==> heapscale paper-scale run under the host-RSS ceiling (~5 min single-core)"
+echo "==> heapscale paper-scale run under the host-RSS ceiling (~2.5 min single-core)"
 # The acceptance run of the memory-lean representation (DESIGN.md §11):
 # the paper-exact 200 MB heap and the >=1 GB-live-set server LRU, end
 # to end (mark + sweep) at --scale 1.0. The ceiling is stated as a
 # multiple of the simulated footprint: the server row's sparse physical
 # memory holds ~2.2 GB of resident chunks (the deterministic
 # resident-mb column in heapscale.csv), and host peak RSS must stay
-# under 3x that — generation churn, page tables, the spill region and
-# allocator retention across rows live inside the multiple. Exit 5
-# (from --rss-ceiling-mb) means the representation regressed.
+# under 3x that. On a 2-vCPU host the peak is ~2.76 GB, 1.22x
+# (DESIGN.md §11 breaks it down). Exit 5 (from --rss-ceiling-mb) means
+# the representation regressed.
 ./target/release/experiments --scale 1.0 --pauses 1 --rss-ceiling-mb 6786 \
     --out "$SIDECAR_DIR/hs_full" heapscale >/dev/null
 

@@ -158,9 +158,15 @@ impl MarkQueue {
         &self.cfg
     }
 
-    /// Statistics so far.
+    /// Statistics so far; the traversal unit zeroes them as each mark
+    /// pass begins.
     pub fn stats(&self) -> MarkQueueStats {
         self.stats
+    }
+
+    /// Zeroes the statistics (a new mark pass begins).
+    pub(crate) fn reset_stats(&mut self) {
+        self.stats = MarkQueueStats::default();
     }
 
     /// Whether the tracer must stop issuing requests (§V-C).

@@ -28,7 +28,7 @@ use tracegc_sim::{
     BoundedQueue, Cycle, EventTrace, FaultInjector, FaultPlan, FaultSite, FaultStats, SimError,
     StallAccounting, StallReason,
 };
-use tracegc_vmem::{Requester, Translator, PAGE_SIZE};
+use tracegc_vmem::{Requester, Translator, TranslatorStats, PAGE_SIZE};
 
 use crate::compress::RefCodec;
 use crate::config::{CacheTopology, GcUnitConfig};
@@ -65,8 +65,8 @@ pub struct TraversalResult {
     pub port_busy_cycles: Cycle,
     /// Mark-queue / spill statistics (Fig. 19).
     pub markq: MarkQueueStats,
-    /// Translation statistics.
-    pub translator: tracegc_vmem::TranslatorStats,
+    /// Translation statistics of this pass.
+    pub translator: TranslatorStats,
     /// Cycle attribution for the pass: `stalls.total() == cycles()` for
     /// scheduler-driven passes (any of the `run_*` drivers, or a
     /// [`MarkEngine`](crate::engine::MarkEngine) under a lockstep
@@ -80,6 +80,17 @@ impl TraversalResult {
     /// Duration of the pass in cycles.
     pub fn cycles(&self) -> Cycle {
         self.end - self.start
+    }
+}
+
+/// The translation counts accrued between `base` and `now`.
+fn translator_since(now: TranslatorStats, base: TranslatorStats) -> TranslatorStats {
+    TranslatorStats {
+        l1_hits: now.l1_hits - base.l1_hits,
+        l2_hits: now.l2_hits - base.l2_hits,
+        walks: now.walks - base.walks,
+        walker_wait_cycles: now.walker_wait_cycles - base.walker_wait_cycles,
+        walk_cycles: now.walk_cycles - base.walk_cycles,
     }
 }
 
@@ -209,6 +220,9 @@ pub struct TraversalUnit {
     already_marked: u64,
     filtered: u64,
     refs_enqueued: u64,
+    /// Translator statistics at [`TraversalUnit::begin`]; a result
+    /// reports the counts accrued since.
+    translator_at_begin: TranslatorStats,
     /// Cycle attribution for the current pass (reset by
     /// [`TraversalUnit::begin`], charged by
     /// [`TraversalUnit::run_mark`]'s clock-advance points).
@@ -289,6 +303,7 @@ impl TraversalUnit {
             already_marked: 0,
             filtered: 0,
             refs_enqueued: 0,
+            translator_at_begin: TranslatorStats::default(),
             stalls: StallAccounting::default(),
             marker_block_reason: StallReason::TlbMiss,
             tracer_block_reason: StallReason::TlbMiss,
@@ -306,7 +321,8 @@ impl TraversalUnit {
         &self.cfg
     }
 
-    /// Per-object mark-access counts (the Fig. 21a distribution).
+    /// Per-object mark-access counts of the current (or last) pass
+    /// (the Fig. 21a distribution).
     pub fn access_counts(&self) -> &HashMap<u64, u32> {
         &self.access_counts
     }
@@ -511,10 +527,12 @@ impl TraversalUnit {
         &self.stalls
     }
 
-    /// Starts a mark pass: loads the root-region chunks and resets the
-    /// per-pass machinery. Use with [`TraversalUnit::step`] when driving
-    /// the unit concurrently with a mutator; [`TraversalUnit::run_mark`]
-    /// wraps the whole loop for stop-the-world passes.
+    /// Starts a mark pass: loads the root-region chunks, flushes the
+    /// mark-bit cache, and resets the per-pass machinery and every count
+    /// a [`TraversalResult`] reports, so one unit can run many passes.
+    /// Use with [`TraversalUnit::step`] when driving the unit
+    /// concurrently with a mutator; [`TraversalUnit::run_mark`] wraps
+    /// the whole loop for stop-the-world passes.
     pub fn begin(&mut self, heap: &Heap, start: Cycle) {
         self.begin_roots(heap);
         self.bg_next = start;
@@ -528,6 +546,18 @@ impl TraversalUnit {
         self.trap = None;
         self.trap_pending_ref = None;
         self.pass_start = start;
+        // The last sweep cleared every mark bit, so a reference the
+        // mark-bit cache remembers is no longer marked: filtering it
+        // would leave it, and all it reaches, to be freed.
+        self.markbit = MarkBitCache::new(self.cfg.markbit_cache);
+        self.objects_marked = 0;
+        self.already_marked = 0;
+        self.filtered = 0;
+        self.refs_enqueued = 0;
+        self.port_busy_cycles = 0;
+        self.access_counts.clear();
+        self.markq.reset_stats();
+        self.translator_at_begin = self.translator.stats();
     }
 
     /// Attributes a no-progress cycle at `now` to its bottleneck.
@@ -763,7 +793,7 @@ impl TraversalUnit {
             refs_enqueued: self.refs_enqueued,
             port_busy_cycles: self.port_busy_cycles,
             markq: self.markq.stats(),
-            translator: self.translator.stats(),
+            translator: translator_since(self.translator.stats(), self.translator_at_begin),
             stalls: self.stalls,
         }
     }
@@ -1223,7 +1253,7 @@ impl TraversalUnit {
     /// current stats walked, classifying the freeze as a walk of its own
     /// ([`StallReason::TlbMiss`]) or a wait behind the busy walker
     /// ([`StallReason::PtwBusy`]).
-    fn block_tracer_on_walk(&mut self, before: &tracegc_vmem::TranslatorStats, ready: Cycle) {
+    fn block_tracer_on_walk(&mut self, before: &TranslatorStats, ready: Cycle) {
         let after = self.translator.stats();
         if self.cfg.tlb.blocking_requesters && after.walks > before.walks {
             self.tracer_blocked_until = ready;

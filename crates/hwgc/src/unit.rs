@@ -217,14 +217,32 @@ mod tests {
     fn consecutive_collections_work() {
         let mut heap = workload();
         let mut mem = MemSystem::ddr3(Default::default());
-        let mut unit = GcUnit::new(GcUnitConfig::default(), &mut heap);
+        // A mark-bit cache large enough to still hold the root when the
+        // first collection ends.
+        let cfg = GcUnitConfig {
+            markbit_cache: 256,
+            ..GcUnitConfig::default()
+        };
+        let mut unit = GcUnit::new(cfg, &mut heap);
         let r1 = unit.run_gc(&mut heap, &mut mem);
-        // Second GC over the same live set: marks the same objects,
-        // frees nothing new.
-        let mut unit2 = GcUnit::new(GcUnitConfig::default(), &mut heap);
-        let r2 = unit2.run_gc_at(&mut heap, &mut mem, r1.sweep.end);
-        assert_eq!(r2.mark.objects_marked, r1.mark.objects_marked);
+        assert_eq!(r1.mark.objects_marked, 600);
+        // Second GC by the same unit over the same live set: marks the
+        // same objects, frees nothing new, and reports only its own pass.
+        let r2 = unit.run_gc_at(&mut heap, &mut mem, r1.sweep.end);
+        assert_eq!(r2.mark.objects_marked, 600);
         assert_eq!(r2.sweep.cells_freed, 0);
+        let mark_ops = |m: &TraversalResult| m.objects_marked + m.already_marked + m.filtered;
+        assert_eq!(mark_ops(&r2.mark), mark_ops(&r1.mark));
+        assert_eq!(r2.mark.refs_enqueued, r1.mark.refs_enqueued);
+        assert_eq!(r2.mark.markq.enqueued, r1.mark.markq.enqueued);
+        assert_eq!(unit.traversal().access_counts().len(), 600);
+        assert!(r2.mark.port_busy_cycles <= r2.mark.cycles());
+        assert!(r2.mark.translator.walks <= r1.mark.translator.walks);
+        // A third by a fresh unit does the same.
+        let mut unit3 = GcUnit::new(GcUnitConfig::default(), &mut heap);
+        let r3 = unit3.run_gc_at(&mut heap, &mut mem, r2.sweep.end);
+        assert_eq!(r3.mark.objects_marked, 600);
+        assert_eq!(r3.sweep.cells_freed, 0);
         // The sweep cleared every mark, so the heap no longer looks
         // mid-collection: the mark/reachability oracle must *fail* on
         // the live set (reachable objects exist but carry no marks).

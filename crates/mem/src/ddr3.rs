@@ -149,48 +149,105 @@ pub struct Ddr3Stats {
     pub requests: u64,
 }
 
-/// Data-bus occupancy tracked as merged busy intervals, so requests
-/// presented slightly out of time order (parallel agents leapfrogging
-/// each other by a few tens of cycles) can fill earlier bus gaps instead
-/// of queueing behind a single high-water mark.
+/// Data-bus occupancy: one bit per bus cycle, set while the bus is
+/// reserved. Requests presented slightly out of time order (parallel
+/// agents leapfrogging each other by a few tens of cycles) fill earlier
+/// bus gaps instead of queueing behind a single high-water mark.
+///
+/// The bitmap is exact: it holds the same busy set as a map of merged
+/// busy intervals, and [`BusSchedule::reserve`] is the same first fit
+/// over it, so every start it returns is the one the map would return
+/// (the tests keep that map as the reference). Nothing is ever evicted,
+/// so no caller has to promise a time horizon. The cost is one bit per
+/// cycle from the first to the last reservation, 1 MiB per 8 Mi cycles;
+/// the words grow at either end as reservations land outside them.
 #[derive(Debug, Clone, Default)]
 struct BusSchedule {
-    /// Non-overlapping busy intervals, keyed by start.
-    intervals: std::collections::BTreeMap<Cycle, Cycle>,
+    /// Absolute index (`cycle / 64`) of `words[0]`.
+    first_word: u64,
+    /// Bit `c % 64` of `words[c / 64 - first_word]` is set while cycle
+    /// `c` is reserved; cycles outside the words are free.
+    words: Vec<u64>,
+}
+
+/// The low `n` bits set, for `n` in `1..=64`.
+#[inline]
+fn low_bits(n: u64) -> u64 {
+    u64::MAX >> (64 - n)
 }
 
 impl BusSchedule {
+    /// The busy bits of absolute word `w` (0 outside the bitmap).
+    #[inline]
+    fn word(&self, w: u64) -> u64 {
+        let i = w.wrapping_sub(self.first_word);
+        usize::try_from(i)
+            .ok()
+            .and_then(|i| self.words.get(i))
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// The first reserved cycle in `[from, to)`, if any.
+    fn first_busy(&self, from: Cycle, to: Cycle) -> Option<Cycle> {
+        let mut c = from;
+        while c < to {
+            let bit = c % 64;
+            let n = (64 - bit).min(to - c);
+            let hit = (self.word(c / 64) >> bit) & low_bits(n);
+            if hit != 0 {
+                return Some(c + Cycle::from(hit.trailing_zeros()));
+            }
+            c += n;
+        }
+        None
+    }
+
+    /// The first free cycle at or after `from`.
+    fn first_free(&self, from: Cycle) -> Cycle {
+        let mut c = from;
+        loop {
+            let free = !self.word(c / 64) >> (c % 64);
+            if free != 0 {
+                return c + Cycle::from(free.trailing_zeros());
+            }
+            c = (c / 64 + 1) * 64;
+        }
+    }
+
     /// Reserves `dur` bus cycles at the first gap at or after `earliest`;
     /// returns the reserved start.
     fn reserve(&mut self, earliest: Cycle, dur: Cycle) -> Cycle {
+        debug_assert!(dur > 0, "a bus reservation occupies at least one cycle");
         let mut t = earliest;
-        if let Some((_, &e)) = self.intervals.range(..=t).next_back() {
-            if e > t {
-                t = e;
-            }
+        while let Some(busy) = self.first_busy(t, t + dur) {
+            t = self.first_free(busy);
         }
-        loop {
-            match self.intervals.range(t..).next() {
-                Some((&s, &e)) if s < t + dur => t = e,
-                _ => break,
-            }
-        }
-        let mut start = t;
-        let mut end = t + dur;
-        if let Some((&ps, &pe)) = self.intervals.range(..=start).next_back() {
-            if pe == start {
-                self.intervals.remove(&ps);
-                start = ps;
-            }
-        }
-        if let Some((&ns, &ne)) = self.intervals.range(end..).next() {
-            if ns == end {
-                self.intervals.remove(&ns);
-                end = ne;
-            }
-        }
-        self.intervals.insert(start, end);
+        self.occupy(t, t + dur);
         t
+    }
+
+    /// Sets the bits of `[from, to)`, growing the words to cover them.
+    fn occupy(&mut self, from: Cycle, to: Cycle) {
+        let (lo, hi) = (from / 64, (to - 1) / 64);
+        if self.words.is_empty() {
+            self.first_word = lo;
+        } else if lo < self.first_word {
+            let grow = usize::try_from(self.first_word - lo).expect("bus bitmap fits in memory");
+            self.words.splice(0..0, std::iter::repeat_n(0, grow));
+            self.first_word = lo;
+        }
+        let len = usize::try_from(hi - self.first_word + 1).expect("bus bitmap fits in memory");
+        if self.words.len() < len {
+            self.words.resize(len, 0);
+        }
+        let mut c = from;
+        while c < to {
+            let bit = c % 64;
+            let n = (64 - bit).min(to - c);
+            self.words[(c / 64 - self.first_word) as usize] |= low_bits(n) << bit;
+            c += n;
+        }
     }
 }
 
@@ -365,8 +422,10 @@ impl Ddr3Model {
     /// Data-bus occupancy in cycles for a transfer of `bytes`.
     fn burst_cycles(&self, bytes: u32) -> Cycle {
         // 16 B move per cycle at DDR3-2000; smaller transfers still occupy
-        // at least one bus cycle.
-        (bytes as Cycle).div_ceil(16).max(1) * self.cfg.burst_64b / 4
+        // at least one bus cycle, at any `burst_64b`.
+        ((bytes as Cycle).div_ceil(16).max(1) * self.cfg.burst_64b)
+            .div_ceil(4)
+            .max(1)
     }
 }
 
@@ -493,5 +552,131 @@ mod tests {
         assert_eq!(m.burst_cycles(16), 1);
         assert_eq!(m.burst_cycles(32), 2);
         assert_eq!(m.burst_cycles(64), 4);
+
+        // On a faster bus a transfer still books at least one cycle.
+        let mut fast = Ddr3Model::new(Ddr3Config {
+            burst_64b: 2,
+            ..Ddr3Config::default()
+        });
+        assert_eq!(fast.burst_cycles(8), 1);
+        assert_eq!(fast.burst_cycles(16), 1);
+        assert_eq!(fast.burst_cycles(64), 2);
+        // Presented together on two banks, both data arrive at cycle 28
+        // (tRCD + CL): the AMO's read and write-back take cycles 28 and
+        // 29, so the 16 B read waits for cycle 30.
+        let amo = fast.schedule(&MemReq::amo(0x40, Source::Marker), 0);
+        let read = fast.schedule(&MemReq::read(0x80, 16, Source::Tracer), 0);
+        assert_eq!((amo, read), (30, 31));
+    }
+
+    /// The interval map [`BusSchedule`] replaced: merged busy runs
+    /// keyed by start. [`bus_bitmap_matches_interval_map`] holds the
+    /// bitmap to its answers.
+    #[derive(Default)]
+    struct IntervalSchedule {
+        intervals: std::collections::BTreeMap<Cycle, Cycle>,
+    }
+
+    impl IntervalSchedule {
+        fn reserve(&mut self, earliest: Cycle, dur: Cycle) -> Cycle {
+            let mut t = earliest;
+            if let Some((_, &e)) = self.intervals.range(..=t).next_back() {
+                if e > t {
+                    t = e;
+                }
+            }
+            loop {
+                match self.intervals.range(t..).next() {
+                    Some((&s, &e)) if s < t + dur => t = e,
+                    _ => break,
+                }
+            }
+            let mut start = t;
+            let mut end = t + dur;
+            if let Some((&ps, &pe)) = self.intervals.range(..=start).next_back() {
+                if pe == start {
+                    self.intervals.remove(&ps);
+                    start = ps;
+                }
+            }
+            if let Some((&ns, &ne)) = self.intervals.range(end..).next() {
+                if ns == end {
+                    self.intervals.remove(&ns);
+                    end = ne;
+                }
+            }
+            self.intervals.insert(start, end);
+            t
+        }
+    }
+
+    /// The bitmap's busy runs as `(start, end)` pairs, in order.
+    fn busy_runs(bus: &BusSchedule) -> Vec<(Cycle, Cycle)> {
+        let mut runs: Vec<(Cycle, Cycle)> = Vec::new();
+        for (i, &w) in bus.words.iter().enumerate() {
+            let base = (bus.first_word + i as u64) * 64;
+            for bit in (0..64).filter(|b| w >> b & 1 == 1) {
+                let c = base + bit;
+                match runs.last_mut() {
+                    Some(run) if run.1 == c => run.1 = c + 1,
+                    _ => runs.push((c, c + 1)),
+                }
+            }
+        }
+        runs
+    }
+
+    #[test]
+    fn bus_bitmap_matches_interval_map() {
+        use tracegc_sim::rng::{Rng, StdRng};
+        for case in 0..64u64 {
+            let mut rng = StdRng::seed_from_u64(0xB05_0000 + case);
+            // Every fourth case starts past 2^40 and then reserves
+            // earlier cycles, so the words grow at the front.
+            let mut now = if case % 4 == 0 {
+                (1 << 40) + rng.random_range(0u64..1 << 20)
+            } else {
+                rng.random_range(0u64..4096)
+            };
+            // Mean arrival gap: below the mean burst the bus saturates
+            // and first fit walks long busy runs; above it, gaps open.
+            let max_gap = rng.random_range(1u64..12);
+            let first = now;
+            let (mut bits, mut map) = (BusSchedule::default(), IntervalSchedule::default());
+            let mut check = |earliest: Cycle, dur: Cycle| {
+                let t = bits.reserve(earliest, dur);
+                assert_eq!(
+                    t,
+                    map.reserve(earliest, dur),
+                    "case {case}: reserve({earliest}, {dur})"
+                );
+                t
+            };
+            for _ in 0..1500 {
+                let earliest = match rng.random_range(0u32..16) {
+                    // Hundreds of cycles in the past.
+                    0 => now.saturating_sub(rng.random_range(100u64..800)),
+                    // Just short of a word boundary, so the run straddles it.
+                    1 => (now / 64 + 1) * 64 - rng.random_range(1u64..8),
+                    // ±64 cycles of jitter around the frontier.
+                    _ => (now + rng.random_range(0u64..129)).saturating_sub(64),
+                };
+                let dur = rng.random_range(1u64..9);
+                let start = check(earliest, dur);
+                if rng.random_range(0u32..4) == 0 {
+                    // An AMO's write-back burst, back to back.
+                    check(start + dur, dur);
+                }
+                now += rng.random_range(0..max_gap);
+            }
+            if case % 4 == 0 {
+                assert!(
+                    bits.first_word < first / 64 - 1,
+                    "case {case}: no front growth"
+                );
+            }
+            let runs: Vec<(Cycle, Cycle)> = map.intervals.into_iter().collect();
+            assert_eq!(busy_runs(&bits), runs, "case {case}: busy sets differ");
+        }
     }
 }

@@ -19,6 +19,15 @@
 //! which reruns every experiment (including the two that force their
 //! own workload scale and take ~a minute) and rewrites the artifacts
 //! plus the manifest. Commit the result alongside the model change.
+//!
+//! Those two, fig18 and ablE, are the only golden experiments that put
+//! a large heap through the DDR3 model. Their byte comparison is the
+//! `#[ignore]`d `golden_wall_full`, too slow for the debug profile;
+//! `ci.sh` runs it in release:
+//!
+//! ```text
+//! cargo test --release --offline -p tracegc --test golden golden_wall_full -- --ignored
+//! ```
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -45,7 +54,8 @@ fn golden_dir() -> PathBuf {
 /// The two experiments that force their own workload scale internally
 /// and therefore cost minutes under the debug profile; their goldens
 /// are still mandatory (the manifest check covers them) but their
-/// byte-comparison runs in the `#[ignore]`d full-wall test.
+/// byte-comparison runs in the `#[ignore]`d full-wall test, which
+/// `ci.sh` runs in release.
 const EXPENSIVE: [&str; 2] = ["fig18", "ablE"];
 
 fn smoke_ids() -> Vec<&'static str> {
@@ -174,9 +184,10 @@ fn golden_wall_smoke() {
     assert_wall(&smoke_ids());
 }
 
-/// The expensive rest of the wall. Run with `cargo test --release -- --ignored`.
+/// The expensive rest of the wall; `ci.sh` runs it in release (see
+/// the module docs).
 #[test]
-#[ignore = "fig18/ablE force their own workload scale (~minutes under the debug profile)"]
+#[ignore = "fig18/ablE force their own workload scale (minutes under the debug profile); ci.sh runs it in release"]
 fn golden_wall_full() {
     assert_wall(&EXPENSIVE);
 }
