@@ -23,6 +23,12 @@ cargo build --release --offline
 echo "==> cargo test"
 cargo test -q --offline
 
+echo "==> pacing and event-contract walls at full size (release)"
+# `cargo test` above builds with debug assertions, where the randomized
+# families in engine_equivalence.rs run a trimmed seed pool (COMBOS);
+# the release build runs every family at full size.
+cargo test --release --offline -p tracegc --test engine_equivalence --test engine_contract
+
 echo "==> gcbench (the repo benchmark) builds and its tests pass"
 # gcbench/ is a workspace of its own that imports the crates' public
 # API by path; building it here means an API trim that breaks the
@@ -53,14 +59,16 @@ echo "==> pacing equivalence (fastforward vs lockstep, outputs byte-identical)"
 # output: same CSVs, same metrics sidecars, bit for bit, as the
 # cycle-by-cycle lockstep reference (tests/engine_equivalence.rs pins
 # the same property per driver; this gate pins it end-to-end through
-# the experiment registry).
+# the experiment registry). multiunit, overlap and multi put several
+# engines on one clock, where fast-forward sleeps stalled engines.
+PACED="fig15 fig20 conc multiunit overlap multi"
 ./target/release/experiments --quick --sched fastforward \
-    --out "$SIDECAR_DIR/pace_ff" fig15 fig20 conc >/dev/null
+    --out "$SIDECAR_DIR/pace_ff" $PACED >/dev/null
 ./target/release/experiments --quick --sched lockstep \
-    --out "$SIDECAR_DIR/pace_ls" fig15 fig20 conc >/dev/null
-for f in fig15.csv fig15.metrics.json fig20.csv fig20.metrics.json \
-         conc.csv conc.metrics.json; do
-    cmp "$SIDECAR_DIR/pace_ff/$f" "$SIDECAR_DIR/pace_ls/$f"
+    --out "$SIDECAR_DIR/pace_ls" $PACED >/dev/null
+for id in $PACED; do
+    cmp "$SIDECAR_DIR/pace_ff/$id.csv" "$SIDECAR_DIR/pace_ls/$id.csv"
+    cmp "$SIDECAR_DIR/pace_ff/$id.metrics.json" "$SIDECAR_DIR/pace_ls/$id.metrics.json"
 done
 
 echo "==> paper calibration gate (experiments --calibrate on committed results/)"

@@ -49,6 +49,17 @@ fn err(line: usize, message: impl Into<String>) -> SnapshotError {
     }
 }
 
+/// Parses the `what` field `s` of line `lno` as a `T`, rejecting a
+/// value `T` cannot hold instead of truncating it.
+fn number<T: std::str::FromStr>(lno: usize, what: &str, s: &str) -> Result<T, SnapshotError> {
+    s.parse().map_err(|_| {
+        err(
+            lno,
+            format!("bad {what} {s:?}: not a {}", std::any::type_name::<T>()),
+        )
+    })
+}
+
 /// Scalar words an object's cell provides beyond its references and
 /// headers (the requested count is not recoverable, only the capacity).
 fn scalar_capacity(heap: &Heap, obj: ObjRef, cell_bytes: u64) -> u32 {
@@ -184,29 +195,26 @@ pub fn load(text: &str) -> Result<Heap, SnapshotError> {
             continue;
         }
         let fields: Vec<&str> = line.split_whitespace().collect();
-        let parse = |s: &str| -> Result<u64, SnapshotError> {
-            s.parse().map_err(|_| err(lno, format!("bad number {s:?}")))
-        };
         match fields.as_slice() {
             ["object", id, "nrefs", n, "scalars", s, "array", a, "marked", m] => {
-                if parse(id)? as usize != shapes.len() {
+                if number::<usize>(lno, "object id", id)? != shapes.len() {
                     return Err(err(lno, "object ids must be dense and in order"));
                 }
                 shapes.push(Shape {
-                    nrefs: parse(n)? as u32,
-                    scalars: parse(s)? as u32,
-                    array: parse(a)? != 0,
-                    marked: parse(m)? != 0,
+                    nrefs: number(lno, "nrefs", n)?,
+                    scalars: number(lno, "scalars", s)?,
+                    array: number::<u64>(lno, "array flag", a)? != 0,
+                    marked: number::<u64>(lno, "marked flag", m)? != 0,
                 });
             }
             ["ref", obj, slot, target] => {
                 edges.push((
-                    parse(obj)? as usize,
-                    parse(slot)? as u32,
-                    parse(target)? as usize,
+                    number(lno, "ref source", obj)?,
+                    number(lno, "slot", slot)?,
+                    number(lno, "ref target", target)?,
                 ));
             }
-            ["root", id] => roots.push(parse(id)? as usize),
+            ["root", id] => roots.push(number(lno, "root id", id)?),
             _ => return Err(err(lno, format!("unrecognized line {line:?}"))),
         }
     }
@@ -326,6 +334,21 @@ mod tests {
         let dangling = "tracegc-snapshot v1\nlayout bidirectional\n\
                         object 0 nrefs 1 scalars 0 array 0 marked 0\nref 0 0 9\n";
         assert!(load(dangling).is_err());
+        // Counts and slots past u32 are errors naming their line, not
+        // truncated: these would otherwise load as 1 ref and 0
+        // scalars, and as a ref into slot 0.
+        let wide_counts = "tracegc-snapshot v1\nlayout bidirectional\n\
+                           object 0 nrefs 4294967297 scalars 4294967296 array 0 marked 0\n";
+        let e = load(wide_counts).expect_err("nrefs past u32 must be rejected");
+        assert_eq!(e.line, 3);
+        assert!(e.message.contains("nrefs"), "{e}");
+        let wide_slot = "tracegc-snapshot v1\nlayout bidirectional\n\
+                         object 0 nrefs 1 scalars 0 array 0 marked 0\n\
+                         object 1 nrefs 0 scalars 0 array 0 marked 0\n\
+                         ref 0 4294967296 1\n";
+        let e = load(wide_slot).expect_err("a slot past u32 must be rejected");
+        assert_eq!(e.line, 5);
+        assert!(e.message.contains("slot"), "{e}");
     }
 
     #[test]

@@ -33,6 +33,15 @@ use crate::traversal::TraversalUnit;
 /// Scheduler charges are routed into the unit's own per-pass ledger
 /// ([`TraversalUnit::charge_busy`] / [`TraversalUnit::charge_stall`]),
 /// keeping `busy + Σ stalls == pass cycles` for any scheduling policy.
+///
+/// The memory system's fault latch is shared by every engine on the
+/// [`SocCtx`]: the first unit stepped after a fault is latched takes
+/// it as its trap, whichever unit's request faulted. A unit sleeping
+/// under fast-forward therefore reports a latched fault, like a
+/// non-empty mailbox, through [`Engine::has_input`], so it is stepped
+/// in the same service round as under lockstep. The multi-unit pacing
+/// wall in `tests/engine_equivalence.rs` checks fast-forward against
+/// lockstep, not which unit a fault is charged to.
 #[derive(Debug)]
 pub struct MarkEngine<'a> {
     unit: &'a mut TraversalUnit,
@@ -96,6 +105,13 @@ impl<'a, 'c> Engine<SocCtx<'c>> for MarkEngine<'a> {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
+    }
+
+    /// Barrier references waiting in the heap's mailbox, or a fault
+    /// latched by any engine's request: both are consumed at the top of
+    /// the next step.
+    fn has_input(&self, ctx: &SocCtx<'c>) -> bool {
+        !ctx.mailboxes[self.heap_idx].is_empty() || ctx.mem.pending_fault().is_some()
     }
 
     fn stall_reason(&self, now: Cycle) -> StallReason {

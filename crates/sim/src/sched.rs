@@ -18,11 +18,13 @@
 //! # Clock protocol
 //!
 //! Each iteration the scheduler offers the current cycle to its engines
+//! (under [`Pacing::FastForward`], only to the awake ones; see below)
 //! and classifies the outcome:
 //!
 //! * some engine [`Advanced`](Progress::Advanced) — the clock moves one
 //!   cycle; advancing engines are charged busy via [`Engine::note_busy`],
-//!   stalled ones one cycle of their [`Engine::stall_reason`].
+//!   stalled ones (asleep or not) one cycle of their
+//!   [`Engine::stall_reason`].
 //! * every live engine [`Stalled`](Progress::Stalled) — the clock moves
 //!   according to the [`Pacing`] (see below): one cycle under
 //!   [`Pacing::Lockstep`], straight to the earliest pending
@@ -55,6 +57,26 @@
 //!   across thousands of seeded (workload, config, fault-plan, policy)
 //!   combinations.
 //!
+//! Fast-forward also keeps an *activity set* (the CCSS idea of stepping
+//! only the components whose inputs changed), because the hop alone
+//! never fires while any one engine works: with eight traversal units
+//! on one DDR3 some unit nearly always has work, and every other unit
+//! would be re-stepped each cycle only to stall again. An engine that
+//! returns [`Progress::Stalled`] with a strictly future
+//! [`Engine::next_event_at`] goes to *sleep*: the scheduler stores that
+//! cycle and the engine's [`Engine::stall_reason`], and does not step
+//! the engine again until the stored cycle comes due or
+//! [`Engine::has_input`] reports input another engine left in the
+//! context (a mailbox message, a latched memory fault). By the contract
+//! each skipped step would have been a side-effect-free stall. A
+//! sleeper is still charged one [`Engine::note_stall`] per service
+//! round with the stored reason, which span-stability makes equal to
+//! the live one, so ledgers and per-call trace events match the
+//! stepped run; and the all-stall hop takes its minimum over the
+//! stored cycles. [`Pacing::Lockstep`] never sleeps anybody and stays
+//! the reference: every pacing wall compares fast-forward, sleeping
+//! included, against it.
+//!
 //! The hop is clamped to the watchdog deadline so a livelocked engine
 //! set trips the no-progress watchdog at the identical cycle (and with
 //! the identical ledger dump) under both pacings. Under
@@ -74,7 +96,11 @@
 //! [`Policy::Throttled`] the fast-forward hop is disabled — the clock
 //! already advances in period-sized aligned jumps, and a mid-window hop
 //! would let the two pacings step engines at different service cycles,
-//! breaking pacing equivalence.
+//! breaking pacing equivalence. Sleeping stays on there and is exact:
+//! it moves no clock, and only skips steps at service cycles strictly
+//! before a sleeper's event, which the contract makes side-effect-free
+//! stalls under the same (span-stable) reason. Round-robin arbitration
+//! never sleeps an engine; it already serves one engine per cycle.
 //!
 //! The process-wide default pacing is [`Pacing::FastForward`],
 //! overridden per process via [`set_default_pacing`] (the experiment
@@ -204,7 +230,9 @@ pub trait Engine<Ctx> {
     ///   new external input. External wake sources (e.g. mailbox
     ///   traffic from a mutator) must themselves be scheduled engines
     ///   reporting their own events, so the cross-engine minimum covers
-    ///   them.
+    ///   them, and the woken engine must report that input through
+    ///   [`Engine::has_input`], so the fast-forward scheduler steps it
+    ///   before its own promised event.
     /// * **Never stale.** An engine that just returned
     ///   [`Progress::Stalled`] at `now` must report an event `> now`
     ///   (or `None`). A past event is not "conservative": it masks the
@@ -221,6 +249,16 @@ pub trait Engine<Ctx> {
     /// the engine to discover progress, and deadlocks if every live
     /// engine is stalled with no event.
     fn next_event_at(&self) -> Option<Cycle>;
+
+    /// Whether another engine has left input in `ctx` that this engine
+    /// would act on at its next step. Under [`Pacing::FastForward`] a
+    /// stalled engine that promised a future [`Engine::next_event_at`]
+    /// is not stepped again before that event unless this returns
+    /// `true`. Defaults to `false`: an engine that only another
+    /// engine can unblock while it holds a promise must override it.
+    fn has_input(&self, _ctx: &Ctx) -> bool {
+        false
+    }
 
     /// Why the engine cannot progress at `now` (used for stall charging
     /// and watchdog dumps). Defaults to [`StallReason::Idle`].
@@ -281,8 +319,9 @@ pub enum Pacing {
     /// Step every live engine at every service cycle; the clock only
     /// advances one cycle at a time.
     Lockstep,
-    /// Event-driven: skip cycles provably free of state changes,
-    /// charging the skipped span to each engine's stall ledger.
+    /// Event-driven: skip cycles, and steps of sleeping engines,
+    /// provably free of state changes, charging the skipped span to
+    /// each engine's stall ledger.
     FastForward,
 }
 
@@ -492,6 +531,20 @@ where
         .collect()
 }
 
+/// Charges `span` stalled cycles from `now` to `engine`: under the
+/// reason it stored when it went to sleep, else its live
+/// [`Engine::stall_reason`]. The two agree by the span-stability clause
+/// of the [`Engine::next_event_at`] contract.
+fn charge_stall<Ctx>(
+    engine: &mut dyn Engine<Ctx>,
+    asleep: Option<(Cycle, StallReason)>,
+    now: Cycle,
+    span: u64,
+) {
+    let reason = asleep.map_or_else(|| engine.stall_reason(now), |(_, r)| r);
+    engine.note_stall(now, reason, span);
+}
+
 /// Default no-progress watchdog: panic after this many consecutive
 /// cycles in which no engine advanced or finished.
 pub const DEFAULT_NO_PROGRESS_LIMIT: Cycle = 10_000_000;
@@ -608,7 +661,8 @@ impl Scheduler {
     }
 
     /// Lockstep / priority / throttled: every live engine is offered
-    /// every service cycle.
+    /// every service cycle, except a fast-forward sleeper (see the
+    /// module docs).
     fn run_synchronous<Ctx>(
         &self,
         engines: &mut [&mut dyn Engine<Ctx>],
@@ -630,6 +684,11 @@ impl Scheduler {
         let mut done = vec![false; n];
         let mut ends = vec![start; n];
         let mut advanced = vec![false; n];
+        // The activity set: under fast-forward, an engine that stalls
+        // promising a strictly future event sleeps until that event
+        // (or until another engine leaves it input), holding the event
+        // and the stall reason it gave. Never set under lockstep.
+        let mut asleep: Vec<Option<(Cycle, StallReason)>> = vec![None; n];
         let mut now = start;
         let mut last_progress = start;
         loop {
@@ -638,6 +697,14 @@ impl Scheduler {
             for &i in &order {
                 if done[i] {
                     continue;
+                }
+                if let Some((t, _)) = asleep[i] {
+                    // The contract makes this step a side-effect-free
+                    // `Stalled`: skip it.
+                    if t > now && !engines[i].has_input(ctx) {
+                        continue;
+                    }
+                    asleep[i] = None;
                 }
                 match engines[i].step(now, ctx) {
                     Progress::Done => {
@@ -648,6 +715,11 @@ impl Scheduler {
                     Progress::Advanced => {
                         advanced[i] = true;
                         any_progress = true;
+                    }
+                    Progress::Stalled if self.pacing == Pacing::FastForward => {
+                        if let Some(t) = engines[i].next_event_at().filter(|&t| t > now) {
+                            asleep[i] = Some((t, engines[i].stall_reason(now)));
+                        }
                     }
                     Progress::Stalled => {}
                 }
@@ -664,8 +736,7 @@ impl Scheduler {
                     if advanced[i] {
                         engines[i].note_busy(1);
                     } else {
-                        let reason = engines[i].stall_reason(now);
-                        engines[i].note_stall(now, reason, 1);
+                        charge_stall(&mut *engines[i], asleep[i], now, 1);
                     }
                 }
                 now += 1;
@@ -676,7 +747,11 @@ impl Scheduler {
                 // next service round.
                 let wake = (0..n)
                     .filter(|&i| !done[i])
-                    .filter_map(|i| engines[i].next_event_at())
+                    .filter_map(|i| {
+                        asleep[i]
+                            .map(|(t, _)| t)
+                            .or_else(|| engines[i].next_event_at())
+                    })
                     .min();
                 match wake {
                     None => {
@@ -707,17 +782,15 @@ impl Scheduler {
                         let t = t.min(deadline);
                         let span = t - now;
                         for i in (0..n).filter(|&i| !done[i]) {
-                            let reason = engines[i].stall_reason(now);
-                            engines[i].note_stall(now, reason, span);
+                            charge_stall(&mut *engines[i], asleep[i], now, span);
                         }
                         now = t;
                     }
-                    // Lockstep (or a stale event): charge this cycle
-                    // and crawl.
+                    // Lockstep (or a stale event, or the throttle):
+                    // charge this cycle and crawl.
                     Some(_) => {
                         for i in (0..n).filter(|&i| !done[i]) {
-                            let reason = engines[i].stall_reason(now);
-                            engines[i].note_stall(now, reason, 1);
+                            charge_stall(&mut *engines[i], asleep[i], now, 1);
                         }
                         now += 1;
                     }
@@ -1385,6 +1458,138 @@ mod tests {
         // Per-engine closure over its live span.
         assert_eq!(ff_a.total(), ff_ends[0]);
         assert_eq!(ff_b.total(), ff_ends[1]);
+    }
+
+    /// Stalls until `wake`, or until the inbox (the context) holds a
+    /// message if it reports that input, then does one unit of work
+    /// and finishes; counts how often it is stepped.
+    struct Sleeper {
+        wake: Cycle,
+        reports_input: bool,
+        worked: bool,
+        steps: u64,
+        ledger: StallAccounting,
+    }
+
+    impl Sleeper {
+        fn new(wake: Cycle, reports_input: bool) -> Self {
+            Self {
+                wake,
+                reports_input,
+                worked: false,
+                steps: 0,
+                ledger: StallAccounting::default(),
+            }
+        }
+    }
+
+    impl Engine<Vec<Cycle>> for Sleeper {
+        fn name(&self) -> &'static str {
+            "sleeper"
+        }
+        fn step(&mut self, now: Cycle, inbox: &mut Vec<Cycle>) -> Progress {
+            self.steps += 1;
+            if self.worked {
+                return Progress::Done;
+            }
+            if now < self.wake && inbox.is_empty() {
+                return Progress::Stalled;
+            }
+            inbox.clear();
+            self.worked = true;
+            Progress::Advanced
+        }
+        fn next_event_at(&self) -> Option<Cycle> {
+            Some(self.wake)
+        }
+        fn has_input(&self, inbox: &Vec<Cycle>) -> bool {
+            self.reports_input && !inbox.is_empty()
+        }
+        fn stall_reason(&self, _now: Cycle) -> StallReason {
+            StallReason::MemLatency
+        }
+        fn note_busy(&mut self, n: u64) {
+            self.ledger.busy(n);
+        }
+        fn note_stall(&mut self, _now: Cycle, reason: StallReason, span: u64) {
+            self.ledger.stall(reason, span);
+        }
+    }
+
+    /// Works `work` cycles, posting one message to the inbox at `send`.
+    struct Sender {
+        work: u64,
+        send: Cycle,
+    }
+
+    impl Engine<Vec<Cycle>> for Sender {
+        fn name(&self) -> &'static str {
+            "sender"
+        }
+        fn step(&mut self, now: Cycle, inbox: &mut Vec<Cycle>) -> Progress {
+            if self.work == 0 {
+                return Progress::Done;
+            }
+            if now == self.send {
+                inbox.push(now);
+            }
+            self.work -= 1;
+            Progress::Advanced
+        }
+        fn next_event_at(&self) -> Option<Cycle> {
+            None
+        }
+    }
+
+    #[test]
+    fn fast_forward_sleeps_a_stalled_engine_while_another_works() {
+        // The sleeper stalls at 0 promising 50 while the sender works
+        // to 100, so the all-stall hop never fires. Fast-forward steps
+        // the sleeper only at 0, at its event and when it finishes;
+        // lockstep steps it every cycle. Both charge the same ledger.
+        let run = |pacing: Pacing| {
+            let mut sleeper = Sleeper::new(50, true);
+            let mut sender = Sender {
+                work: 100,
+                send: Cycle::MAX,
+            };
+            let report = Scheduler::new(Policy::Lockstep).pacing(pacing).run(
+                &mut [&mut sleeper, &mut sender],
+                &mut Vec::new(),
+                0,
+            );
+            (report.ends, sleeper.ledger, sleeper.steps)
+        };
+        let (ff_ends, ff_ledger, ff_steps) = run(Pacing::FastForward);
+        let (ls_ends, ls_ledger, ls_steps) = run(Pacing::Lockstep);
+        assert_eq!(ff_ends, vec![51, 100]);
+        assert_eq!(ff_ends, ls_ends);
+        assert_eq!(ff_ledger, ls_ledger);
+        assert_eq!(ff_ledger.stalled(StallReason::MemLatency), 50);
+        assert_eq!((ff_steps, ls_steps), (3, 52));
+    }
+
+    #[test]
+    fn has_input_wakes_a_sleeper_before_its_event() {
+        // The sleeper promises 1000, but the sender posts to its inbox
+        // at 10; the sleeper, registered first, sees it at 11. Under
+        // fast-forward only `has_input` can wake it in time: one that
+        // does not report its input sleeps through the message.
+        let run = |pacing: Pacing, reports_input: bool| {
+            let mut sleeper = Sleeper::new(1000, reports_input);
+            let mut sender = Sender { work: 20, send: 10 };
+            let report = Scheduler::new(Policy::Lockstep).pacing(pacing).run(
+                &mut [&mut sleeper, &mut sender],
+                &mut Vec::new(),
+                0,
+            );
+            (report.ends, sleeper.ledger)
+        };
+        let lockstep = run(Pacing::Lockstep, true);
+        assert_eq!(lockstep.0, vec![12, 20]);
+        assert_eq!(run(Pacing::FastForward, true), lockstep);
+        assert_eq!(run(Pacing::Lockstep, false), lockstep);
+        assert_eq!(run(Pacing::FastForward, false).0, vec![1001, 20]);
     }
 
     #[test]

@@ -17,9 +17,10 @@
 //!   promise chain would trip its watchdog clamp).
 //! * **Span-stable stall reasons.** While the promise is outstanding,
 //!   `stall_reason(now)` must not change: fast-forward charges the
-//!   whole skipped span in one call with the reason sampled at the
-//!   start of the stall, and the ledgers must still match lockstep's
-//!   per-cycle charges.
+//!   whole skipped span in one call, and a sleeping engine one call
+//!   per service round, with the reason sampled at the start of the
+//!   stall, and the ledgers must still match lockstep's per-cycle
+//!   charges.
 //!
 //! Configurations are randomized from fixed seeds so the wall covers
 //! queue-pressure, throttled, compressed and multi-walker corners, not

@@ -588,6 +588,140 @@ fn pacing_differential_randomized_faults() {
 }
 
 // ---------------------------------------------------------------------
+// Multi-unit wall: several traversal units on one DDR3 under one
+// lockstep-policy scheduler, the shape in which fast-forward lets a
+// stalled unit sleep until its promised event while another unit
+// works. A sleeper must still be stepped when input from another
+// engine is waiting: a fault another unit's request latched in the
+// shared memory system, or write-barrier references a mutator
+// published into its mailbox (`Engine::has_input`).
+// ---------------------------------------------------------------------
+
+/// What shares the memory system with the units in a multi-unit run.
+#[derive(Clone, Copy, Debug)]
+enum MultiUnit {
+    /// Nothing: clean units only.
+    Clean,
+    /// A `FaultSite::Mem` injector (uncorrectable ECC plus dropped
+    /// responses) that latches faults, trapping most runs.
+    MemFaults,
+    /// A mutator scheduled first, publishing into unit 0's mailbox.
+    Mutator,
+}
+
+/// 2–5 units with random marker slots and mark-queue sizes, each on its
+/// own heap, fingerprinted down to the schedule report (or its error),
+/// every unit's trap register, objects marked and full ledger, and the
+/// memory system's fault counters.
+fn multi_unit_fingerprint(seed: u64, variant: MultiUnit) -> String {
+    use tracegc::heap::SocCtx;
+    use tracegc::hwgc::MutatorEngine;
+    use tracegc::sim::{FaultPlan, FaultSite};
+    let mut rng = StdRng::seed_from_u64(6000 + seed);
+    let n = rng.random_range(2..6usize);
+    let mut heaps: Vec<Heap> = (0..n)
+        .map(|_| random_mark_heap(&mut rng, LayoutKind::Bidirectional))
+        .collect();
+    let mut units: Vec<TraversalUnit> = heaps
+        .iter_mut()
+        .map(|h| {
+            let cfg = GcUnitConfig {
+                marker_slots: [1, 2, 4, 8, 16][rng.random_range(0..5usize)],
+                markq_entries: [8, 16, 64, 1024][rng.random_range(0..4usize)],
+                ..GcUnitConfig::default()
+            };
+            TraversalUnit::new(cfg, h)
+        })
+        .collect();
+    let mut mem = MemSystem::ddr3(Default::default());
+    if let MultiUnit::MemFaults = variant {
+        let plan = FaultPlan::new(FaultConfig {
+            seed: rng.next_u64(),
+            bit_flip_rate: 0.002,
+            ecc_uncorrectable_weight: 0.5,
+            drop_rate: 0.002,
+            max_retries: 1,
+            ..FaultConfig::default()
+        });
+        mem.set_fault_injector(plan.injector(FaultSite::Mem));
+    }
+    let mut mutator = MutatorEngine::new(
+        MutatorConfig {
+            cycles_per_op: rng.random_range(5..60u64),
+            seed: rng.next_u64(),
+            ..MutatorConfig::default()
+        },
+        0,
+        heaps[0].reachable_from_roots().into_iter().collect(),
+        0,
+    );
+    for (u, h) in units.iter_mut().zip(&heaps) {
+        u.begin(h, 0);
+    }
+    let result = {
+        let mut marks: Vec<MarkEngine> = units
+            .iter_mut()
+            .enumerate()
+            .map(|(i, u)| MarkEngine::new(u, i))
+            .collect();
+        let mut ctx = SocCtx::new(&mut mem, heaps.iter_mut().collect());
+        let mut engines: Vec<&mut dyn Engine<SocCtx>> = Vec::new();
+        if let MultiUnit::Mutator = variant {
+            engines.push(&mut mutator);
+        }
+        engines.extend(marks.iter_mut().map(|e| e as &mut dyn Engine<SocCtx>));
+        Scheduler::new(Policy::Lockstep).try_run(&mut engines, &mut ctx, 0)
+    };
+    let mut out = match &result {
+        Ok(r) => format!("end={};ends={:?}", r.end, r.ends),
+        Err(e) => format!("error {e}"),
+    };
+    for (i, u) in units.iter().enumerate() {
+        let end = result.as_ref().map_or(0, |r| r.ends[i]);
+        out.push_str(&format!(
+            "|u{i}:trap={:?};marked={};{}",
+            u.trap(),
+            u.result_at(0, end).objects_marked,
+            ledger(u.stalls())
+        ));
+    }
+    out.push_str(&format!(
+        "|latched={:?};mem={:?};mutator_ops={}",
+        mem.pending_fault(),
+        mem.fault_stats(),
+        mutator.ops()
+    ));
+    out
+}
+
+#[test]
+fn pacing_differential_randomized_multi_unit() {
+    for seed in 0..COMBOS {
+        assert_pacing_equal(format!("multi_unit[seed={seed}]"), || {
+            multi_unit_fingerprint(seed, MultiUnit::Clean)
+        });
+    }
+}
+
+#[test]
+fn pacing_differential_randomized_multi_unit_mem_faults() {
+    for seed in 0..COMBOS {
+        assert_pacing_equal(format!("multi_unit_mem_faults[seed={seed}]"), || {
+            multi_unit_fingerprint(seed, MultiUnit::MemFaults)
+        });
+    }
+}
+
+#[test]
+fn pacing_differential_randomized_multi_unit_mutator() {
+    for seed in 0..COMBOS {
+        assert_pacing_equal(format!("multi_unit_mutator[seed={seed}]"), || {
+            multi_unit_fingerprint(seed, MultiUnit::Mutator)
+        });
+    }
+}
+
+// ---------------------------------------------------------------------
 // Watchdog equivalence: a wedged engine set must trip the no-progress
 // watchdog at the identical cycle, with the identical dump (names,
 // stall reasons, pending events AND ledgers) under both pacings — the
