@@ -87,6 +87,18 @@ rc=0
 ./target/release/experiments --calibrate --out "$SIDECAR_DIR/calib_empty" >/dev/null 2>&1 || rc=$?
 test "$rc" -eq 4
 
+echo "==> committed results/ regenerate byte for byte (default scale 0.25)"
+# results/ is the scale the calibration bands apply to; nothing else
+# re-runs it. Default settings, every experiment; exit 2 because
+# faultsweep degrades by design. results/full_scale/ (paper scale, too
+# slow here) and experiments_all.txt (host timings) are not compared.
+rc=0
+./target/release/experiments --out "$SIDECAR_DIR/results" all >/dev/null 2>&1 || rc=$?
+test "$rc" -eq 2
+for f in results/*.csv results/*.metrics.json; do
+    cmp "$f" "$SIDECAR_DIR/results/$(basename "$f")"
+done
+
 echo "==> faultsweep smoke (golden scale; must degrade deterministically, exit 2)"
 # At the golden scale the sweep always hits at least one fallback, so
 # the exit-code contract (0 clean / 2 degraded / 3 failed) is testable:

@@ -1,6 +1,8 @@
 //! The timed software collector running on the in-order core model.
 
-use tracegc_heap::layout::{Header, HEADER_MARK_BIT, WORD};
+use std::collections::VecDeque;
+
+use tracegc_heap::layout::{bidi, conv, Header, LayoutKind, HEADER_MARK_BIT, WORD};
 use tracegc_heap::{Heap, ObjRef};
 use tracegc_mem::cache::L2Backing;
 use tracegc_mem::{Cache, CacheConfig, MemSystem, Source};
@@ -193,11 +195,9 @@ impl Cpu {
         let mut engine = crate::engine::CpuMarkEngine::new(self, 0);
         {
             let mut ctx = tracegc_heap::SocCtx::single(mem, heap);
-            tracegc_sim::Scheduler::new(tracegc_sim::Policy::Lockstep).run(
-                &mut [&mut engine],
-                &mut ctx,
-                start,
-            );
+            tracegc_sim::Scheduler::new(tracegc_sim::Policy::Lockstep)
+                .try_run(&mut [&mut engine], &mut ctx, start)
+                .expect("Cpu::run_mark: the mark engine wedged");
         }
         engine.into_result()
     }
@@ -277,13 +277,7 @@ impl Cpu {
             }
             // Seed: mark (idempotent — the unit may already have) and
             // stack for an unconditional trace.
-            let t = self.access(heap, mem, va, false);
-            self.wait(t);
-            let pa = heap.va_to_pa(va);
-            let old = Header::from_raw(heap.phys.fetch_or_u64(pa, HEADER_MARK_BIT));
-            self.access(heap, mem, va, true);
-            self.instr(1);
-            if !old.is_marked() {
+            if !self.mark_in_place(heap, mem, va) {
                 result.work_items += 1;
             }
             self.push(heap, mem, &mut stack, &mut sp, ObjRef::new(va));
@@ -300,7 +294,8 @@ impl Cpu {
 
     /// Traces every reference of an already-marked `obj`, marking each
     /// child in place and pushing only the newly marked — the resume
-    /// loop's body (timing mirrors the normal mark loop's visit).
+    /// loop's body. It shares [`Cpu::walk_refs`] with the normal mark
+    /// loop's visit, so the timing of the reference loads is the same.
     fn trace_marked(
         &mut self,
         heap: &mut Heap,
@@ -310,33 +305,49 @@ impl Cpu {
         obj: ObjRef,
         result: &mut PhaseResult,
     ) {
-        use std::collections::VecDeque;
-        use tracegc_heap::layout::{bidi, conv, LayoutKind};
-
         self.instr(self.cfg.instr_per_object);
         let t = self.access(heap, mem, obj.addr(), false);
         self.wait(t);
         let nrefs = Header::from_raw(heap.read_va(obj.addr())).nrefs();
-
-        let mark_child = |cpu: &mut Self,
-                          heap: &mut Heap,
-                          mem: &mut MemSystem,
-                          stack: &mut Vec<ObjRef>,
-                          sp: &mut u64,
-                          result: &mut PhaseResult,
-                          raw: u64| {
-            let t = cpu.access(heap, mem, raw, false);
-            cpu.wait(t);
-            let pa = heap.va_to_pa(raw);
-            let old = heap.phys.fetch_or_u64(pa, HEADER_MARK_BIT);
-            cpu.access(heap, mem, raw, true);
-            cpu.instr(1);
-            if !Header::from_raw(old).is_marked() {
+        result.refs_traced += self.walk_refs(heap, mem, obj, nrefs, |cpu, heap, mem, raw| {
+            if !cpu.mark_in_place(heap, mem, raw) {
                 result.work_items += 1;
                 cpu.push(heap, mem, stack, sp, ObjRef::new(raw));
             }
-        };
+        });
+    }
 
+    /// Sets the mark bit of the object at `va` with an atomic fetch-or
+    /// (the header load stalls the core; the store is posted) and
+    /// returns whether it was already set.
+    fn mark_in_place(&mut self, heap: &mut Heap, mem: &mut MemSystem, va: u64) -> bool {
+        let t = self.access(heap, mem, va, false);
+        self.wait(t);
+        let pa = heap.va_to_pa(va);
+        let old = Header::from_raw(heap.phys.fetch_or_u64(pa, HEADER_MARK_BIT));
+        self.access(heap, mem, va, true);
+        self.instr(1);
+        old.is_marked()
+    }
+
+    /// Loads the `nrefs` reference slots of `obj` with the mark loop's
+    /// timing and hands each non-null reference to `child`, in slot
+    /// order; returns the number of slots loaded.
+    ///
+    /// Bidirectional objects keep their slots contiguously below the
+    /// header. An in-order core (`ooo_window` = 1) stalls on every
+    /// load-use pair; an out-of-order core overlaps up to `ooo_window`
+    /// outstanding slot loads. Conventional objects cost a TIB-pointer
+    /// load, then an offset-table load and a scattered field load per
+    /// reference — the two extra accesses of §IV-A.
+    pub(crate) fn walk_refs(
+        &mut self,
+        heap: &mut Heap,
+        mem: &mut MemSystem,
+        obj: ObjRef,
+        nrefs: u32,
+        mut child: impl FnMut(&mut Self, &mut Heap, &mut MemSystem, u64),
+    ) -> u64 {
         match heap.layout() {
             LayoutKind::Bidirectional => {
                 let window = self.cfg.ooo_window.max(1);
@@ -347,19 +358,18 @@ impl Cpu {
                     let t = self.access(heap, mem, slot, false);
                     let raw = heap.read_va(slot);
                     pending.push_back((t, raw, self.last_access_walked));
-                    result.refs_traced += 1;
                     if pending.len() >= window {
                         let (t, raw, walked) = pending.pop_front().expect("non-empty");
                         self.wait_tagged(t, walked);
                         if raw != 0 {
-                            mark_child(self, heap, mem, stack, sp, result, raw);
+                            child(self, heap, mem, raw);
                         }
                     }
                 }
                 while let Some((t, raw, walked)) = pending.pop_front() {
                     self.wait_tagged(t, walked);
                     if raw != 0 {
-                        mark_child(self, heap, mem, stack, sp, result, raw);
+                        child(self, heap, mem, raw);
                     }
                 }
             }
@@ -378,13 +388,13 @@ impl Cpu {
                     let t = self.access(heap, mem, slot, false);
                     self.wait(t);
                     let raw = heap.read_va(slot);
-                    result.refs_traced += 1;
                     if raw != 0 {
-                        mark_child(self, heap, mem, stack, sp, result, raw);
+                        child(self, heap, mem, raw);
                     }
                 }
             }
         }
+        u64::from(nrefs)
     }
 
     /// Runs the sweep phase: a linear scan over every mark-sweep block,
@@ -400,11 +410,9 @@ impl Cpu {
         let mut engine = crate::engine::CpuSweepEngine::new(self, 0);
         {
             let mut ctx = tracegc_heap::SocCtx::single(mem, heap);
-            tracegc_sim::Scheduler::new(tracegc_sim::Policy::Lockstep).run(
-                &mut [&mut engine],
-                &mut ctx,
-                start,
-            );
+            tracegc_sim::Scheduler::new(tracegc_sim::Policy::Lockstep)
+                .try_run(&mut [&mut engine], &mut ctx, start)
+                .expect("Cpu::run_sweep: the sweep engine wedged");
         }
         engine.into_result()
     }

@@ -15,8 +15,6 @@
 //! scheduler's `note_busy`/`note_stall` charges stay the default
 //! no-ops and `stalls.total() == cycles` holds exactly as before.
 
-use std::collections::VecDeque;
-
 use tracegc_heap::layout::{
     bidi, conv, decode_cell_start, encode_free_cell_start, CellStart, Header, LayoutKind, WORD,
 };
@@ -96,61 +94,10 @@ impl<'a> CpuMarkEngine<'a> {
         cpu.instr(1);
         self.result.work_items += 1;
 
-        let nrefs = old.nrefs();
-        match heap.layout() {
-            LayoutKind::Bidirectional => {
-                // Reference slots sit contiguously below the header.
-                // An in-order core (ooo_window = 1) stalls on every
-                // load-use pair; an out-of-order core overlaps up to
-                // `ooo_window` outstanding ref loads.
-                let window = cpu.cfg.ooo_window.max(1);
-                let mut pending: VecDeque<(Cycle, u64, bool)> = VecDeque::with_capacity(window);
-                for i in 0..nrefs {
-                    cpu.instr(cpu.cfg.instr_per_ref);
-                    let slot = bidi::ref_slot(obj, i);
-                    let t = cpu.access(heap, mem, slot, false);
-                    let raw = heap.read_va(slot);
-                    pending.push_back((t, raw, cpu.last_access_walked));
-                    self.result.refs_traced += 1;
-                    if pending.len() >= window {
-                        let (t, raw, walked) = pending.pop_front().expect("non-empty");
-                        cpu.wait_tagged(t, walked);
-                        if raw != 0 {
-                            cpu.push(heap, mem, &mut self.stack, &mut self.sp, ObjRef::new(raw));
-                        }
-                    }
-                }
-                while let Some((t, raw, walked)) = pending.pop_front() {
-                    cpu.wait_tagged(t, walked);
-                    if raw != 0 {
-                        cpu.push(heap, mem, &mut self.stack, &mut self.sp, ObjRef::new(raw));
-                    }
-                }
-            }
-            LayoutKind::Conventional => {
-                // TIB pointer, then the offset table, then scattered
-                // field loads — the two extra accesses of §IV-A.
-                let tib_slot = conv::tib_slot(obj);
-                let t = cpu.access(heap, mem, tib_slot, false);
-                cpu.wait(t);
-                let tib = heap.read_va(tib_slot);
-                for i in 0..nrefs {
-                    cpu.instr(cpu.cfg.instr_per_ref);
-                    let off_va = tib + (1 + i as u64) * WORD;
-                    let t = cpu.access(heap, mem, off_va, false);
-                    cpu.wait(t);
-                    let offset = heap.read_va(off_va) as u32;
-                    let slot = conv::field_slot(obj, offset);
-                    let t = cpu.access(heap, mem, slot, false);
-                    cpu.wait(t);
-                    let raw = heap.read_va(slot);
-                    self.result.refs_traced += 1;
-                    if raw != 0 {
-                        cpu.push(heap, mem, &mut self.stack, &mut self.sp, ObjRef::new(raw));
-                    }
-                }
-            }
-        }
+        self.result.refs_traced +=
+            cpu.walk_refs(heap, mem, obj, old.nrefs(), |cpu, heap, mem, raw| {
+                cpu.push(heap, mem, &mut self.stack, &mut self.sp, ObjRef::new(raw));
+            });
     }
 }
 

@@ -37,8 +37,9 @@ fn usage() -> String {
          paper's numbers and writes DIR/calibration.json; figures default to all of: {}\n\
          --rss-ceiling-mb fails the run (exit 5) if the process's peak RSS exceeds \
          N MB — the CI memory gate for the paper-scale heapscale batch\n\
-         exit codes: 0 clean, 2 degraded to the software-fallback mark, 3 a run \
-         failed, 4 calibration out of tolerance, 5 peak RSS over the ceiling",
+         exit codes: 0 clean, 1 usage or I/O error (an output file could not be \
+         written), 2 degraded to the software-fallback mark, 3 a run failed, \
+         4 calibration out of tolerance, 5 peak RSS over the ceiling",
         experiments::ALL.join(" "),
         calib::FIGURES.join(" "),
     )
@@ -75,17 +76,18 @@ fn main() -> ExitCode {
                 opts.scale = 0.05;
                 opts.pauses = 2;
             }
-            "--scale" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => opts.scale = v,
-                None => {
-                    eprintln!("--scale needs a number\n{}", usage());
+            // 1.0 is the paper's size; NaN and infinities fail the range.
+            "--scale" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
+                Some(v) if v > 0.0 && v <= 1.0 => opts.scale = v,
+                _ => {
+                    eprintln!("--scale needs a number in (0, 1]\n{}", usage());
                     return ExitCode::FAILURE;
                 }
             },
             "--pauses" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => opts.pauses = v,
-                None => {
-                    eprintln!("--pauses needs a number\n{}", usage());
+                Some(v) if v >= 1 => opts.pauses = v,
+                _ => {
+                    eprintln!("--pauses needs a positive number\n{}", usage());
                     return ExitCode::FAILURE;
                 }
             },
@@ -242,6 +244,9 @@ fn main() -> ExitCode {
         }
     };
     let wall = started.elapsed();
+    // A failed write is reported where it happens; the run still prints
+    // every table, then exits 1.
+    let mut write_failed = false;
     // Rendering happens after the pool drains, in registry order, so
     // output and CSVs are identical for every --jobs value.
     for (id, done) in id_refs.iter().zip(&completed) {
@@ -255,7 +260,8 @@ fn main() -> ExitCode {
                 out_dir.join(format!("{id}_{i}.csv"))
             };
             if let Err(e) = table.write_csv(&path) {
-                eprintln!("warning: could not write {}: {e}", path.display());
+                eprintln!("error: could not write {}: {e}", path.display());
+                write_failed = true;
             }
         }
         for note in &output.notes {
@@ -263,7 +269,10 @@ fn main() -> ExitCode {
         }
         match metrics::write_sidecar(&out_dir, &output.metrics) {
             Ok(path) => println!("metrics: {}", path.display()),
-            Err(e) => eprintln!("warning: could not write metrics sidecar for {id}: {e}"),
+            Err(e) => {
+                eprintln!("error: could not write metrics sidecar for {id}: {e}");
+                write_failed = true;
+            }
         }
         let stall_summary: Vec<String> = ["cpu_mark", "cpu_sweep", "unit_mark", "unit_sweep"]
             .iter()
@@ -287,7 +296,10 @@ fn main() -> ExitCode {
             let json = metrics::chrome_trace_json(&output.trace);
             match std::fs::write(path, &json) {
                 Ok(()) => println!("trace: {} ({} events)", path.display(), output.trace.len()),
-                Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
+                Err(e) => {
+                    eprintln!("error: could not write {}: {e}", path.display());
+                    write_failed = true;
+                }
             }
         }
         println!(
@@ -311,6 +323,10 @@ fn main() -> ExitCode {
         busy / wall_s.max(1e-9),
         completed.len() as f64 / wall_s.max(1e-9),
     );
+    if write_failed {
+        eprintln!("exit 1: an output file could not be written (see errors above)");
+        return ExitCode::FAILURE;
+    }
     // The CI memory gate: peak RSS is host-measured and therefore never
     // lands in any deterministic output, only in this check and its
     // diagnostic line.

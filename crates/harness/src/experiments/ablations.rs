@@ -376,7 +376,9 @@ pub fn run_throttle(opts: &Options) -> ExperimentOutput {
         let mut unit = tracegc_hwgc::TraversalUnit::new(cfg, &mut workload.heap);
         // One background 64-byte read every 40 cycles ~ a busy mutator.
         unit.set_background_traffic(40);
-        let result = unit.run_mark(&mut workload.heap, &mut mem, 0);
+        let result = unit
+            .try_run_mark(&mut workload.heap, &mut mem, 0)
+            .expect("ablations: TraversalUnit::try_run_mark faulted on a clean heap");
         let lats = unit.background_latencies();
         let mean = lats.iter().sum::<u64>() as f64 / lats.len().max(1) as f64;
         let mut sorted: Vec<u64> = lats.to_vec();

@@ -3,7 +3,7 @@
 //! mark queue.
 
 use tracegc_heap::LayoutKind;
-use tracegc_hwgc::concurrent::{run_concurrent_mark, MutatorConfig};
+use tracegc_hwgc::concurrent::{try_run_concurrent_mark, MutatorConfig};
 use tracegc_hwgc::{GcUnitConfig, TraversalUnit};
 use tracegc_workloads::generate::generate_heap;
 use tracegc_workloads::spec::by_name;
@@ -46,7 +46,9 @@ pub fn run(opts: &Options) -> ExperimentOutput {
         match mode {
             // Stop-the-world baseline.
             None => {
-                let stw = unit.run_mark(&mut workload.heap, &mut mem, 0);
+                let stw = unit
+                    .try_run_mark(&mut workload.heap, &mut mem, 0)
+                    .expect("concurrent: TraversalUnit::try_run_mark faulted on a clean heap");
                 let row = vec![
                     "stop-the-world".into(),
                     ms(stw.cycles()),
@@ -58,7 +60,7 @@ pub fn run(opts: &Options) -> ExperimentOutput {
                 (row, ("stw".to_string(), stw.cycles(), stw.stalls), 0, 0)
             }
             Some((label, cycles_per_op, write_fraction)) => {
-                let report = run_concurrent_mark(
+                let report = try_run_concurrent_mark(
                     &mut unit,
                     &mut workload.heap,
                     &mut mem,
@@ -68,7 +70,8 @@ pub fn run(opts: &Options) -> ExperimentOutput {
                         ..MutatorConfig::default()
                     },
                     0,
-                );
+                )
+                .expect("concurrent: try_run_concurrent_mark faulted on a clean heap");
                 let row = vec![
                     label.into(),
                     ms(report.traversal.cycles()),
@@ -116,7 +119,7 @@ pub fn run(opts: &Options) -> ExperimentOutput {
 /// `multi`: one unit collecting several processes simultaneously
 /// (§VII "Supporting multiple applications").
 pub fn run_multi(opts: &Options) -> ExperimentOutput {
-    use tracegc_hwgc::multiproc::{run_multiprocess_mark, ProcessContext};
+    use tracegc_hwgc::multiproc::{try_run_multiprocess_mark, ProcessContext};
 
     let spec = by_name("avrora").expect("avrora exists").scaled(opts.scale);
     let make_context = |seed_offset: u64| {
@@ -141,7 +144,8 @@ pub fn run_multi(opts: &Options) -> ExperimentOutput {
         .map(|n| {
             let mut procs: Vec<ProcessContext> = (0..n as u64).map(make_context).collect();
             let mut mem = MemKind::ddr3_default().fresh();
-            let report = run_multiprocess_mark(&mut procs, &mut mem, 0);
+            let report = try_run_multiprocess_mark(&mut procs, &mut mem, 0)
+                .expect("multi: try_run_multiprocess_mark faulted on clean heaps");
             let mean: u64 = report.per_process.iter().map(|r| r.cycles()).sum::<u64>() / n as u64;
             (report.total_cycles(0), mean, report.per_process)
         })

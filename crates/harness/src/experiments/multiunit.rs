@@ -59,7 +59,9 @@ pub fn run(opts: &Options) -> ExperimentOutput {
                     .iter_mut()
                     .map(|e| e as &mut dyn Engine<SocCtx>)
                     .collect();
-                Scheduler::new(Policy::Lockstep).run(&mut dyns, &mut ctx, 0)
+                Scheduler::new(Policy::Lockstep)
+                    .try_run(&mut dyns, &mut ctx, 0)
+                    .expect("multiunit: Scheduler::try_run over the shared DDR3 wedged")
             };
             let per_unit: Vec<_> = units
                 .iter()

@@ -67,7 +67,9 @@ pub fn run(opts: &Options) -> ExperimentOutput {
             let mut rec = ReclamationUnit::new(GcUnitConfig::default(), &b.heap);
             match mode {
                 Mode::Serial => {
-                    let mark = unit.run_mark(&mut a.heap, &mut mem, 0);
+                    let mark = unit
+                        .try_run_mark(&mut a.heap, &mut mem, 0)
+                        .expect("overlap: TraversalUnit::try_run_mark faulted on a clean heap");
                     let sweep = rec.run_sweep(&mut b.heap, &mut mem, mark.end);
                     (mode, sweep.end, mark, sweep)
                 }
@@ -83,7 +85,9 @@ pub fn run(opts: &Options) -> ExperimentOutput {
                         let mut ctx = SocCtx::new(&mut mem, vec![&mut a.heap, &mut b.heap]);
                         let mut engines: [&mut dyn Engine<SocCtx>; 2] =
                             [&mut mark_eng, &mut sweep_eng];
-                        Scheduler::new(policy).run(&mut engines, &mut ctx, 0)
+                        Scheduler::new(policy)
+                            .try_run(&mut engines, &mut ctx, 0)
+                            .expect("overlap: Scheduler::try_run of mark and sweep wedged")
                     };
                     let mark = unit.result_at(0, report.ends[0]);
                     (mode, report.end, mark, sweep_eng.into_result())

@@ -151,12 +151,6 @@ impl PauseResult {
     pub fn sweep_speedup(&self) -> f64 {
         self.cpu_sweep_cycles as f64 / self.unit_sweep_cycles.max(1) as f64
     }
-
-    /// Whole-GC speedup.
-    pub fn total_speedup(&self) -> f64 {
-        (self.cpu_mark_cycles + self.cpu_sweep_cycles) as f64
-            / (self.unit_mark_cycles + self.unit_sweep_cycles).max(1) as f64
-    }
 }
 
 /// Two deterministically identical copies of a workload, one collected
@@ -192,12 +186,6 @@ impl DualRun {
         self.layout
     }
 
-    /// Access to the unit-side heap (for experiments that need extra
-    /// unit-only instrumentation).
-    pub fn unit_heap_mut(&mut self) -> &mut WorkloadHeap {
-        &mut self.unit_side
-    }
-
     /// Runs one paired GC pause on fresh memory systems and fresh
     /// agents (cold caches/TLBs, as after a context switch to GC).
     ///
@@ -216,7 +204,9 @@ impl DualRun {
         // Unit side.
         let mut unit_mem = mem_kind.fresh();
         let mut unit = GcUnit::new(self.unit_cfg, &mut self.unit_side.heap);
-        let report = unit.run_gc(&mut self.unit_side.heap, &mut unit_mem);
+        let report = unit
+            .try_run_gc_at(&mut self.unit_side.heap, &mut unit_mem, 0)
+            .expect("DualRun::run_pause: GcUnit::try_run_gc_at faulted on a clean heap");
         let unit_snapshot = MemSnapshot::capture(&unit_mem);
         let unit_trace = unit.take_trace();
 
@@ -629,7 +619,9 @@ pub fn run_unit_gc_stream(
     let mut streamed = tracegc_workloads::generate_streamed(spec, layout);
     let mut mem = mem_kind.fresh();
     let mut unit = GcUnit::new(cfg, &mut streamed.heap);
-    let report = unit.run_gc(&mut streamed.heap, &mut mem);
+    let report = unit
+        .try_run_gc_at(&mut streamed.heap, &mut mem, 0)
+        .expect("run_unit_gc_stream: GcUnit::try_run_gc_at faulted on a clean heap");
     assert_eq!(
         report.mark.objects_marked, streamed.live_objects as u64,
         "unit marked a different live set than the streamed generator built ({})",

@@ -49,7 +49,7 @@ fn degenerate_queue_configs_always_drain() {
         let mut w = generate_heap(&spec, LayoutKind::Bidirectional);
         let mut mem = MemSystem::ddr3(Default::default());
         let mut unit = TraversalUnit::new(cfg, &mut w.heap);
-        let r = unit.run_mark(&mut w.heap, &mut mem, 0);
+        let r = unit.try_run_mark(&mut w.heap, &mut mem, 0).unwrap();
         assert!(r.cycles() > 0, "config {i}");
         check_marks_match_reachability(&w.heap).unwrap_or_else(|e| panic!("config {i}: {e}"));
     }

@@ -117,11 +117,6 @@ impl ForwardingState {
     pub fn is_relocating(&self, va: u64) -> bool {
         self.relocated_pages.contains(&(va / PAGE_SIZE))
     }
-
-    /// Number of pages currently relocating.
-    pub fn pages_in_flight(&self) -> usize {
-        self.relocated_pages.len()
-    }
 }
 
 /// The barrier execution model a mutator thread uses.

@@ -69,28 +69,16 @@ pub struct ConcurrentReport {
 /// reference into the unit.
 ///
 /// Returns when the unit has drained (including all barrier-injected
-/// references). On return, every object reachable at the *start* of the
-/// collection and every object allocated during it carries a mark bit —
-/// the SATB guarantee (verified in tests).
+/// references). On success, every object reachable at the *start* of
+/// the collection and every object allocated during it carries a mark
+/// bit — the SATB guarantee (verified in tests).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the unit deadlocks (a bug, not a workload property) or
-/// faults; use [`try_run_concurrent_mark`] to degrade gracefully.
-pub fn run_concurrent_mark(
-    unit: &mut TraversalUnit,
-    heap: &mut Heap,
-    mem: &mut MemSystem,
-    mutator_cfg: MutatorConfig,
-    start: Cycle,
-) -> ConcurrentReport {
-    try_run_concurrent_mark(unit, heap, mem, mutator_cfg, start).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible variant of [`run_concurrent_mark`]: a trap during the mark
-/// surfaces as a [`SimError`] with the unit frozen in its architected
-/// state (recoverable via
-/// [`TraversalUnit::drain_architected_state`]).
+/// A trap during the mark surfaces as a [`SimError`] with the unit
+/// frozen in its architected state (recoverable via
+/// [`TraversalUnit::drain_architected_state`]); a unit deadlock (a bug,
+/// not a workload property) as [`SimError::Deadlock`].
 pub fn try_run_concurrent_mark(
     unit: &mut TraversalUnit,
     heap: &mut Heap,
@@ -172,7 +160,8 @@ mod tests {
         let mut mem = MemSystem::ddr3(Default::default());
         let mut unit = TraversalUnit::new(GcUnitConfig::default(), &mut heap);
         let report =
-            run_concurrent_mark(&mut unit, &mut heap, &mut mem, MutatorConfig::default(), 0);
+            try_run_concurrent_mark(&mut unit, &mut heap, &mut mem, MutatorConfig::default(), 0)
+                .unwrap();
         assert!(report.mutator_ops > 0, "mutator should have run");
         // The SATB guarantee: nothing live at the snapshot is lost,
         // even though the mutator overwrote references mid-trace.
@@ -188,7 +177,7 @@ mod tests {
         let before: std::collections::BTreeSet<_> = heap.iter_objects().into_iter().collect();
         let mut mem = MemSystem::ddr3(Default::default());
         let mut unit = TraversalUnit::new(GcUnitConfig::default(), &mut heap);
-        let report = run_concurrent_mark(
+        let report = try_run_concurrent_mark(
             &mut unit,
             &mut heap,
             &mut mem,
@@ -198,7 +187,8 @@ mod tests {
                 ..MutatorConfig::default()
             },
             0,
-        );
+        )
+        .unwrap();
         assert!(report.allocated_during_gc > 0);
         let marked = heap.marked_set();
         for obj in heap.iter_objects() {
@@ -214,13 +204,15 @@ mod tests {
             let mut heap = build_heap(1200);
             let mut mem = MemSystem::ddr3(Default::default());
             let mut unit = TraversalUnit::new(GcUnitConfig::default(), &mut heap);
-            unit.run_mark(&mut heap, &mut mem, 0).objects_marked
+            unit.try_run_mark(&mut heap, &mut mem, 0)
+                .unwrap()
+                .objects_marked
         };
         let run_conc = || {
             let mut heap = build_heap(1200);
             let mut mem = MemSystem::ddr3(Default::default());
             let mut unit = TraversalUnit::new(GcUnitConfig::default(), &mut heap);
-            run_concurrent_mark(
+            try_run_concurrent_mark(
                 &mut unit,
                 &mut heap,
                 &mut mem,
@@ -231,6 +223,7 @@ mod tests {
                 },
                 0,
             )
+            .unwrap()
             .traversal
             .objects_marked
         };
@@ -243,8 +236,14 @@ mod tests {
             let mut heap = build_heap(1500);
             let mut mem = MemSystem::ddr3(Default::default());
             let mut unit = TraversalUnit::new(GcUnitConfig::default(), &mut heap);
-            let r =
-                run_concurrent_mark(&mut unit, &mut heap, &mut mem, MutatorConfig::default(), 0);
+            let r = try_run_concurrent_mark(
+                &mut unit,
+                &mut heap,
+                &mut mem,
+                MutatorConfig::default(),
+                0,
+            )
+            .unwrap();
             (r.traversal.end, r.mutator_ops, r.write_barriers)
         };
         assert_eq!(run(), run());
@@ -256,7 +255,7 @@ mod tests {
             let mut heap = build_heap(1500);
             let mut mem = MemSystem::ddr3(Default::default());
             let mut unit = TraversalUnit::new(GcUnitConfig::default(), &mut heap);
-            run_concurrent_mark(
+            try_run_concurrent_mark(
                 &mut unit,
                 &mut heap,
                 &mut mem,
@@ -266,6 +265,7 @@ mod tests {
                 },
                 0,
             )
+            .unwrap()
             .mutator_barrier_cycles
         };
         assert!(run(0.5) > run(0.05));

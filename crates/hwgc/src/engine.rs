@@ -6,10 +6,10 @@
 //! [`SocCtx`], so any mix of them (plus the reclamation unit's
 //! [`SweepEngine`](crate::reclaim::SweepEngine) and the CPU collector
 //! engines) can share one clock and one memory system under a
-//! [`Scheduler`](tracegc_sim::sched::Scheduler). Every historical
-//! `run_*` entry point in this crate is now a thin driver over these
-//! adapters; `tests/engine_equivalence.rs` proves the scheduled form
-//! reproduces the pre-refactor cycle counts and stall ledgers exactly.
+//! [`Scheduler`](tracegc_sim::sched::Scheduler). Every `try_run_*`
+//! driver in this crate is a thin driver over these adapters;
+//! `tests/engine_equivalence.rs` proves the scheduled form reproduces
+//! the pre-refactor cycle counts and stall ledgers exactly.
 
 use tracegc_heap::layout::HEADER_MARK_BIT;
 use tracegc_heap::{ObjRef, SocCtx};

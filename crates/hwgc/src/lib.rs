@@ -40,7 +40,7 @@
 //!
 //! let mut mem = MemSystem::ddr3(Default::default());
 //! let mut unit = GcUnit::new(GcUnitConfig::default(), &mut heap);
-//! let report = unit.run_gc(&mut heap, &mut mem);
+//! let report = unit.try_run_gc_at(&mut heap, &mut mem, 0).unwrap();
 //! assert_eq!(report.mark.objects_marked, 2);
 //! ```
 
@@ -59,16 +59,12 @@ pub mod traversal;
 pub mod unit;
 
 pub use compress::RefCodec;
-pub use concurrent::{
-    run_concurrent_mark, try_run_concurrent_mark, ConcurrentReport, MutatorConfig,
-};
+pub use concurrent::{try_run_concurrent_mark, ConcurrentReport, MutatorConfig};
 pub use config::{CacheTopology, GcUnitConfig};
 pub use engine::{MarkEngine, MutatorEngine};
 pub use markbit_cache::MarkBitCache;
 pub use markq::{MarkQueue, MarkQueueConfig, MarkQueueStats};
-pub use multiproc::{
-    run_multiprocess_mark, try_run_multiprocess_mark, MultiProcessReport, ProcessContext,
-};
+pub use multiproc::{try_run_multiprocess_mark, MultiProcessReport, ProcessContext};
 pub use reclaim::{ReclaimResult, ReclamationUnit, SweepEngine};
 pub use trap::{Trap, TrapKind};
 pub use traversal::{TraversalResult, TraversalUnit};

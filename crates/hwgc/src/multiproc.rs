@@ -51,32 +51,25 @@ impl MultiProcessReport {
 ///
 /// A thin driver: each context becomes a
 /// [`MarkEngine`] and the
-/// [`Scheduler`]'s round-robin policy reproduces the historical
-/// tag-selected datapath multiplexing exactly (same `now % n` service
-/// slot, same full-idle-round skip-ahead), while additionally charging
-/// per-process stall ledgers: the served context's bottleneck on its
-/// slot, [`PortBusy`](tracegc_sim::StallReason::PortBusy) on cycles the
+/// [`Scheduler`]'s round-robin policy multiplexes the datapath one
+/// context per cycle, charging per-process stall ledgers: the served
+/// context's bottleneck on its slot,
+/// [`PortBusy`](tracegc_sim::StallReason::PortBusy) on cycles the
 /// datapath served someone else. With one process this degenerates to
-/// [`TraversalUnit::run_mark`] cycle- and ledger-exactly (proven in
+/// [`TraversalUnit::try_run_mark`] cycle- and ledger-exactly (proven in
 /// `tests/engine_equivalence.rs`).
+///
+/// # Errors
+///
+/// The first trap in any context (contexts are polled in order)
+/// surfaces as a [`SimError`], with that context's unit frozen in its
+/// architected state; a context set that can never advance trips the
+/// scheduler's no-progress watchdog as [`SimError::Deadlock`], with a
+/// per-engine stall-reason and ledger dump.
 ///
 /// # Panics
 ///
-/// Panics on an empty context list, on a fault in any context, or — via
-/// the scheduler's no-progress watchdog — with a per-engine
-/// stall-reason and ledger dump if no context can ever advance. Use
-/// [`try_run_multiprocess_mark`] to degrade gracefully.
-pub fn run_multiprocess_mark(
-    procs: &mut [ProcessContext],
-    mem: &mut MemSystem,
-    start: Cycle,
-) -> MultiProcessReport {
-    try_run_multiprocess_mark(procs, mem, start).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible variant of [`run_multiprocess_mark`]: the first trap in any
-/// context (contexts are polled in order) surfaces as a [`SimError`],
-/// with that context's unit frozen in its architected state.
+/// Panics on an empty context list.
 pub fn try_run_multiprocess_mark(
     procs: &mut [ProcessContext],
     mem: &mut MemSystem,
@@ -164,7 +157,7 @@ mod tests {
     fn every_process_marks_its_own_heap_correctly() {
         let mut procs = vec![context(1500, 1), context(1000, 2), context(500, 3)];
         let mut mem = MemSystem::ddr3(Default::default());
-        let report = run_multiprocess_mark(&mut procs, &mut mem, 0);
+        let report = try_run_multiprocess_mark(&mut procs, &mut mem, 0).unwrap();
         assert_eq!(report.per_process.len(), 3);
         for p in &procs {
             check_marks_match_reachability(&p.heap).unwrap();
@@ -183,12 +176,16 @@ mod tests {
         let solo = {
             let mut procs = vec![context(2000, 9)];
             let mut mem = MemSystem::ddr3(Default::default());
-            run_multiprocess_mark(&mut procs, &mut mem, 0).end
+            try_run_multiprocess_mark(&mut procs, &mut mem, 0)
+                .unwrap()
+                .end
         };
         let duo = {
             let mut procs = vec![context(2000, 9), context(2000, 9)];
             let mut mem = MemSystem::ddr3(Default::default());
-            run_multiprocess_mark(&mut procs, &mut mem, 0).end
+            try_run_multiprocess_mark(&mut procs, &mut mem, 0)
+                .unwrap()
+                .end
         };
         assert!(duo > solo, "sharing cannot be free: {duo} vs {solo}");
         assert!(
@@ -202,14 +199,16 @@ mod tests {
         let marked_multi = {
             let mut procs = vec![context(1200, 4)];
             let mut mem = MemSystem::ddr3(Default::default());
-            let r = run_multiprocess_mark(&mut procs, &mut mem, 0);
+            let r = try_run_multiprocess_mark(&mut procs, &mut mem, 0).unwrap();
             r.per_process[0].objects_marked
         };
         let marked_plain = {
             let mut heap = build_heap(1200, 4);
             let mut unit = TraversalUnit::new(GcUnitConfig::default(), &mut heap);
             let mut mem = MemSystem::ddr3(Default::default());
-            unit.run_mark(&mut heap, &mut mem, 0).objects_marked
+            unit.try_run_mark(&mut heap, &mut mem, 0)
+                .unwrap()
+                .objects_marked
         };
         assert_eq!(marked_multi, marked_plain);
     }
@@ -218,7 +217,7 @@ mod tests {
     fn heterogeneous_process_sizes_finish_independently() {
         let mut procs = vec![context(3000, 5), context(300, 6)];
         let mut mem = MemSystem::ddr3(Default::default());
-        let report = run_multiprocess_mark(&mut procs, &mut mem, 0);
+        let report = try_run_multiprocess_mark(&mut procs, &mut mem, 0).unwrap();
         // The small process must finish well before the big one.
         assert!(report.per_process[1].end < report.per_process[0].end);
     }

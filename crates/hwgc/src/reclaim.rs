@@ -94,7 +94,6 @@ struct BlockJob {
 pub struct ReclamationUnit {
     cfg: GcUnitConfig,
     translator: Translator,
-    ptw_cache: tracegc_mem::Cache,
     /// Event ring, present when `cfg.trace` is set.
     trace: Option<EventTrace>,
 }
@@ -104,7 +103,6 @@ impl ReclamationUnit {
     pub fn new(cfg: GcUnitConfig, heap: &Heap) -> Self {
         Self {
             translator: Translator::new(heap.address_space(), cfg.tlb),
-            ptw_cache: tracegc_mem::Cache::new(cfg.tlb.ptw_cache),
             trace: cfg.trace.then(|| EventTrace::new(DEFAULT_TRACE_CAPACITY)),
             cfg,
         }
@@ -133,21 +131,21 @@ impl ReclamationUnit {
         let mut engine = SweepEngine::new(self, 0, start);
         {
             let mut ctx = SocCtx::single(mem, heap);
-            Scheduler::new(Policy::Lockstep).run(&mut [&mut engine], &mut ctx, start);
+            Scheduler::new(Policy::Lockstep)
+                .try_run(&mut [&mut engine], &mut ctx, start)
+                .expect("ReclamationUnit::run_sweep: the sweeper array wedged");
         }
         engine.into_result()
     }
 
     /// Reads the 64-byte line containing `va` through the sweeper's line
     /// buffers; returns the cycle the word is available.
-    #[allow(clippy::too_many_arguments)]
     fn line_read(
         sweeper: &mut Sweeper,
         heap: &Heap,
         mem: &mut MemSystem,
         line_bufs: usize,
         translator: &mut Translator,
-        ptw_cache: &mut tracegc_mem::Cache,
         result: &mut ReclaimResult,
         va: u64,
     ) -> Cycle {
@@ -165,14 +163,7 @@ impl ReclamationUnit {
         }
         let before = translator.stats();
         let (pa, ready) = translator
-            .translate_with_cache(
-                Requester::Sweeper,
-                line_va,
-                sweeper.now,
-                mem,
-                &heap.phys,
-                ptw_cache,
-            )
+            .translate(Requester::Sweeper, line_va, sweeper.now, mem, &heap.phys)
             .unwrap_or_else(|e| panic!("sweeper fault: {e}"));
         let after = translator.stats();
         let done = mem.schedule(&MemReq::read(pa, 64, Source::Sweeper), ready);
@@ -216,14 +207,12 @@ impl ReclamationUnit {
     }
 
     /// Processes one cell of the sweeper's current block.
-    #[allow(clippy::too_many_arguments)]
     fn step_cell(
         sweeper: &mut Sweeper,
         heap: &mut Heap,
         mem: &mut MemSystem,
         cfg: &GcUnitConfig,
         translator: &mut Translator,
-        ptw_cache: &mut tracegc_mem::Cache,
         trace: &mut Option<EventTrace>,
         result: &mut ReclaimResult,
     ) {
@@ -248,14 +237,8 @@ impl ReclamationUnit {
         result.stalls.busy(cfg.sweeper_cell_cycles);
 
         // Read the cell-start word and classify.
-        let (cell_copy, layout) = (cell, heap.layout());
-        let t = {
-            let job_now = sweeper.now;
-            let _ = job_now;
-            Self::line_read(
-                sweeper, heap, mem, line_bufs, translator, ptw_cache, result, cell_copy,
-            )
-        };
+        let layout = heap.layout();
+        let t = Self::line_read(sweeper, heap, mem, line_bufs, translator, result, cell);
         sweeper.now = sweeper.now.max(t);
         let start_word = heap.read_va(cell);
 
@@ -271,9 +254,8 @@ impl ReclamationUnit {
                     LayoutKind::Bidirectional => bidi::header_of_cell(cell, nrefs),
                     LayoutKind::Conventional => conv::header_of_cell(cell),
                 };
-                let t = Self::line_read(
-                    sweeper, heap, mem, line_bufs, translator, ptw_cache, result, header_va,
-                );
+                let t =
+                    Self::line_read(sweeper, heap, mem, line_bufs, translator, result, header_va);
                 sweeper.now = sweeper.now.max(t);
                 let header = Header::from_raw(heap.read_va(header_va));
                 let job = sweeper.block.as_mut().expect("has a block");
@@ -313,17 +295,6 @@ impl ReclamationUnit {
         }
         job.tail = cell;
         job.free_cells += 1;
-    }
-
-    /// Suppresses the unused-field lint until per-requester cache stats
-    /// are surfaced (the sweeper PTW cache is real and used in walks).
-    pub fn ptw_cache_stats(&self) -> &tracegc_mem::CacheStats {
-        self.ptw_cache.stats()
-    }
-
-    /// Bytes of the word within its 64-byte line (helper for tests).
-    pub fn word_in_line(va: u64) -> u64 {
-        va & 63
     }
 }
 
@@ -467,7 +438,6 @@ impl<'a, 'c> Engine<SocCtx<'c>> for SweepEngine<'a> {
                     mem,
                     &self.unit.cfg,
                     &mut self.unit.translator,
-                    &mut self.unit.ptw_cache,
                     &mut self.unit.trace,
                     &mut self.result,
                 );

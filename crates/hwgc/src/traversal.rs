@@ -68,7 +68,7 @@ pub struct TraversalResult {
     /// Translation statistics of this pass.
     pub translator: TranslatorStats,
     /// Cycle attribution for the pass: `stalls.total() == cycles()` for
-    /// scheduler-driven passes (any of the `run_*` drivers, or a
+    /// scheduler-driven passes (any of the `try_run_*` drivers, or a
     /// [`MarkEngine`](crate::engine::MarkEngine) under a lockstep
     /// scheduler). A raw [`TraversalUnit::step`] loop that never calls
     /// [`TraversalUnit::charge_busy`] / [`TraversalUnit::charge_stall`]
@@ -172,9 +172,9 @@ impl RootReader {
 #[derive(Debug)]
 pub struct TraversalUnit {
     cfg: GcUnitConfig,
+    /// Translation; in the partitioned topology its walks go through
+    /// its own dedicated PTW cache.
     translator: Translator,
-    /// Dedicated PTW cache (partitioned topology).
-    ptw_cache: Cache,
     /// The single shared cache of the unpartitioned topology.
     shared_cache: Option<Cache>,
     markq: MarkQueue,
@@ -225,7 +225,7 @@ pub struct TraversalUnit {
     translator_at_begin: TranslatorStats,
     /// Cycle attribution for the current pass (reset by
     /// [`TraversalUnit::begin`], charged by
-    /// [`TraversalUnit::run_mark`]'s clock-advance points).
+    /// [`TraversalUnit::try_run_mark`]'s clock-advance points).
     stalls: StallAccounting,
     /// Why the marker is frozen when `marker_blocked_until > now`.
     marker_block_reason: StallReason,
@@ -274,7 +274,6 @@ impl TraversalUnit {
         };
         Self {
             translator: Translator::new(heap.address_space(), cfg.tlb),
-            ptw_cache: Cache::new(cfg.tlb.ptw_cache),
             shared_cache,
             markq,
             markbit: MarkBitCache::new(cfg.markbit_cache),
@@ -346,11 +345,6 @@ impl TraversalUnit {
         self.shared_cache.as_ref().map(|c| c.stats())
     }
 
-    /// Dedicated PTW-cache statistics (partitioned topology).
-    pub fn ptw_cache_stats(&self) -> &tracegc_mem::CacheStats {
-        self.ptw_cache.stats()
-    }
-
     /// Attaches fault injectors from `plan`: the traversal-site stream
     /// feeds the marker datapath (reference and header corruption) and
     /// the PTW-site stream feeds the unit's translator (injected page
@@ -398,13 +392,13 @@ impl TraversalUnit {
         mem: &mut MemSystem,
         heap: &Heap,
     ) -> Result<(u64, Cycle), Trap> {
-        let cache = match self.cfg.topology {
-            CacheTopology::Partitioned => &mut self.ptw_cache,
-            CacheTopology::Shared => self.shared_cache.as_mut().expect("shared cache"),
-        };
-        self.translator
-            .translate_with_cache(who, va, now, mem, &heap.phys, cache)
-            .map_err(|e| Trap::new(TrapKind::PageFault, e.va, now))
+        match &mut self.shared_cache {
+            Some(cache) => self
+                .translator
+                .translate_with_cache(who, va, now, mem, &heap.phys, cache),
+            None => self.translator.translate(who, va, now, mem, &heap.phys),
+        }
+        .map_err(|e| Trap::new(TrapKind::PageFault, e.va, now))
     }
 
     /// Issues a data request through the configured topology; returns the
@@ -445,32 +439,19 @@ impl TraversalUnit {
     /// step loop cycle-for-cycle and stall-ledger-exactly (proven by
     /// `tests/engine_equivalence.rs`).
     ///
-    /// On return, exactly the objects reachable from the heap's roots
+    /// On success, exactly the objects reachable from the heap's roots
     /// carry mark bits (verified against the oracle in tests).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the pass faults (trap, memory timeout, deadlock); use
-    /// [`TraversalUnit::try_run_mark`] to degrade gracefully instead.
-    ///
-    /// [`MarkEngine`]: crate::engine::MarkEngine
-    pub fn run_mark(
-        &mut self,
-        heap: &mut Heap,
-        mem: &mut MemSystem,
-        start: Cycle,
-    ) -> TraversalResult {
-        self.try_run_mark(heap, mem, start)
-            .unwrap_or_else(|e| panic!("traversal unit fault: {e}"))
-    }
-
-    /// Fallible variant of [`TraversalUnit::run_mark`]: a fault latched
-    /// by the memory system, an injected or genuine datapath fault, or
-    /// a scheduler deadlock surfaces as a [`SimError`] with the
-    /// pipeline frozen in its architected state. The driver can then
-    /// recover the outstanding work via
+    /// A fault latched by the memory system, an injected or genuine
+    /// datapath fault, or a scheduler deadlock surfaces as a
+    /// [`SimError`] with the pipeline frozen in its architected state.
+    /// The driver can then recover the outstanding work via
     /// [`TraversalUnit::drain_architected_state`] and hand it to the
     /// CPU's software-fallback mark path.
+    ///
+    /// [`MarkEngine`]: crate::engine::MarkEngine
     pub fn try_run_mark(
         &mut self,
         heap: &mut Heap,
@@ -531,7 +512,7 @@ impl TraversalUnit {
     /// mark-bit cache, and resets the per-pass machinery and every count
     /// a [`TraversalResult`] reports, so one unit can run many passes.
     /// Use with [`TraversalUnit::step`] when driving the unit
-    /// concurrently with a mutator; [`TraversalUnit::run_mark`] wraps
+    /// concurrently with a mutator; [`TraversalUnit::try_run_mark`] wraps
     /// the whole loop for stop-the-world passes.
     pub fn begin(&mut self, heap: &Heap, start: Cycle) {
         self.begin_roots(heap);
@@ -1364,7 +1345,7 @@ mod tests {
         let mut heap = build_heap(2000, LayoutKind::Bidirectional);
         let mut mem = MemSystem::ddr3(Default::default());
         let mut unit = TraversalUnit::new(GcUnitConfig::default(), &mut heap);
-        let result = unit.run_mark(&mut heap, &mut mem, 0);
+        let result = unit.try_run_mark(&mut heap, &mut mem, 0).unwrap();
         check_marks_match_reachability(&heap).unwrap();
         assert_eq!(result.objects_marked, 1200);
         assert!(result.cycles() > 0);
@@ -1377,7 +1358,7 @@ mod tests {
         let mut heap = build_heap(2000, LayoutKind::Bidirectional);
         let mut mem = MemSystem::ddr3(Default::default());
         let mut unit = TraversalUnit::new(GcUnitConfig::default(), &mut heap);
-        let result = unit.run_mark(&mut heap, &mut mem, 0);
+        let result = unit.try_run_mark(&mut heap, &mut mem, 0).unwrap();
         let serial_floor = result.objects_marked * 40;
         assert!(
             result.cycles() < serial_floor,
@@ -1397,7 +1378,7 @@ mod tests {
             ..GcUnitConfig::default()
         };
         let mut unit = TraversalUnit::new(cfg, &mut heap);
-        let result = unit.run_mark(&mut heap, &mut mem, 0);
+        let result = unit.try_run_mark(&mut heap, &mut mem, 0).unwrap();
         check_marks_match_reachability(&heap).unwrap();
         assert!(result.markq.spill_writes > 0, "expected spilling");
         assert_eq!(
@@ -1418,7 +1399,7 @@ mod tests {
                 ..GcUnitConfig::default()
             };
             let mut unit = TraversalUnit::new(cfg, &mut heap);
-            let r = unit.run_mark(&mut heap, &mut mem, 0);
+            let r = unit.try_run_mark(&mut heap, &mut mem, 0).unwrap();
             check_marks_match_reachability(&heap).unwrap();
             r.markq.spill_bytes_written
         };
@@ -1450,7 +1431,7 @@ mod tests {
             ..GcUnitConfig::default()
         };
         let mut unit = TraversalUnit::new(cfg, &mut h);
-        let result = unit.run_mark(&mut h, &mut mem, 0);
+        let result = unit.try_run_mark(&mut h, &mut mem, 0).unwrap();
         check_marks_match_reachability(&h).unwrap();
         assert!(
             result.filtered > 400,
@@ -1476,7 +1457,7 @@ mod tests {
         h.set_roots(&[objs[0]]);
         let mut mem = MemSystem::ddr3(Default::default());
         let mut unit = TraversalUnit::new(GcUnitConfig::default(), &mut h);
-        unit.run_mark(&mut h, &mut mem, 0);
+        unit.try_run_mark(&mut h, &mut mem, 0).unwrap();
         assert_eq!(unit.access_counts()[&hub.addr()], 100);
     }
 
@@ -1487,7 +1468,7 @@ mod tests {
             let mut heap = build_heap(n, layout);
             let mut mem = MemSystem::ddr3(Default::default());
             let mut unit = TraversalUnit::new(GcUnitConfig::default(), &mut heap);
-            let r = unit.run_mark(&mut heap, &mut mem, 0);
+            let r = unit.try_run_mark(&mut heap, &mut mem, 0).unwrap();
             check_marks_match_reachability(&heap).unwrap();
             (r.objects_marked, r.cycles())
         };
@@ -1530,7 +1511,7 @@ mod tests {
             ..GcUnitConfig::default()
         };
         let mut unit = TraversalUnit::new(cfg, &mut heap);
-        unit.run_mark(&mut heap, &mut mem, 0);
+        unit.try_run_mark(&mut heap, &mut mem, 0).unwrap();
         check_marks_match_reachability(&heap).unwrap();
         let stats = unit.shared_cache_stats().expect("shared cache");
         let ptw = stats.accesses(Source::Ptw);
@@ -1561,7 +1542,7 @@ mod tests {
         heap.set_roots(&[]);
         let mut mem = MemSystem::ddr3(Default::default());
         let mut unit = TraversalUnit::new(GcUnitConfig::default(), &mut heap);
-        let result = unit.run_mark(&mut heap, &mut mem, 0);
+        let result = unit.try_run_mark(&mut heap, &mut mem, 0).unwrap();
         assert_eq!(result.objects_marked, 0);
         assert!(heap.marked_set().is_empty());
     }
@@ -1574,7 +1555,7 @@ mod tests {
             let mut heap = build_heap(2000, layout);
             let mut mem = MemSystem::ddr3(Default::default());
             let mut unit = TraversalUnit::new(GcUnitConfig::default(), &mut heap);
-            let result = unit.run_mark(&mut heap, &mut mem, 0);
+            let result = unit.try_run_mark(&mut heap, &mut mem, 0).unwrap();
             assert_eq!(
                 result.stalls.total(),
                 result.cycles(),
@@ -1594,7 +1575,7 @@ mod tests {
             ..GcUnitConfig::default()
         };
         let mut unit = TraversalUnit::new(cfg, &mut heap);
-        let result = unit.run_mark(&mut heap, &mut mem, 0);
+        let result = unit.try_run_mark(&mut heap, &mut mem, 0).unwrap();
         let trace = unit.take_trace().expect("tracing enabled");
         let marks = trace.events().filter(|e| e.kind == "mark_issue").count() as u64;
         assert_eq!(marks, result.objects_marked + result.already_marked);
@@ -1786,7 +1767,7 @@ mod tests {
                     fault_plan(tracegc_sim::FaultConfig::zero_rates(99)).injector(FaultSite::Mem),
                 );
             }
-            let r = unit.run_mark(&mut heap, &mut mem, 0);
+            let r = unit.try_run_mark(&mut heap, &mut mem, 0).unwrap();
             (r.end, r.objects_marked, r.refs_enqueued, r.stalls.total())
         };
         assert_eq!(run(false), run(true), "zero rates must not perturb timing");
@@ -1798,7 +1779,7 @@ mod tests {
             let mut heap = build_heap(1500, LayoutKind::Bidirectional);
             let mut mem = MemSystem::ddr3(Default::default());
             let mut unit = TraversalUnit::new(GcUnitConfig::default(), &mut heap);
-            let r = unit.run_mark(&mut heap, &mut mem, 0);
+            let r = unit.try_run_mark(&mut heap, &mut mem, 0).unwrap();
             (
                 r.end,
                 r.objects_marked,

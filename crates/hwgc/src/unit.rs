@@ -101,20 +101,12 @@ impl GcUnit {
     /// Runs a complete stop-the-world collection starting at cycle
     /// `start`, following the MMIO protocol: command → running → done.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the collection faults; use [`GcUnit::try_run_gc_at`]
-    /// to degrade gracefully instead.
-    pub fn run_gc_at(&mut self, heap: &mut Heap, mem: &mut MemSystem, start: Cycle) -> GcReport {
-        self.try_run_gc_at(heap, mem, start)
-            .unwrap_or_else(|e| panic!("traversal unit fault: {e}"))
-    }
-
-    /// Fallible variant of [`GcUnit::run_gc_at`]: a trap during the
-    /// mark leaves the traversal unit frozen (architected state
-    /// recoverable via [`GcUnit::traversal_mut`]) and the sweep is not
-    /// started — the driver must finish the mark in software before it
-    /// may sweep.
+    /// A trap during the mark surfaces as a [`SimError`] and leaves the
+    /// traversal unit frozen (architected state recoverable via
+    /// [`GcUnit::traversal_mut`]); the sweep is not started — the
+    /// driver must finish the mark in software before it may sweep.
     pub fn try_run_gc_at(
         &mut self,
         heap: &mut Heap,
@@ -127,11 +119,6 @@ impl GcUnit {
         let sweep = self.reclaim.run_sweep(heap, mem, mark.end);
         self.regs.complete(mark.objects_marked, sweep.cells_freed);
         Ok(GcReport { mark, sweep })
-    }
-
-    /// [`GcUnit::run_gc_at`] from cycle 0.
-    pub fn run_gc(&mut self, heap: &mut Heap, mem: &mut MemSystem) -> GcReport {
-        self.run_gc_at(heap, mem, 0)
     }
 
     /// The driver's recovery tail after a trapped mark: once software
@@ -178,7 +165,7 @@ mod tests {
         let mut heap = workload();
         let mut mem = MemSystem::ddr3(Default::default());
         let mut unit = GcUnit::new(GcUnitConfig::default(), &mut heap);
-        let report = unit.run_gc(&mut heap, &mut mem);
+        let report = unit.try_run_gc_at(&mut heap, &mut mem, 0).unwrap();
         assert_eq!(report.mark.objects_marked, 600);
         assert_eq!(report.sweep.cells_freed, 400);
         check_free_lists(&heap).unwrap();
@@ -196,7 +183,7 @@ mod tests {
             unit.regs().read(Reg::PageTableRoot),
             heap.address_space().root()
         );
-        unit.run_gc(&mut heap, &mut mem);
+        unit.try_run_gc_at(&mut heap, &mut mem, 0).unwrap();
         assert_eq!(unit.regs().read(Reg::Status), MmioRegs::STATUS_DONE);
         assert_eq!(unit.regs().read(Reg::MarkedCount), 600);
         assert_eq!(unit.regs().read(Reg::FreedCount), 400);
@@ -207,7 +194,7 @@ mod tests {
         let mut heap = workload();
         let mut mem = MemSystem::ddr3(Default::default());
         let mut unit = GcUnit::new(GcUnitConfig::default(), &mut heap);
-        let report = unit.run_gc_at(&mut heap, &mut mem, 1000);
+        let report = unit.try_run_gc_at(&mut heap, &mut mem, 1000).unwrap();
         assert_eq!(report.mark.start, 1000);
         assert_eq!(report.sweep.start, report.mark.end);
         assert!(report.sweep.end >= report.sweep.start);
@@ -224,11 +211,13 @@ mod tests {
             ..GcUnitConfig::default()
         };
         let mut unit = GcUnit::new(cfg, &mut heap);
-        let r1 = unit.run_gc(&mut heap, &mut mem);
+        let r1 = unit.try_run_gc_at(&mut heap, &mut mem, 0).unwrap();
         assert_eq!(r1.mark.objects_marked, 600);
         // Second GC by the same unit over the same live set: marks the
         // same objects, frees nothing new, and reports only its own pass.
-        let r2 = unit.run_gc_at(&mut heap, &mut mem, r1.sweep.end);
+        let r2 = unit
+            .try_run_gc_at(&mut heap, &mut mem, r1.sweep.end)
+            .unwrap();
         assert_eq!(r2.mark.objects_marked, 600);
         assert_eq!(r2.sweep.cells_freed, 0);
         let mark_ops = |m: &TraversalResult| m.objects_marked + m.already_marked + m.filtered;
@@ -240,7 +229,9 @@ mod tests {
         assert!(r2.mark.translator.walks <= r1.mark.translator.walks);
         // A third by a fresh unit does the same.
         let mut unit3 = GcUnit::new(GcUnitConfig::default(), &mut heap);
-        let r3 = unit3.run_gc_at(&mut heap, &mut mem, r2.sweep.end);
+        let r3 = unit3
+            .try_run_gc_at(&mut heap, &mut mem, r2.sweep.end)
+            .unwrap();
         assert_eq!(r3.mark.objects_marked, 600);
         assert_eq!(r3.sweep.cells_freed, 0);
         // The sweep cleared every mark, so the heap no longer looks

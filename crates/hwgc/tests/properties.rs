@@ -132,7 +132,7 @@ fn unit_matches_oracle_on_random_graphs() {
         };
         let mut mem = MemSystem::ddr3(Default::default());
         let mut unit = TraversalUnit::new(cfg, &mut heap);
-        let result = unit.run_mark(&mut heap, &mut mem, 0);
+        let result = unit.try_run_mark(&mut heap, &mut mem, 0).unwrap();
         assert!(check_marks_match_reachability(&heap).is_ok(), "case {case}");
         assert_eq!(
             result.objects_marked as usize,

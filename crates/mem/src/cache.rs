@@ -104,16 +104,6 @@ impl CacheStats {
     pub fn accesses(&self, source: Source) -> u64 {
         self.hits_by_source[source.index()] + self.misses_by_source[source.index()]
     }
-
-    /// Miss ratio over all sources (0.0 when no accesses).
-    pub fn miss_ratio(&self) -> f64 {
-        let total = self.hits() + self.misses();
-        if total == 0 {
-            0.0
-        } else {
-            self.misses() as f64 / total as f64
-        }
-    }
 }
 
 /// A level below a cache that can fill lines and absorb write-backs.

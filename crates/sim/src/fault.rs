@@ -1,5 +1,5 @@
 //! Seeded, deterministic fault injection and the structured error type
-//! every `run_*` driver degrades into.
+//! every `try_run_*` driver degrades into.
 //!
 //! The paper's unit is designed to survive hostile conditions — the
 //! mark queue spills instead of overflowing, and rare or illegal cases
@@ -373,7 +373,7 @@ impl FaultInjector {
 }
 
 /// A run that could not complete cleanly: the structured, non-panicking
-/// alternative every `run_*` driver and the scheduler watchdog degrade
+/// alternative every `try_run_*` driver and the scheduler watchdog degrade
 /// into.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
@@ -436,8 +436,7 @@ impl std::fmt::Display for SimError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             // The dump already leads with "scheduler deadlock at cycle
-            // ...": print it verbatim so panicking wrappers preserve
-            // the historical message.
+            // ...": print it verbatim.
             SimError::Deadlock { dump, .. } => f.write_str(dump),
             SimError::MemTimeout { at, addr, attempts } => write!(
                 f,

@@ -20,7 +20,7 @@
 //!   by the synthetic DaCapo workload generators.
 //! * [`fault`] — seeded deterministic fault injection ([`FaultPlan`],
 //!   per-site [`FaultInjector`]s) and the structured [`SimError`] every
-//!   `run_*` driver degrades into instead of panicking.
+//!   `try_run_*` driver degrades into instead of panicking.
 //! * [`fleet`] — fleet-scale multi-tenant GC request queueing: a
 //!   seeded open-loop arrival process, bounded admission, pluggable
 //!   scheduling policies and trace-driven replay of measured per-tenant

@@ -7,8 +7,8 @@
 //! steppable process under a bulk-synchronous scheduler is what makes
 //! multi-unit and overlapped-phase scenarios composable: any set of
 //! [`Engine`]s can share a clock and a memory system under a pluggable
-//! [`Policy`] (lockstep, fixed priority, round-robin datapath
-//! time-multiplexing, or the §VII bandwidth throttle).
+//! [`Policy`] (lockstep, round-robin datapath time-multiplexing, or
+//! the §VII bandwidth throttle).
 //!
 //! The scheduler is generic over the context type `Ctx` handed to every
 //! [`Engine::step`] call, so this crate stays free of heap/memory
@@ -115,7 +115,7 @@
 //! [`Pacing`] (how the clock advances between service rounds), an
 //! [`Exec`] selects how many *host* worker threads execute independent
 //! partitions. The partitioning rule is strict: engines that share a
-//! scheduler context (one [`Scheduler::run`] call — in the SoC, one
+//! scheduler context (one [`Scheduler::try_run`] call — in the SoC, one
 //! DDR3 controller) interact at every service round through that
 //! context, so a shared-context schedule is one indivisible partition.
 //! What can run in parallel are *whole simulations* that provably never
@@ -136,8 +136,7 @@
 //! [`Scheduler::no_progress_limit`]) in which every engine stalled,
 //! [`Scheduler::try_run`] returns a [`SimError::Deadlock`] whose dump
 //! lists each engine's name, current stall reason, pending event and
-//! [`StallAccounting`] ledger. [`Scheduler::run`] is the historical
-//! panicking wrapper: it panics with that same dump as the message.
+//! [`StallAccounting`] ledger.
 //!
 //! # Examples
 //!
@@ -163,7 +162,9 @@
 //! }
 //!
 //! let mut e = Countdown(10);
-//! let report = Scheduler::new(Policy::Lockstep).run(&mut [&mut e], &mut (), 0);
+//! let report = Scheduler::new(Policy::Lockstep)
+//!     .try_run(&mut [&mut e], &mut (), 0)
+//!     .unwrap();
 //! assert_eq!(report.end, 10);
 //! ```
 
@@ -291,9 +292,6 @@ pub trait Engine<Ctx> {
 pub enum Policy {
     /// Every live engine is offered every cycle, in registration order.
     Lockstep,
-    /// Every live engine is offered every cycle, in the given order
-    /// (a permutation of engine indices; earlier = higher priority).
-    Priority(Vec<usize>),
     /// One engine is served per cycle by a rotating grant pointer,
     /// modelling a single time-multiplexed datapath (§VII multi-process
     /// sharing). Unserved engines are charged
@@ -545,11 +543,11 @@ fn charge_stall<Ctx>(
     engine.note_stall(now, reason, span);
 }
 
-/// Default no-progress watchdog: panic after this many consecutive
+/// Default no-progress watchdog: fail after this many consecutive
 /// cycles in which no engine advanced or finished.
 pub const DEFAULT_NO_PROGRESS_LIMIT: Cycle = 10_000_000;
 
-/// Outcome of one [`Scheduler::run`].
+/// Outcome of one [`Scheduler::try_run`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SocReport {
     /// Cycle the run began.
@@ -571,7 +569,7 @@ impl SocReport {
 /// Ticks a set of [`Engine`]s on one shared clock under a [`Policy`].
 ///
 /// The scheduler borrows the engines only for the duration of
-/// [`Scheduler::run`], so callers keep ownership and can extract
+/// [`Scheduler::try_run`], so callers keep ownership and can extract
 /// engine-specific results afterwards.
 #[derive(Debug, Clone)]
 pub struct Scheduler {
@@ -605,38 +603,17 @@ impl Scheduler {
 
     /// Runs the engines to completion from cycle `start`.
     ///
-    /// This is the historical panicking wrapper over
-    /// [`Scheduler::try_run`], kept for drivers that run trusted
-    /// engine sets where a wedge is a simulator bug.
-    ///
-    /// # Panics
-    ///
-    /// Panics when every engine stalls with no pending event, or when
-    /// the no-progress watchdog trips — both with a per-engine
-    /// stall-reason and ledger dump.
-    pub fn run<Ctx>(
-        &self,
-        engines: &mut [&mut dyn Engine<Ctx>],
-        ctx: &mut Ctx,
-        start: Cycle,
-    ) -> SocReport {
-        self.try_run(engines, ctx, start)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Runs the engines to completion from cycle `start`, degrading a
-    /// scheduler wedge into [`SimError::Deadlock`] instead of panicking.
-    ///
     /// # Errors
     ///
     /// Returns [`SimError::Deadlock`] (with the per-engine stall-reason
     /// and ledger dump) when every engine stalls with no pending event
-    /// or the no-progress watchdog trips.
+    /// or the no-progress watchdog trips. Drivers of trusted engine
+    /// sets, where a wedge is a simulator bug, `expect` it.
     ///
     /// # Panics
     ///
-    /// Panics on caller errors: an empty engine set, no foreground
-    /// engine, or a non-permutation priority order.
+    /// Panics on caller errors: an empty engine set or no foreground
+    /// engine.
     pub fn try_run<Ctx>(
         &self,
         engines: &mut [&mut dyn Engine<Ctx>],
@@ -650,37 +627,24 @@ impl Scheduler {
         );
         match &self.policy {
             Policy::RoundRobin => self.run_round_robin(engines, ctx, start),
-            Policy::Lockstep => self.run_synchronous(engines, ctx, start, None, 1),
-            Policy::Priority(order) => {
-                self.run_synchronous(engines, ctx, start, Some(order.clone()), 1)
-            }
+            Policy::Lockstep => self.run_synchronous(engines, ctx, start, 1),
             Policy::Throttled { period } => {
-                self.run_synchronous(engines, ctx, start, None, (*period).max(1))
+                self.run_synchronous(engines, ctx, start, (*period).max(1))
             }
         }
     }
 
-    /// Lockstep / priority / throttled: every live engine is offered
-    /// every service cycle, except a fast-forward sleeper (see the
-    /// module docs).
+    /// Lockstep / throttled: every live engine is offered every service
+    /// cycle, in registration order, except a fast-forward sleeper (see
+    /// the module docs).
     fn run_synchronous<Ctx>(
         &self,
         engines: &mut [&mut dyn Engine<Ctx>],
         ctx: &mut Ctx,
         start: Cycle,
-        order: Option<Vec<usize>>,
         period: Cycle,
     ) -> Result<SocReport, SimError> {
         let n = engines.len();
-        let order: Vec<usize> = order.unwrap_or_else(|| (0..n).collect());
-        {
-            let mut seen = vec![false; n];
-            for &i in &order {
-                assert!(i < n && !seen[i], "priority order must permute 0..{n}");
-                seen[i] = true;
-            }
-            assert!(order.len() == n, "priority order must permute 0..{n}");
-        }
         let mut done = vec![false; n];
         let mut ends = vec![start; n];
         let mut advanced = vec![false; n];
@@ -694,7 +658,7 @@ impl Scheduler {
         loop {
             advanced.iter_mut().for_each(|a| *a = false);
             let mut any_progress = false;
-            for &i in &order {
+            for i in 0..n {
                 if done[i] {
                     continue;
                 }
@@ -1086,7 +1050,9 @@ mod tests {
     fn lockstep_single_engine_runs_to_completion() {
         let mut e = Toy::new("a", 5);
         let mut log = Vec::new();
-        let report = Scheduler::new(Policy::Lockstep).run(&mut [&mut e], &mut log, 100);
+        let report = Scheduler::new(Policy::Lockstep)
+            .try_run(&mut [&mut e], &mut log, 100)
+            .unwrap();
         assert_eq!(report.start, 100);
         assert_eq!(report.end, 105);
         assert_eq!(report.ends, vec![105]);
@@ -1100,7 +1066,9 @@ mod tests {
         let mut a = Toy::new("a", 3);
         let mut b = Toy::new("b", 7);
         let mut log = Vec::new();
-        let report = Scheduler::new(Policy::Lockstep).run(&mut [&mut a, &mut b], &mut log, 0);
+        let report = Scheduler::new(Policy::Lockstep)
+            .try_run(&mut [&mut a, &mut b], &mut log, 0)
+            .unwrap();
         assert_eq!(report.ends, vec![3, 7]);
         assert_eq!(report.end, 7);
         // Each engine's ledger covers exactly its live span.
@@ -1110,29 +1078,13 @@ mod tests {
     }
 
     #[test]
-    fn priority_orders_intra_cycle_service() {
-        let mut a = Toy::new("a", 2);
-        let mut b = Toy::new("b", 2);
-        let mut log = Vec::new();
-        Scheduler::new(Policy::Priority(vec![1, 0])).run(&mut [&mut a, &mut b], &mut log, 0);
-        assert_eq!(log, vec!["b", "a", "b", "a"]);
-    }
-
-    #[test]
-    #[should_panic(expected = "priority order must permute")]
-    fn priority_rejects_non_permutations() {
-        let mut a = Toy::new("a", 1);
-        let mut b = Toy::new("b", 1);
-        let mut log = Vec::new();
-        Scheduler::new(Policy::Priority(vec![0, 0])).run(&mut [&mut a, &mut b], &mut log, 0);
-    }
-
-    #[test]
     fn round_robin_serves_one_engine_per_cycle() {
         let mut a = Toy::new("a", 2);
         let mut b = Toy::new("b", 2);
         let mut log = Vec::new();
-        let report = Scheduler::new(Policy::RoundRobin).run(&mut [&mut a, &mut b], &mut log, 0);
+        let report = Scheduler::new(Policy::RoundRobin)
+            .try_run(&mut [&mut a, &mut b], &mut log, 0)
+            .unwrap();
         // Interleaved service: a@0 b@1 a@2 b@3, Done on the next served
         // cycle each.
         assert_eq!(log, vec!["a", "b", "a", "b"]);
@@ -1147,8 +1099,9 @@ mod tests {
     fn throttled_charges_skipped_cycles() {
         let mut a = Toy::new("a", 4);
         let mut log = Vec::new();
-        let report =
-            Scheduler::new(Policy::Throttled { period: 4 }).run(&mut [&mut a], &mut log, 0);
+        let report = Scheduler::new(Policy::Throttled { period: 4 })
+            .try_run(&mut [&mut a], &mut log, 0)
+            .unwrap();
         // Service at 0,4,8,12; Done observed at 16.
         assert_eq!(report.end, 16);
         assert_eq!(a.ledger.busy_cycles(), 4);
@@ -1162,50 +1115,11 @@ mod tests {
         let mut bg = Toy::new("bg", 0);
         bg.background = true;
         let mut log = Vec::new();
-        let report = Scheduler::new(Policy::Lockstep).run(&mut [&mut bg, &mut fg], &mut log, 0);
+        let report = Scheduler::new(Policy::Lockstep)
+            .try_run(&mut [&mut bg, &mut fg], &mut log, 0)
+            .unwrap();
         assert_eq!(report.end, 3);
         assert_eq!(report.ends, vec![0, 3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "scheduler deadlock")]
-    fn all_stalled_with_no_event_panics_with_dump() {
-        struct Stuck;
-        impl Engine<()> for Stuck {
-            fn name(&self) -> &'static str {
-                "stuck"
-            }
-            fn step(&mut self, _now: Cycle, _ctx: &mut ()) -> Progress {
-                Progress::Stalled
-            }
-            fn next_event_at(&self) -> Option<Cycle> {
-                None
-            }
-        }
-        let mut e = Stuck;
-        Scheduler::new(Policy::Lockstep).run(&mut [&mut e], &mut (), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "watchdog")]
-    fn no_progress_watchdog_trips_on_livelock() {
-        /// Always stalled, but always claims an event one cycle away.
-        struct Livelock;
-        impl Engine<()> for Livelock {
-            fn name(&self) -> &'static str {
-                "livelock"
-            }
-            fn step(&mut self, _now: Cycle, _ctx: &mut ()) -> Progress {
-                Progress::Stalled
-            }
-            fn next_event_at(&self) -> Option<Cycle> {
-                Some(u64::MAX)
-            }
-        }
-        let mut e = Livelock;
-        Scheduler::new(Policy::Lockstep)
-            .no_progress_limit(1000)
-            .run(&mut [&mut e], &mut (), 0);
     }
 
     #[test]
@@ -1326,7 +1240,9 @@ mod tests {
         let mut bg = Toy::new("bg", 0);
         bg.background = true;
         let mut log = Vec::new();
-        Scheduler::new(Policy::Lockstep).run(&mut [&mut bg], &mut log, 0);
+        Scheduler::new(Policy::Lockstep)
+            .try_run(&mut [&mut bg], &mut log, 0)
+            .unwrap();
     }
 
     /// Stalls until `wake`, then does `work` units on its served slots,
@@ -1376,11 +1292,10 @@ mod tests {
                 work: 1,
             };
             let mut log = Vec::new();
-            let report = Scheduler::new(Policy::RoundRobin).pacing(pacing).run(
-                &mut [&mut a, &mut b],
-                &mut log,
-                0,
-            );
+            let report = Scheduler::new(Policy::RoundRobin)
+                .pacing(pacing)
+                .try_run(&mut [&mut a, &mut b], &mut log, 0)
+                .unwrap();
             (log, report.ends)
         };
         let (log, ends) = run(Pacing::FastForward);
@@ -1443,11 +1358,10 @@ mod tests {
                 work: 1,
                 ledger: StallAccounting::default(),
             };
-            let report = Scheduler::new(Policy::RoundRobin).pacing(pacing).run(
-                &mut [&mut a, &mut b],
-                &mut (),
-                0,
-            );
+            let report = Scheduler::new(Policy::RoundRobin)
+                .pacing(pacing)
+                .try_run(&mut [&mut a, &mut b], &mut (), 0)
+                .unwrap();
             (report.ends, a.ledger, b.ledger)
         };
         let (ff_ends, ff_a, ff_b) = run(Pacing::FastForward);
@@ -1553,11 +1467,10 @@ mod tests {
                 work: 100,
                 send: Cycle::MAX,
             };
-            let report = Scheduler::new(Policy::Lockstep).pacing(pacing).run(
-                &mut [&mut sleeper, &mut sender],
-                &mut Vec::new(),
-                0,
-            );
+            let report = Scheduler::new(Policy::Lockstep)
+                .pacing(pacing)
+                .try_run(&mut [&mut sleeper, &mut sender], &mut Vec::new(), 0)
+                .unwrap();
             (report.ends, sleeper.ledger, sleeper.steps)
         };
         let (ff_ends, ff_ledger, ff_steps) = run(Pacing::FastForward);
@@ -1578,11 +1491,10 @@ mod tests {
         let run = |pacing: Pacing, reports_input: bool| {
             let mut sleeper = Sleeper::new(1000, reports_input);
             let mut sender = Sender { work: 20, send: 10 };
-            let report = Scheduler::new(Policy::Lockstep).pacing(pacing).run(
-                &mut [&mut sleeper, &mut sender],
-                &mut Vec::new(),
-                0,
-            );
+            let report = Scheduler::new(Policy::Lockstep)
+                .pacing(pacing)
+                .try_run(&mut [&mut sleeper, &mut sender], &mut Vec::new(), 0)
+                .unwrap();
             (report.ends, sleeper.ledger)
         };
         let lockstep = run(Pacing::Lockstep, true);

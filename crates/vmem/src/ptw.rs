@@ -169,11 +169,6 @@ impl Translator {
         self.stats
     }
 
-    /// Statistics of the PTW cache (Fig. 18a's dominant requester).
-    pub fn ptw_cache_stats(&self) -> &tracegc_mem::CacheStats {
-        self.ptw_cache.stats()
-    }
-
     /// Drops all TLB contents (address-space switch / new GC pass).
     pub fn flush(&mut self) {
         for tlb in &mut self.l1 {

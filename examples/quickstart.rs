@@ -64,12 +64,16 @@ fn main() {
         let mut heap2 = build_demo_heap();
         let mut mem2 = MemSystem::ddr3(Default::default());
         let mut unit2 = tracegc::hwgc::TraversalUnit::new(GcUnitConfig::default(), &mut heap2);
-        let r = unit2.run_mark(&mut heap2, &mut mem2, 0);
+        let r = unit2
+            .try_run_mark(&mut heap2, &mut mem2, 0)
+            .expect("TraversalUnit::try_run_mark faulted on a clean heap");
         check_marks_match_reachability(&heap2).expect("unit marks == reachability oracle");
         r
     };
 
-    let report = unit.run_gc(&mut heap, &mut mem);
+    let report = unit
+        .try_run_gc_at(&mut heap, &mut mem, 0)
+        .expect("GcUnit::try_run_gc_at faulted on a clean heap");
     check_free_lists(&heap).expect("free lists consistent");
     println!(
         "GC unit    : mark {:>7.3} ms ({} objects), sweep {:>7.3} ms ({} cells freed)",

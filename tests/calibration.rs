@@ -148,6 +148,8 @@ fn missing_inputs_fail() {
 /// The CLI contract end to end: `experiments --calibrate` exits 0 on a
 /// conforming corpus (writing the report), 4 on violations, 1 on usage
 /// errors; and the written report is byte-identical across invocations.
+/// An experiment run exits 1 on out-of-range `--scale`/`--pauses` and
+/// when an output file cannot be written.
 #[test]
 fn cli_exit_code_contract() {
     let exe = env!("CARGO_BIN_EXE_experiments");
@@ -193,6 +195,73 @@ fn cli_exit_code_contract() {
     // Usage error: unknown figure, exit 1, no report.
     let out = run(&empty, &["fig99"]);
     assert_eq!(out.status.code(), Some(1));
+
+    // Experiment input that would panic, abort or run on a clamped
+    // heap: exit 1 with the usage text before anything runs.
+    let experiments = |args: &[&str]| {
+        std::process::Command::new(exe)
+            .args(args)
+            .output()
+            .expect("spawn experiments")
+    };
+    let out_arg = empty.to_str().unwrap();
+    for bad in [
+        &["--pauses", "0"][..],
+        &["--scale", "inf"],
+        &["--scale", "1e300"],
+        &["--scale", "1e12"],
+        &["--scale", "nan"],
+        &["--scale", "-1"],
+        &["--scale", "0"],
+        &["--scale", "1.5"],
+    ] {
+        let out = experiments(&[bad, &["--out", out_arg, "fig15"]].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{bad:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{bad:?}: {stderr}");
+    }
+
+    // An output path under a regular file: the tables still print, but
+    // a CSV, sidecar or trace that cannot be written exits 1.
+    let file = empty.join("not-a-dir");
+    std::fs::write(&file, "").unwrap();
+    let under_file = file.join("out");
+    let quick = ["--scale", "0.015", "--pauses", "1"];
+    let out = experiments(
+        &[
+            &quick[..],
+            &["--out", under_file.to_str().unwrap(), "table1"],
+        ]
+        .concat(),
+    );
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(!under_file.exists());
+    let trace = file.join("trace.json");
+    let out = experiments(
+        &[
+            &quick[..],
+            &[
+                "--out",
+                out_arg,
+                "--trace",
+                trace.to_str().unwrap(),
+                "table1",
+            ],
+        ]
+        .concat(),
+    );
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(empty.join("table1.metrics.json").is_file());
 
     std::fs::remove_dir_all(&good).ok();
     std::fs::remove_dir_all(&empty).ok();

@@ -35,7 +35,7 @@ fn assert_hw_matches_sw(spec: &BenchSpec) {
     // Mark: cycle-level unit vs the functional software collector.
     let mut mem = MemSystem::ddr3(Default::default());
     let mut unit = TraversalUnit::new(GcUnitConfig::default(), &mut hw.heap);
-    let mark = unit.run_mark(&mut hw.heap, &mut mem, 0);
+    let mark = unit.try_run_mark(&mut hw.heap, &mut mem, 0).unwrap();
     let sw_marked = software_mark(&mut sw.heap);
 
     let (hw_count, hw_hash) = marked_fingerprint(&hw.heap);
@@ -118,7 +118,7 @@ fn agreement_survives_nondefault_unit_configs() {
         let mut sw = generate_heap(&spec, LayoutKind::Bidirectional);
         let mut mem = MemSystem::ddr3(Default::default());
         let mut unit = TraversalUnit::new(cfg, &mut hw.heap);
-        unit.run_mark(&mut hw.heap, &mut mem, 0);
+        unit.try_run_mark(&mut hw.heap, &mut mem, 0).unwrap();
         software_mark(&mut sw.heap);
         assert_eq!(
             marked_fingerprint(&hw.heap),

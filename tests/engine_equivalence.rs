@@ -1,11 +1,15 @@
 //! Refactor-equivalence wall for the `Engine`/`Scheduler` layer.
 //!
-//! The `run_mark` / `run_sweep` / `run_gc` / `run_multiprocess_mark`
-//! entry points are thin drivers over `Engine::step` + `Scheduler`.
-//! This file proves the refactor preserved behavior cycle-for-cycle:
-//! every fingerprint below (end cycle, work counts, and the complete
-//! per-reason stall ledger) was captured from the pre-refactor
-//! run-to-completion loops on `main` and must match byte for byte.
+//! The `try_run_mark` / `run_sweep` / `try_run_gc_at` /
+//! `try_run_multiprocess_mark` / `try_run_concurrent_mark` drivers and
+//! the CPU collector's `run_mark` / `run_sweep` are thin drivers over
+//! `Engine::step` + `Scheduler`. This file proves the refactor
+//! preserved behavior cycle-for-cycle: every fingerprint below (end
+//! cycle, work counts, and the complete per-reason stall ledger) was
+//! captured from the pre-refactor run-to-completion loops on `main` and
+//! must match byte for byte. The CPU resume fingerprints
+//! (`Cpu::resume_mark_from`, an inline loop that shares the mark
+//! loop's reference walk) were captured before that walk was shared.
 //!
 //! To regenerate after an *intentional* timing-model change, run
 //!
@@ -16,9 +20,9 @@
 //! and paste the printed fingerprints over the constants.
 
 use tracegc::heap::{Heap, HeapConfig, LayoutKind, ObjRef};
-use tracegc::hwgc::multiproc::{run_multiprocess_mark, ProcessContext};
+use tracegc::hwgc::multiproc::{try_run_multiprocess_mark, ProcessContext};
 use tracegc::hwgc::{
-    run_concurrent_mark, GcUnit, GcUnitConfig, MutatorConfig, ReclamationUnit, TraversalUnit,
+    try_run_concurrent_mark, GcUnit, GcUnitConfig, MutatorConfig, ReclamationUnit, TraversalUnit,
 };
 use tracegc::mem::MemSystem;
 use tracegc::sim::{StallAccounting, StallReason};
@@ -104,7 +108,7 @@ fn mark_fingerprint(layout: LayoutKind) -> String {
     let mut heap = mark_heap(1500, layout);
     let mut mem = MemSystem::ddr3(Default::default());
     let mut unit = TraversalUnit::new(GcUnitConfig::default(), &mut heap);
-    let r = unit.run_mark(&mut heap, &mut mem, 0);
+    let r = unit.try_run_mark(&mut heap, &mut mem, 0).unwrap();
     format!(
         "end={};marked={};refs={};{}",
         r.end,
@@ -149,11 +153,43 @@ fn cpu_fingerprint(layout: LayoutKind) -> String {
     )
 }
 
+/// A software resume (`Cpu::resume_mark_from`) on the CPU collector's
+/// workload. Without `premarked` it is seeded with the roots; with it,
+/// with every 37th reachable object, each marked beforehand, as a
+/// trapped unit's drained queue leaves them (marked but untraced).
+fn resume_fingerprint(layout: LayoutKind, premarked: bool) -> String {
+    let mut heap = cpu_heap(layout);
+    let seeds: Vec<ObjRef> = if premarked {
+        let seeds: Vec<ObjRef> = heap
+            .reachable_from_roots()
+            .into_iter()
+            .step_by(37)
+            .collect();
+        for &s in &seeds {
+            heap.mark(s);
+        }
+        seeds
+    } else {
+        heap.roots().to_vec()
+    };
+    let pending: Vec<u64> = seeds.iter().map(|s| s.addr()).collect();
+    let mut mem = MemSystem::ddr3(Default::default());
+    let mut cpu = tracegc::cpu::Cpu::new(tracegc::cpu::CpuConfig::default(), &mut heap);
+    let r = cpu.resume_mark_from(&mut heap, &mut mem, &pending);
+    format!(
+        "cycles={};work={};refs={};{}",
+        r.cycles,
+        r.work_items,
+        r.refs_traced,
+        ledger(&r.stalls)
+    )
+}
+
 fn gc_unit_fingerprint() -> String {
     let mut heap = mark_heap(1200, LayoutKind::Bidirectional);
     let mut mem = MemSystem::ddr3(Default::default());
     let mut unit = GcUnit::new(GcUnitConfig::default(), &mut heap);
-    let r = unit.run_gc(&mut heap, &mut mem);
+    let r = unit.try_run_gc_at(&mut heap, &mut mem, 0).unwrap();
     format!(
         "mark_end={};sweep_end={};marked={};freed={}",
         r.mark.end, r.sweep.end, r.mark.objects_marked, r.sweep.cells_freed
@@ -187,7 +223,7 @@ fn multiproc_context(n: usize, seed: u64) -> ProcessContext {
 fn multiproc_fingerprint() -> String {
     let mut procs = vec![multiproc_context(1500, 1), multiproc_context(1000, 2)];
     let mut mem = MemSystem::ddr3(Default::default());
-    let report = run_multiprocess_mark(&mut procs, &mut mem, 0);
+    let report = try_run_multiprocess_mark(&mut procs, &mut mem, 0).unwrap();
     format!(
         "end={};p0_end={};p0_marked={};p1_end={};p1_marked={}",
         report.end,
@@ -202,7 +238,8 @@ fn concurrent_fingerprint() -> String {
     let mut heap = mark_heap(1500, LayoutKind::Bidirectional);
     let mut mem = MemSystem::ddr3(Default::default());
     let mut unit = TraversalUnit::new(GcUnitConfig::default(), &mut heap);
-    let r = run_concurrent_mark(&mut unit, &mut heap, &mut mem, MutatorConfig::default(), 0);
+    let r = try_run_concurrent_mark(&mut unit, &mut heap, &mut mem, MutatorConfig::default(), 0)
+        .unwrap();
     format!(
         "end={};marked={};ops={};barriers={}",
         r.traversal.end, r.traversal.objects_marked, r.mutator_ops, r.write_barriers
@@ -227,6 +264,22 @@ const GOLDEN_CPU_BIDI: &str = "mark=29038;work=300;refs=900;busy=10522;mem_laten
                                queue_full=0;tlb_miss=792;ptw_busy=0;throttled=0;port_busy=0;idle=0\
                                |sweep=167708;work=200;busy=35833;mem_latency=128962;queue_full=0;\
                                tlb_miss=2913;ptw_busy=0;throttled=0;port_busy=0;idle=0";
+const GOLDEN_CPU_CONV: &str = "mark=32783;work=300;refs=900;busy=10522;mem_latency=21433;\
+                               queue_full=0;tlb_miss=828;ptw_busy=0;throttled=0;port_busy=0;idle=0\
+                               |sweep=114433;work=200;busy=21497;mem_latency=90736;queue_full=0;\
+                               tlb_miss=2200;ptw_busy=0;throttled=0;port_busy=0;idle=0";
+const GOLDEN_RESUME_BIDI_ROOTS: &str = "cycles=26022;work=300;refs=900;busy=7506;\
+                                        mem_latency=17897;queue_full=0;tlb_miss=619;ptw_busy=0;\
+                                        throttled=0;port_busy=0;idle=0";
+const GOLDEN_RESUME_BIDI_MARKED: &str = "cycles=26452;work=291;refs=900;busy=7527;\
+                                         mem_latency=18242;queue_full=0;tlb_miss=683;ptw_busy=0;\
+                                         throttled=0;port_busy=0;idle=0";
+const GOLDEN_RESUME_CONV_ROOTS: &str = "cycles=29195;work=300;refs=900;busy=7506;\
+                                        mem_latency=21009;queue_full=0;tlb_miss=680;ptw_busy=0;\
+                                        throttled=0;port_busy=0;idle=0";
+const GOLDEN_RESUME_CONV_MARKED: &str = "cycles=29289;work=291;refs=900;busy=7527;\
+                                         mem_latency=21141;queue_full=0;tlb_miss=621;ptw_busy=0;\
+                                         throttled=0;port_busy=0;idle=0";
 const GOLDEN_GC_UNIT: &str = "mark_end=7830;sweep_end=71908;marked=720;freed=480";
 // Regenerated when round-robin arbitration became hop-invariant (the
 // grant pointer now advances one slot per grant round instead of being
@@ -252,6 +305,23 @@ fn print_fingerprints() {
         "GOLDEN_CPU_BIDI: {}",
         cpu_fingerprint(LayoutKind::Bidirectional)
     );
+    println!(
+        "GOLDEN_CPU_CONV: {}",
+        cpu_fingerprint(LayoutKind::Conventional)
+    );
+    for (name, layout) in [
+        ("BIDI", LayoutKind::Bidirectional),
+        ("CONV", LayoutKind::Conventional),
+    ] {
+        println!(
+            "GOLDEN_RESUME_{name}_ROOTS: {}",
+            resume_fingerprint(layout, false)
+        );
+        println!(
+            "GOLDEN_RESUME_{name}_MARKED: {}",
+            resume_fingerprint(layout, true)
+        );
+    }
     println!("GOLDEN_GC_UNIT: {}", gc_unit_fingerprint());
     println!("GOLDEN_MULTIPROC_DUO: {}", multiproc_fingerprint());
     println!("GOLDEN_CONCURRENT: {}", concurrent_fingerprint());
@@ -275,6 +345,27 @@ fn scheduled_sweep_matches_pre_refactor_golden() {
 #[test]
 fn scheduled_cpu_phases_match_pre_refactor_golden() {
     assert_eq!(cpu_fingerprint(LayoutKind::Bidirectional), GOLDEN_CPU_BIDI);
+    assert_eq!(cpu_fingerprint(LayoutKind::Conventional), GOLDEN_CPU_CONV);
+}
+
+#[test]
+fn cpu_resume_matches_golden() {
+    assert_eq!(
+        resume_fingerprint(LayoutKind::Bidirectional, false),
+        GOLDEN_RESUME_BIDI_ROOTS
+    );
+    assert_eq!(
+        resume_fingerprint(LayoutKind::Bidirectional, true),
+        GOLDEN_RESUME_BIDI_MARKED
+    );
+    assert_eq!(
+        resume_fingerprint(LayoutKind::Conventional, false),
+        GOLDEN_RESUME_CONV_ROOTS
+    );
+    assert_eq!(
+        resume_fingerprint(LayoutKind::Conventional, true),
+        GOLDEN_RESUME_CONV_MARKED
+    );
 }
 
 #[test]
@@ -315,6 +406,7 @@ fn pacing_differential_deterministic_drivers() {
         ("sweep_2", &|| sweep_fingerprint(2)),
         ("sweep_4", &|| sweep_fingerprint(4)),
         ("cpu_bidi", &|| cpu_fingerprint(LayoutKind::Bidirectional)),
+        ("cpu_conv", &|| cpu_fingerprint(LayoutKind::Conventional)),
         ("gc_unit", &|| gc_unit_fingerprint()),
         ("multiproc", &|| multiproc_fingerprint()),
         ("concurrent", &|| concurrent_fingerprint()),
@@ -416,7 +508,7 @@ fn pacing_differential_randomized_marks() {
             let mut heap = random_mark_heap(&mut rng, layout);
             let mut mem = MemSystem::ddr3(Default::default());
             let mut unit = TraversalUnit::new(cfg, &mut heap);
-            let r = unit.run_mark(&mut heap, &mut mem, 0);
+            let r = unit.try_run_mark(&mut heap, &mut mem, 0).unwrap();
             format!(
                 "end={};marked={};refs={};{}",
                 r.end,
@@ -456,10 +548,9 @@ fn pacing_differential_randomized_policies() {
     for seed in 0..COMBOS {
         assert_pacing_equal(format!("policy[seed={seed}]"), || {
             let mut rng = StdRng::seed_from_u64(2000 + seed);
-            let policy = match rng.random_range(0..4usize) {
+            let policy = match rng.random_range(0..3usize) {
                 0 => Policy::Lockstep,
-                1 => Policy::Priority(if rng.random() { vec![0, 1] } else { vec![1, 0] }),
-                2 => Policy::RoundRobin,
+                1 => Policy::RoundRobin,
                 _ => Policy::Throttled {
                     period: rng.random_range(2..8u64),
                 },
@@ -477,7 +568,9 @@ fn pacing_differential_randomized_policies() {
                 let mut mark_eng = MarkEngine::new(&mut unit, 0);
                 let mut ctx = SocCtx::new(&mut mem, vec![&mut a, &mut b]);
                 let mut engines: [&mut dyn Engine<SocCtx>; 2] = [&mut mark_eng, &mut sweep_eng];
-                Scheduler::new(policy).run(&mut engines, &mut ctx, 0)
+                Scheduler::new(policy)
+                    .try_run(&mut engines, &mut ctx, 0)
+                    .unwrap()
             };
             let mark = unit.result_at(0, report.ends[0]);
             let sweep = sweep_eng.into_result();
@@ -513,7 +606,7 @@ fn pacing_differential_randomized_round_robin() {
                 .map(|i| multiproc_context(rng.random_range(300..1200usize), seed * 8 + i as u64))
                 .collect();
             let mut mem = MemSystem::ddr3(Default::default());
-            let report = run_multiprocess_mark(&mut procs, &mut mem, 0);
+            let report = try_run_multiprocess_mark(&mut procs, &mut mem, 0).unwrap();
             let per: Vec<String> = report
                 .per_process
                 .iter()
@@ -841,14 +934,14 @@ fn single_process_multiproc_equals_plain_run_mark_exactly() {
     let multi = {
         let mut procs = [multiproc_context(1200, 4)];
         let mut mem = MemSystem::ddr3(Default::default());
-        let r = run_multiprocess_mark(&mut procs, &mut mem, 0);
+        let r = try_run_multiprocess_mark(&mut procs, &mut mem, 0).unwrap();
         r.per_process[0].clone()
     };
     let plain = {
         let mut procs = [multiproc_context(1200, 4)];
         let mut mem = MemSystem::ddr3(Default::default());
         let p = &mut procs[0];
-        p.unit.run_mark(&mut p.heap, &mut mem, 0)
+        p.unit.try_run_mark(&mut p.heap, &mut mem, 0).unwrap()
     };
     assert_eq!(multi.end, plain.end, "end cycles must match exactly");
     assert_eq!(multi.objects_marked, plain.objects_marked);

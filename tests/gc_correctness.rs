@@ -28,7 +28,7 @@ fn unit_marks_equal_oracle_on_every_benchmark() {
         let mut w = generate_heap(&spec, LayoutKind::Bidirectional);
         let mut mem = MemSystem::ddr3(Default::default());
         let mut unit = TraversalUnit::new(GcUnitConfig::default(), &mut w.heap);
-        let result = unit.run_mark(&mut w.heap, &mut mem, 0);
+        let result = unit.try_run_mark(&mut w.heap, &mut mem, 0).unwrap();
         check_marks_match_reachability(&w.heap).unwrap_or_else(|e| panic!("{}: {e}", spec.name));
         assert_eq!(
             result.objects_marked as usize, w.live_objects,
@@ -45,7 +45,7 @@ fn unit_marks_equal_oracle_conventional_layout() {
         let mut w = generate_heap(&spec, LayoutKind::Conventional);
         let mut mem = MemSystem::ddr3(Default::default());
         let mut unit = TraversalUnit::new(GcUnitConfig::default(), &mut w.heap);
-        unit.run_mark(&mut w.heap, &mut mem, 0);
+        unit.try_run_mark(&mut w.heap, &mut mem, 0).unwrap();
         check_marks_match_reachability(&w.heap).unwrap_or_else(|e| panic!("{}: {e}", spec.name));
     }
 }
@@ -65,7 +65,7 @@ fn cpu_and_unit_produce_identical_sweeps() {
         let mut b = generate_heap(&spec, LayoutKind::Bidirectional);
         let mut mem_b = MemSystem::ddr3(Default::default());
         let mut unit = GcUnit::new(GcUnitConfig::default(), &mut b.heap);
-        let report = unit.run_gc(&mut b.heap, &mut mem_b);
+        let report = unit.try_run_gc_at(&mut b.heap, &mut mem_b, 0).unwrap();
 
         assert_eq!(
             mark_a.work_items, report.mark.objects_marked,
@@ -98,7 +98,7 @@ fn unit_sweep_equals_software_sweep_oracle() {
     let mut w = generate_heap(&spec, LayoutKind::Bidirectional);
     let mut mem = MemSystem::ddr3(Default::default());
     let mut unit = GcUnit::new(GcUnitConfig::default(), &mut w.heap);
-    let report = unit.run_gc(&mut w.heap, &mut mem);
+    let report = unit.try_run_gc_at(&mut w.heap, &mut mem, 0).unwrap();
 
     assert_eq!(report.sweep.cells_freed, expected.freed_cells);
     assert_eq!(report.sweep.live_objects, expected.live_objects);
@@ -136,7 +136,7 @@ fn aggressive_unit_configs_stay_correct() {
         let mut w = generate_heap(&spec, LayoutKind::Bidirectional);
         let mut mem = MemSystem::ddr3(Default::default());
         let mut unit = TraversalUnit::new(cfg, &mut w.heap);
-        unit.run_mark(&mut w.heap, &mut mem, 0);
+        unit.try_run_mark(&mut w.heap, &mut mem, 0).unwrap();
         check_marks_match_reachability(&w.heap).unwrap_or_else(|e| panic!("config {i}: {e}"));
     }
 }
@@ -209,14 +209,14 @@ fn multi_gc_cycles_with_allocation_reuse() {
     {
         let mut mem = MemSystem::ddr3(Default::default());
         let mut unit = GcUnit::new(GcUnitConfig::default(), &mut w.heap);
-        unit.run_gc(&mut w.heap, &mut mem);
+        unit.try_run_gc_at(&mut w.heap, &mut mem, 0).unwrap();
         blocks_after_first = w.heap.blocks().len();
     }
     for _ in 0..3 {
         tracegc::workloads::generate::churn(&mut w, 0.2);
         let mut mem = MemSystem::ddr3(Default::default());
         let mut unit = GcUnit::new(GcUnitConfig::default(), &mut w.heap);
-        unit.run_gc(&mut w.heap, &mut mem);
+        unit.try_run_gc_at(&mut w.heap, &mut mem, 0).unwrap();
         post_gc_invariants(&w.heap);
     }
     // Churn + sweep reuse should not balloon the block count much.
