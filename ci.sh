@@ -36,6 +36,30 @@ echo "==> gcbench (the repo benchmark) builds and its tests pass"
 cargo build --release --offline --manifest-path gcbench/Cargo.toml
 cargo test --release --offline --manifest-path gcbench/Cargo.toml
 
+echo "==> gcbench digests (nothing simulated moves)"
+# A --child 0 run prints `digest <hex>`, a hash of every simulated
+# statistic, and fails (exit 1) on any output check of its own. A change
+# that only makes the simulator faster must leave every digest as it
+# is. A deliberate model change updates these values together with the
+# goldens. About 15 s per seed on a 2-vCPU host.
+check_digest() {
+    local workload=$1 seed=$2 want=$3 got
+    got=$(gcbench/target/release/tracegc-gcbench --workload "$workload" \
+        --seed "$seed" --seconds 1 --trace 0 --child 0 | sed -n 's/^digest //p')
+    if [ "$got" != "$want" ]; then
+        echo "gcbench $workload seed $seed: digest ${got:-missing}, expected $want" >&2
+        return 1
+    fi
+}
+check_digest pause-pair 0 2bcbb4befb4524d2
+check_digest stream-heap 0 9dde6b54dd2552a2
+check_digest shared-ddr3 0 418d815e1c2de0ba
+check_digest fault-fleet 0 2bda3de452a5b5cc
+check_digest pause-pair 1592593325 cb441c6afae9ab42
+check_digest stream-heap 1592593325 32f4adfca4ccb1b0
+check_digest shared-ddr3 1592593325 24a50019936bf423
+check_digest fault-fleet 1592593325 6e14a0c885f138b9
+
 echo "==> golden wall, fig18 and ablE (release)"
 # tests/golden.rs::golden_wall_full is #[ignore]d because these two
 # experiments force their own large workload scales (minutes under the

@@ -223,11 +223,23 @@ pub fn load(text: &str) -> Result<Heap, SnapshotError> {
         .iter()
         .map(|s| (s.nrefs as u64 + s.scalars as u64 + 3) * WORD)
         .sum::<u64>();
-    let mut heap = Heap::new(HeapConfig {
+    let cfg = HeapConfig {
         phys_bytes: (approx * 6).next_power_of_two().max(64 << 20),
         layout,
         ..HeapConfig::default()
-    });
+    };
+    // The root region holds a count word, then one word per root.
+    let max_roots = cfg.spaces.hwgc_size / WORD - 1;
+    if roots.len() as u64 > max_roots {
+        return Err(err(
+            0,
+            format!(
+                "{} roots exceed the root region's limit of {max_roots}",
+                roots.len()
+            ),
+        ));
+    }
+    let mut heap = Heap::new(cfg);
     let objects: Vec<ObjRef> = shapes
         .iter()
         .map(|s| {
@@ -349,6 +361,21 @@ mod tests {
         let e = load(wide_slot).expect_err("a slot past u32 must be rejected");
         assert_eq!(e.line, 5);
         assert!(e.message.contains("slot"), "{e}");
+        // One root past what the 4 MiB root region holds.
+        let mut too_many_roots = String::from(
+            "tracegc-snapshot v1\nlayout bidirectional\n\
+             object 0 nrefs 0 scalars 0 array 0 marked 0\n",
+        );
+        too_many_roots.push_str(&"root 0\n".repeat(524_288));
+        let e = load(&too_many_roots).expect_err("too many roots must be rejected");
+        assert!(e.message.contains("524288 roots"), "{e}");
+        assert!(e.message.contains("524287"), "{e}");
+        // A full root region still loads.
+        let full = &too_many_roots[..too_many_roots.len() - "root 0\n".len()];
+        assert_eq!(
+            load(full).expect("a full root region").roots().len(),
+            524_287
+        );
     }
 
     #[test]

@@ -24,7 +24,8 @@ pub enum CacheTopology {
 /// a 128-entry shared L2 TLB".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GcUnitConfig {
-    /// Marker request slots (tag/address table entries, Fig. 13).
+    /// Marker request slots (tag/address table entries, Fig. 13); at
+    /// most 64.
     pub marker_slots: usize,
     /// Tracer queue capacity in objects (the "TQ" of Fig. 19).
     pub tracer_queue: usize,

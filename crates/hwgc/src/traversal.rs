@@ -15,7 +15,7 @@
 //! (§IV-A.II).
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use tracegc_heap::layout::{bidi, conv, Header, LayoutKind, HEADER_MARK_BIT, WORD};
 use tracegc_heap::{Heap, SocCtx};
@@ -110,6 +110,135 @@ enum MarkerSlot {
     },
 }
 
+/// The marker's outstanding-AMO slots, with a bitmask per state so
+/// every scan is a bit search and the earliest response is cached.
+/// Scans keep the lowest-index-first order of a linear walk over
+/// `slots`.
+#[derive(Debug)]
+struct MarkerSlots {
+    slots: Vec<MarkerSlot>,
+    /// Bit `i` is set for each of the `slots.len()` slots.
+    all: u64,
+    /// Bit `i` is set while `slots[i]` is `Busy`.
+    busy: u64,
+    /// Bit `i` is set while `slots[i]` is `Deliver`.
+    deliver: u64,
+    /// Earliest `done` over the busy slots (`Cycle::MAX` when none);
+    /// recomputed whenever a busy slot leaves, so it is never stale.
+    next_done: Cycle,
+}
+
+impl MarkerSlots {
+    fn new(n: usize) -> Self {
+        assert!(n <= 64, "at most 64 marker slots ({n} configured)");
+        Self {
+            slots: vec![MarkerSlot::Free; n],
+            all: u64::MAX.checked_shr(64 - n as u32).unwrap_or(0),
+            busy: 0,
+            deliver: 0,
+            next_done: Cycle::MAX,
+        }
+    }
+
+    /// The lowest-index free slot.
+    fn first_free(&self) -> Option<usize> {
+        let free = self.all & !(self.busy | self.deliver);
+        (free != 0).then(|| free.trailing_zeros() as usize)
+    }
+
+    /// The lowest-index busy slot whose response has arrived by `now`,
+    /// with its `(va, old)`.
+    fn first_landed(&self, now: Cycle) -> Option<(usize, u64, u64)> {
+        if self.next_done > now {
+            return None;
+        }
+        let mut busy = self.busy;
+        while busy != 0 {
+            let i = busy.trailing_zeros() as usize;
+            if let MarkerSlot::Busy { done, va, old } = self.slots[i] {
+                if done <= now {
+                    return Some((i, va, old));
+                }
+            }
+            busy &= busy - 1;
+        }
+        unreachable!(
+            "next_done {} <= {now} but no busy slot has landed",
+            self.next_done
+        )
+    }
+
+    /// The lowest-index slot holding a parked delivery, with its
+    /// `(va, old)`.
+    fn first_deliver(&self) -> Option<(usize, u64, u64)> {
+        if self.deliver == 0 {
+            return None;
+        }
+        let i = self.deliver.trailing_zeros() as usize;
+        match self.slots[i] {
+            MarkerSlot::Deliver { va, old } => Some((i, va, old)),
+            _ => unreachable!("the deliver mask names only Deliver slots"),
+        }
+    }
+
+    fn set(&mut self, i: usize, slot: MarkerSlot) {
+        let bit = 1u64 << i;
+        let was_busy = self.busy & bit != 0;
+        self.busy &= !bit;
+        self.deliver &= !bit;
+        self.slots[i] = slot;
+        match slot {
+            MarkerSlot::Busy { done, .. } => {
+                self.busy |= bit;
+                self.next_done = self.next_done.min(done);
+            }
+            MarkerSlot::Deliver { .. } => self.deliver |= bit,
+            MarkerSlot::Free => {}
+        }
+        if was_busy {
+            self.next_done = self.earliest_done();
+        }
+    }
+
+    fn earliest_done(&self) -> Cycle {
+        let mut next = Cycle::MAX;
+        let mut busy = self.busy;
+        while busy != 0 {
+            if let MarkerSlot::Busy { done, .. } = self.slots[busy.trailing_zeros() as usize] {
+                next = next.min(done);
+            }
+            busy &= busy - 1;
+        }
+        next
+    }
+
+    fn any_busy(&self) -> bool {
+        self.busy != 0
+    }
+
+    fn any_deliver(&self) -> bool {
+        self.deliver != 0
+    }
+
+    fn all_free(&self) -> bool {
+        self.busy | self.deliver == 0
+    }
+
+    /// Frees every slot, returning the references the non-free ones
+    /// held, in slot order.
+    fn drain(&mut self) -> impl Iterator<Item = u64> + '_ {
+        self.busy = 0;
+        self.deliver = 0;
+        self.next_done = Cycle::MAX;
+        self.slots
+            .iter_mut()
+            .filter_map(|slot| match std::mem::replace(slot, MarkerSlot::Free) {
+                MarkerSlot::Busy { va, .. } | MarkerSlot::Deliver { va, .. } => Some(va),
+                MarkerSlot::Free => None,
+            })
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct TraceJob {
     obj: u64,
@@ -180,7 +309,7 @@ pub struct TraversalUnit {
     markq: MarkQueue,
     markbit: MarkBitCache,
     tracerq: BoundedQueue<TraceJob>,
-    marker_slots: Vec<MarkerSlot>,
+    marker_slots: MarkerSlots,
     trace_state: Option<TraceState>,
     responses: BinaryHeap<Reverse<TraceResp>>,
     resp_seq: u64,
@@ -214,8 +343,6 @@ pub struct TraversalUnit {
     /// Latencies observed by the background traffic (the mutator's view
     /// of memory interference).
     bg_latencies: Vec<Cycle>,
-    /// Mark accesses per object reference (Fig. 21a).
-    access_counts: HashMap<u64, u32>,
     objects_marked: u64,
     already_marked: u64,
     filtered: u64,
@@ -251,6 +378,10 @@ impl TraversalUnit {
     /// Builds the unit for `heap`'s address space, allocating its spill
     /// region from physical memory (as the Linux driver does at boot,
     /// §V-E).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.marker_slots` exceeds 64.
     pub fn new(cfg: GcUnitConfig, heap: &mut Heap) -> Self {
         let spill_base = heap.alloc_phys_region(cfg.spill_bytes);
         let codec = if cfg.compress {
@@ -278,7 +409,7 @@ impl TraversalUnit {
             markq,
             markbit: MarkBitCache::new(cfg.markbit_cache),
             tracerq: BoundedQueue::new(cfg.tracer_queue),
-            marker_slots: vec![MarkerSlot::Free; cfg.marker_slots],
+            marker_slots: MarkerSlots::new(cfg.marker_slots),
             trace_state: None,
             responses: BinaryHeap::new(),
             resp_seq: 0,
@@ -297,7 +428,6 @@ impl TraversalUnit {
             bg_period: 0,
             bg_next: 0,
             bg_latencies: Vec::new(),
-            access_counts: HashMap::new(),
             objects_marked: 0,
             already_marked: 0,
             filtered: 0,
@@ -318,12 +448,6 @@ impl TraversalUnit {
     /// The unit's configuration.
     pub fn config(&self) -> &GcUnitConfig {
         &self.cfg
-    }
-
-    /// Per-object mark-access counts of the current (or last) pass
-    /// (the Fig. 21a distribution).
-    pub fn access_counts(&self) -> &HashMap<u64, u32> {
-        &self.access_counts
     }
 
     /// Injects background mutator traffic during the mark pass: one
@@ -514,6 +638,9 @@ impl TraversalUnit {
     /// Use with [`TraversalUnit::step`] when driving the unit
     /// concurrently with a mutator; [`TraversalUnit::try_run_mark`] wraps
     /// the whole loop for stop-the-world passes.
+    ///
+    /// The unit keeps no per-object counts: Fig. 21a counts each
+    /// object's mark accesses from the heap after the collection.
     pub fn begin(&mut self, heap: &Heap, start: Cycle) {
         self.begin_roots(heap);
         self.bg_next = start;
@@ -536,7 +663,6 @@ impl TraversalUnit {
         self.filtered = 0;
         self.refs_enqueued = 0;
         self.port_busy_cycles = 0;
-        self.access_counts.clear();
         self.markq.reset_stats();
         self.translator_at_begin = self.translator.stats();
     }
@@ -563,10 +689,7 @@ impl TraversalUnit {
             return self.tracer_block_reason;
         }
         let tracer_has_work = self.trace_state.is_some() || !self.tracerq.is_empty();
-        let marker_parked = self
-            .marker_slots
-            .iter()
-            .any(|s| matches!(s, MarkerSlot::Deliver { .. }));
+        let marker_parked = self.marker_slots.any_deliver();
         let tracer_gated = tracer_has_work
             && (self.markq.throttled()
                 || self.deliver_buf.len() > 4 * self.markq.entries_per_chunk());
@@ -576,10 +699,7 @@ impl TraversalUnit {
         let mem_pending = self.roots.pending.is_some()
             || !self.responses.is_empty()
             || self.markq.next_event().is_some()
-            || self
-                .marker_slots
-                .iter()
-                .any(|s| matches!(s, MarkerSlot::Busy { .. }));
+            || self.marker_slots.any_busy();
         if mem_pending {
             return StallReason::MemLatency;
         }
@@ -813,13 +933,7 @@ impl TraversalUnit {
         pending.extend(self.roots.buf.drain(..));
         // Marker slots: objects whose mark AMO already landed
         // functionally but whose trace was never handed over.
-        for slot in &mut self.marker_slots {
-            match *slot {
-                MarkerSlot::Busy { va, .. } | MarkerSlot::Deliver { va, .. } => pending.push(va),
-                MarkerSlot::Free => {}
-            }
-            *slot = MarkerSlot::Free;
-        }
+        pending.extend(self.marker_slots.drain());
         // Tracer queue and the in-flight trace: hand back the whole
         // object; partial tracing progress is simply redone.
         while let Some(job) = self.tracerq.pop() {
@@ -895,8 +1009,10 @@ impl TraversalUnit {
                 }
             };
             let done = self.data_access(pa, size, false, false, Source::RootReader, ready, mem);
+            // The chunk is aligned and at most 64 B, so all its words
+            // share the page just translated.
             let refs: Vec<u64> = (0..size as u64 / WORD)
-                .map(|i| heap.read_va(addr + i * WORD))
+                .map(|i| heap.phys.read_u64(pa + i * WORD))
                 .collect();
             self.roots.pending = Some((done, refs));
             progress = true;
@@ -908,15 +1024,7 @@ impl TraversalUnit {
     fn tick_marker_deliver(&mut self, now: Cycle) -> bool {
         // Newly completed responses first: they may free their slot
         // without needing tracer-queue space (already marked / no refs).
-        let landed = self
-            .marker_slots
-            .iter()
-            .position(|s| matches!(s, MarkerSlot::Busy { done, .. } if *done <= now));
-        if let Some(idx) = landed {
-            let (va, old) = match self.marker_slots[idx] {
-                MarkerSlot::Busy { va, old, .. } => (va, old),
-                _ => unreachable!("matched Busy above"),
-            };
+        if let Some((idx, va, old)) = self.marker_slots.first_landed(now) {
             // Injected header corruption forces the reference count past
             // any plausible value; the sanity check below must catch it.
             let corrupted = self.fault.as_mut().is_some_and(|f| f.corrupt_header());
@@ -931,13 +1039,13 @@ impl TraversalUnit {
                 // architected-state drain recovers the object, then
                 // freeze: a dead tag bit or an absurd count means the
                 // header word cannot be trusted.
-                self.marker_slots[idx] = MarkerSlot::Deliver { va, old };
+                self.marker_slots.set(idx, MarkerSlot::Deliver { va, old });
                 self.raise_trap(Trap::new(TrapKind::HeaderCorrupt, va, now));
                 return true;
             }
             if header.is_marked() || header.nrefs() == 0 {
                 // Nothing to trace; free the slot.
-                self.marker_slots[idx] = MarkerSlot::Free;
+                self.marker_slots.set(idx, MarkerSlot::Free);
                 return true;
             }
             let job = TraceJob {
@@ -945,31 +1053,26 @@ impl TraversalUnit {
                 nrefs: header.nrefs(),
             };
             if self.tracerq.try_push(job).is_ok() {
-                self.marker_slots[idx] = MarkerSlot::Free;
+                self.marker_slots.set(idx, MarkerSlot::Free);
             } else {
                 // Hold the response: back-pressure on the marker.
-                self.marker_slots[idx] = MarkerSlot::Deliver { va, old };
+                self.marker_slots.set(idx, MarkerSlot::Deliver { va, old });
             }
             return true;
         }
         // Retry a parked delivery; a failed retry is *not* progress (the
         // queue is still full), so idle cycles can skip ahead and real
         // deadlocks are detected instead of spinning.
-        for slot in &mut self.marker_slots {
-            let (va, old) = match *slot {
-                MarkerSlot::Deliver { va, old } => (va, old),
-                _ => continue,
-            };
-            let header = Header::from_raw(old);
-            let job = TraceJob {
-                obj: va,
-                nrefs: header.nrefs(),
-            };
-            if self.tracerq.try_push(job).is_ok() {
-                *slot = MarkerSlot::Free;
-                return true;
-            }
+        let Some((idx, va, old)) = self.marker_slots.first_deliver() else {
             return false;
+        };
+        let job = TraceJob {
+            obj: va,
+            nrefs: Header::from_raw(old).nrefs(),
+        };
+        if self.tracerq.try_push(job).is_ok() {
+            self.marker_slots.set(idx, MarkerSlot::Free);
+            return true;
         }
         false
     }
@@ -979,11 +1082,7 @@ impl TraversalUnit {
         if !self.port_free || now < self.marker_blocked_until {
             return false;
         }
-        let Some(slot_idx) = self
-            .marker_slots
-            .iter()
-            .position(|s| matches!(s, MarkerSlot::Free))
-        else {
+        let Some(slot_idx) = self.marker_slots.first_free() else {
             return false;
         };
         let Some(raw) = self.markq.dequeue() else {
@@ -1012,7 +1111,6 @@ impl TraversalUnit {
             self.raise_trap(Trap::new(TrapKind::RefOutOfBounds, va, now));
             return true;
         }
-        *self.access_counts.entry(va).or_insert(0) += 1;
         if self.markbit.filter(va) {
             self.filtered += 1;
             return true;
@@ -1051,7 +1149,8 @@ impl TraversalUnit {
         if let Some(trace) = &mut self.trace {
             trace.record(now, "marker", "mark_issue", va);
         }
-        self.marker_slots[slot_idx] = MarkerSlot::Busy { done, va, old };
+        self.marker_slots
+            .set(slot_idx, MarkerSlot::Busy { done, va, old });
         true
     }
 
@@ -1145,8 +1244,9 @@ impl TraversalUnit {
                 self.block_tracer_on_walk(&before, ready);
                 let done =
                     self.data_access(pa, size as u32, false, false, Source::Tracer, ready, mem);
+                // Clipped at the page end: every word is in `pa`'s page.
                 let refs: Vec<u64> = (0..size / WORD)
-                    .map(|i| heap.read_va(cursor + i * WORD))
+                    .map(|i| heap.phys.read_u64(pa + i * WORD))
                     .filter(|&r| r != 0)
                     .collect();
                 self.push_response(done, refs);
@@ -1176,7 +1276,7 @@ impl TraversalUnit {
                 };
                 self.block_tracer_on_walk(&before, ready);
                 let t1 = self.data_access(pa, 8, false, false, Source::Tracer, ready, mem);
-                let tib = heap.read_va(tib_va);
+                let tib = heap.phys.read_u64(pa);
                 // Offset words, dependent on the TIB pointer.
                 let mut t2 = t1;
                 let mut offsets = VecDeque::with_capacity(nrefs as usize);
@@ -1192,7 +1292,7 @@ impl TraversalUnit {
                     };
                     t2 = self.data_access(pa, size, false, false, Source::Tracer, ready, mem);
                     for i in 0..size as u64 / WORD {
-                        offsets.push_back(heap.read_va(addr + i * WORD) as u32);
+                        offsets.push_back(heap.phys.read_u64(pa + i * WORD) as u32);
                     }
                 }
                 // An empty response carries the dependency time forward.
@@ -1219,7 +1319,7 @@ impl TraversalUnit {
                 };
                 self.block_tracer_on_walk(&before, ready);
                 let done = self.data_access(pa, 8, false, false, Source::Tracer, ready, mem);
-                let raw = heap.read_va(field_va);
+                let raw = heap.phys.read_u64(pa);
                 let refs = if raw != 0 { vec![raw] } else { Vec::new() };
                 self.push_response(done, refs);
                 if !offsets.is_empty() {
@@ -1262,10 +1362,7 @@ impl TraversalUnit {
             && self.trace_state.is_none()
             && self.responses.is_empty()
             && self.deliver_buf.is_empty()
-            && self
-                .marker_slots
-                .iter()
-                .all(|s| matches!(s, MarkerSlot::Free))
+            && self.marker_slots.all_free()
     }
 
     fn next_event(&self) -> Option<Cycle> {
@@ -1279,10 +1376,8 @@ impl TraversalUnit {
         if let Some((t, _)) = self.roots.pending {
             consider(t);
         }
-        for s in &self.marker_slots {
-            if let MarkerSlot::Busy { done, .. } = s {
-                consider(*done);
-            }
+        if self.marker_slots.any_busy() {
+            consider(self.marker_slots.next_done);
         }
         if let Some(Reverse(r)) = self.responses.peek() {
             consider(r.done);
@@ -1438,27 +1533,6 @@ mod tests {
             "hub marks should be filtered: {}",
             result.filtered
         );
-    }
-
-    #[test]
-    fn access_counts_reflect_popularity() {
-        let mut h = Heap::new(HeapConfig {
-            phys_bytes: 64 << 20,
-            ..HeapConfig::default()
-        });
-        let hub = h.alloc(0, 0, false).unwrap();
-        let objs: Vec<ObjRef> = (0..100).map(|_| h.alloc(2, 0, false).unwrap()).collect();
-        for i in 0..100usize {
-            h.set_ref(objs[i], 0, Some(hub));
-            if i + 1 < 100 {
-                h.set_ref(objs[i], 1, Some(objs[i + 1]));
-            }
-        }
-        h.set_roots(&[objs[0]]);
-        let mut mem = MemSystem::ddr3(Default::default());
-        let mut unit = TraversalUnit::new(GcUnitConfig::default(), &mut h);
-        unit.try_run_mark(&mut h, &mut mem, 0).unwrap();
-        assert_eq!(unit.access_counts()[&hub.addr()], 100);
     }
 
     #[test]

@@ -25,6 +25,8 @@
 //!   seeded open-loop arrival process, bounded admission, pluggable
 //!   scheduling policies and trace-driven replay of measured per-tenant
 //!   mark service times over shared traversal units.
+//! * [`lru`] — [`LruMap`], the exact O(1) LRU map behind the TLBs and
+//!   the mark-bit cache.
 //! * [`sched`] — the SoC composition layer: the cycle-stepped
 //!   [`Engine`] trait and the [`Scheduler`] that ticks arbitrary engine
 //!   sets on one shared clock under a pluggable [`Policy`].
@@ -47,6 +49,7 @@
 pub mod dist;
 pub mod fault;
 pub mod fleet;
+pub mod lru;
 pub mod metrics;
 pub mod queue;
 pub mod rng;
@@ -57,6 +60,7 @@ pub use fault::{
     EccOutcome, FaultConfig, FaultInjector, FaultPlan, FaultSite, FaultStats, SimError,
 };
 pub use fleet::{Completion, FleetConfig, FleetPolicy, FleetStats, TenantProfile};
+pub use lru::LruMap;
 pub use metrics::{EventTrace, StallAccounting, StallReason, TraceEvent};
 pub use queue::BoundedQueue;
 pub use rng::{Rng, SplitMix64, StdRng};

@@ -128,22 +128,44 @@ impl AddressSpace {
         (va >> (12 + VPN_BITS * (LEVELS - 1 - level))) & (ENTRIES - 1)
     }
 
+    /// Walks the table for `va` once, the way the hardware walker does:
+    /// root first, stopping at the first invalid or leaf PTE.
+    #[inline]
+    pub(crate) fn walk(&self, mem: &PhysMem, va: u64) -> Walk {
+        let mut ptes = [0; LEVELS as usize];
+        let mut node = self.root_pa;
+        for level in 0..LEVELS {
+            let pte_pa = node + Self::vpn(va, level) * 8;
+            ptes[level as usize] = pte_pa;
+            let pte = mem.read_u64(pte_pa);
+            let leaf = if pte & PTE_VALID == 0 {
+                None
+            } else if pte & PTE_LEAF != 0 {
+                let page_bytes = PAGE_SIZE << (VPN_BITS * (LEVELS - 1 - level));
+                let ppn = pte >> PTE_PPN_SHIFT;
+                Some((ppn * PAGE_SIZE + (va % page_bytes), page_bytes))
+            } else {
+                node = (pte >> PTE_PPN_SHIFT) * PAGE_SIZE;
+                continue;
+            };
+            return Walk {
+                ptes,
+                len: level as usize + 1,
+                leaf,
+            };
+        }
+        Walk {
+            ptes,
+            len: LEVELS as usize,
+            leaf: None,
+        }
+    }
+
     /// Physical addresses of the PTEs visited when walking `va`, root
     /// first. This is exactly the sequence of reads the hardware walker
     /// performs.
     pub fn walk_path(&self, mem: &PhysMem, va: u64) -> Vec<u64> {
-        let mut path = Vec::with_capacity(LEVELS as usize);
-        let mut node = self.root_pa;
-        for level in 0..LEVELS {
-            let pte_pa = node + Self::vpn(va, level) * 8;
-            path.push(pte_pa);
-            let pte = mem.read_u64(pte_pa);
-            if pte & PTE_VALID == 0 || pte & PTE_LEAF != 0 {
-                break;
-            }
-            node = (pte >> PTE_PPN_SHIFT) * PAGE_SIZE;
-        }
-        path
+        self.walk(mem, va).path().to_vec()
     }
 
     /// Maps the page containing `va` to the frame containing `pa`,
@@ -243,6 +265,8 @@ impl AddressSpace {
     /// the mapping's page (4 KiB, 2 MiB or 1 GiB) so TLBs can install
     /// reach-appropriate entries.
     pub fn translate_entry(&self, mem: &PhysMem, va: u64) -> Option<(u64, u64)> {
+        // Not `walk(..).leaf`: recording the path slows this functional
+        // path, which every untimed heap access takes, by about a third.
         let mut node = self.root_pa;
         for level in 0..LEVELS {
             let pte = mem.read_u64(node + Self::vpn(va, level) * 8);
@@ -257,6 +281,23 @@ impl AddressSpace {
             node = (pte >> PTE_PPN_SHIFT) * PAGE_SIZE;
         }
         None
+    }
+}
+
+/// One page-table walk: the PTEs read and the mapping they yield.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Walk {
+    ptes: [u64; LEVELS as usize],
+    len: usize,
+    /// `(pa, page_bytes)` from the last PTE read, when it is a valid
+    /// leaf; `None` when `va` is unmapped.
+    pub(crate) leaf: Option<(u64, u64)>,
+}
+
+impl Walk {
+    /// Physical addresses of the PTEs read, root first.
+    pub(crate) fn path(&self) -> &[u64] {
+        &self.ptes[..self.len]
     }
 }
 
@@ -407,6 +448,10 @@ mod superpage_tests {
             aspace.translate_entry(&mem, 0x5000_0000).map(|e| e.1),
             Some(PAGE_SIZE)
         );
+        // The timed walker's single walk yields the same mappings.
+        for va in [0x4000_0123, 0x401F_FFF8, 0x5000_0008, 0x6000_0000] {
+            assert_eq!(aspace.walk(&mem, va).leaf, aspace.translate_entry(&mem, va));
+        }
     }
 
     #[test]

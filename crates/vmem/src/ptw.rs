@@ -316,9 +316,9 @@ fn translate_core(
     // as a corrupted page table would surface architecturally.
     let injected_fault = fault.is_some_and(|inj| inj.pte_fault());
 
-    let path = aspace.walk_path(phys, va);
+    let walk = aspace.walk(phys, va);
     let mut t = start;
-    for &pte_pa in &path {
+    for &pte_pa in walk.path() {
         let mut backing = MemBacking {
             mem,
             source: Source::Ptw,
@@ -332,9 +332,7 @@ fn translate_core(
     if injected_fault {
         return Err(TranslateFault { va });
     }
-    let (pa, page_bytes) = aspace
-        .translate_entry(phys, va)
-        .ok_or(TranslateFault { va })?;
+    let (pa, page_bytes) = walk.leaf.ok_or(TranslateFault { va })?;
     // Superpage mappings install reach-appropriate TLB entries.
     l2.insert_sized(va, pa, page_bytes);
     l1[who.index()].insert_sized(va, pa, page_bytes);
