@@ -165,14 +165,15 @@ pub struct DualRun {
 }
 
 impl DualRun {
-    /// Generates both copies of the workload.
+    /// Generates the workload once and copies it for the second agent.
     pub fn new(spec: &BenchSpec, layout: LayoutKind, unit_cfg: GcUnitConfig) -> Self {
+        let cpu_side = generate_heap(spec, layout);
         Self {
             spec: *spec,
             layout,
             unit_cfg,
-            cpu_side: generate_heap(spec, layout),
-            unit_side: generate_heap(spec, layout),
+            unit_side: cpu_side.clone(),
+            cpu_side,
         }
     }
 
@@ -664,6 +665,41 @@ mod tests {
         let p = run.run_pause(MemKind::ddr3_default());
         assert!(p.objects_marked > 0);
         assert!(p.mark_speedup() > 1.0, "speedup {}", p.mark_speedup());
+    }
+
+    #[test]
+    fn a_cloned_workload_collects_like_a_regenerated_one() {
+        let spec = quick_spec();
+        for layout in [LayoutKind::Bidirectional, LayoutKind::Conventional] {
+            let clone = generate_heap(&spec, layout).clone();
+            let fresh = generate_heap(&spec, layout);
+            assert_eq!(
+                tracegc_heap::snapshot::dump(&clone.heap),
+                tracegc_heap::snapshot::dump(&fresh.heap),
+                "{layout:?}"
+            );
+            assert_eq!(clone.objects, fresh.objects, "{layout:?}");
+            assert_eq!(clone.rng, fresh.rng, "{layout:?}");
+        }
+        // `DualRun::new` generates once and clones; two generations must
+        // pause, churn and pause again identically.
+        let unit_cfg = GcUnitConfig::default();
+        let layout = LayoutKind::Bidirectional;
+        let mut cloned = DualRun::new(&spec, layout, unit_cfg);
+        let mut generated = DualRun {
+            spec,
+            layout,
+            unit_cfg,
+            cpu_side: generate_heap(&spec, layout),
+            unit_side: generate_heap(&spec, layout),
+        };
+        for pause in 0..2 {
+            let a = cloned.run_pause(MemKind::ddr3_default());
+            let b = generated.run_pause(MemKind::ddr3_default());
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "pause {pause}");
+            cloned.churn(0.15);
+            generated.churn(0.15);
+        }
     }
 
     #[test]

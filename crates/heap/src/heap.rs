@@ -103,17 +103,186 @@ pub struct HeapStats {
     pub los_objects: u64,
 }
 
+/// A shadow table entry for a page that is not mapped.
+const UNMAPPED: u64 = u64::MAX;
+
+/// The frame of every mapped 4 KiB page of one space, indexed by page
+/// within the space. A space grows by bump allocation, so the table is
+/// dense up to the highest page mapped so far.
+#[derive(Debug, Clone)]
+struct ShadowSpace {
+    first_page: u64,
+    pages: u64,
+    frames: Vec<u64>,
+}
+
+/// An exact copy of what the page tables say about the heap's four
+/// spaces, answered without walking them.
+///
+/// [`Heap::ensure_mapped`] is the only code that maps pages into a
+/// heap's tables, it maps only unmapped pages, and it records every page
+/// it maps here (each 4 KiB page of a superpage included). Nothing else
+/// writes page-table frames, so the shadow and the walk agree on every
+/// VA of the four spaces; debug builds assert it on every translation.
+#[derive(Debug, Clone)]
+struct Shadow {
+    /// Mark-sweep, LOS, immortal and hwgc, the hottest first.
+    spaces: [ShadowSpace; 4],
+}
+
+impl Shadow {
+    fn new(map: &SpaceMap) -> Self {
+        let space = |base: u64, size: u64| ShadowSpace {
+            first_page: base / PAGE_SIZE,
+            pages: (base + size).div_ceil(PAGE_SIZE) - base / PAGE_SIZE,
+            frames: Vec::new(),
+        };
+        Self {
+            spaces: [
+                space(map.ms_base, map.ms_size),
+                space(map.los_base, map.los_size),
+                space(map.immortal_base, map.immortal_size),
+                space(map.hwgc_base, map.hwgc_size),
+            ],
+        }
+    }
+
+    /// The first space holding `page`, and the page's index in it.
+    #[inline]
+    fn locate(&self, page: u64) -> Option<(usize, usize)> {
+        self.spaces.iter().enumerate().find_map(|(s, space)| {
+            let i = page.wrapping_sub(space.first_page);
+            (i < space.pages).then_some((s, i as usize))
+        })
+    }
+
+    /// `None` when `va` lies outside the four spaces; otherwise its
+    /// physical address, `None` inside when its page is unmapped.
+    #[inline]
+    fn translate(&self, va: u64) -> Option<Option<u64>> {
+        let (s, i) = self.locate(va / PAGE_SIZE)?;
+        let frame = self.spaces[s].frames.get(i).copied().unwrap_or(UNMAPPED);
+        Some((frame != UNMAPPED).then(|| frame + va % PAGE_SIZE))
+    }
+
+    /// Records that the page at `page_va` now maps to `frame`.
+    fn record(&mut self, page_va: u64, frame: u64) {
+        if let Some((s, i)) = self.locate(page_va / PAGE_SIZE) {
+            let frames = &mut self.spaces[s].frames;
+            if frames.len() <= i {
+                frames.resize(i + 1, UNMAPPED);
+            }
+            frames[i] = frame;
+        }
+    }
+}
+
+/// The objects reachable from the roots: one bit per word over the
+/// allocated extents of the mark-sweep space and the LOS, the only
+/// places an object's header can be.
+pub(crate) struct Reach {
+    /// `(base VA, bytes, first bit)` of each extent, in address order.
+    extents: [(u64, u64, usize); 2],
+    bits: Vec<u64>,
+    /// Objects visited.
+    count: u64,
+}
+
+impl Reach {
+    fn new(heap: &Heap) -> Self {
+        let s = heap.spaces();
+        let mut extents = [
+            (s.ms_base, heap.ms_next_va - s.ms_base, 0),
+            (s.los_base, heap.los_next_va - s.los_base, 0),
+        ];
+        extents.sort_unstable();
+        // Each extent starts on a fresh bitmap word.
+        extents[1].2 = ((extents[0].1 / WORD) as usize).next_multiple_of(64);
+        let words = extents[1].2 + (extents[1].1 / WORD) as usize;
+        Self {
+            extents,
+            bits: vec![0; words.div_ceil(64)],
+            count: 0,
+        }
+    }
+
+    /// The bit of the word at `va`, when the bitmap covers it.
+    #[inline]
+    fn bit(&self, va: u64) -> Option<usize> {
+        if !va.is_multiple_of(WORD) {
+            return None;
+        }
+        self.extents.iter().find_map(|&(base, bytes, first)| {
+            let off = va.wrapping_sub(base);
+            (off < bytes).then_some(first + (off / WORD) as usize)
+        })
+    }
+
+    /// Sets the bit of `va`: `Some(true)` when newly set, `None` when
+    /// the bitmap does not cover `va`.
+    #[inline]
+    fn insert(&mut self, va: u64) -> Option<bool> {
+        let b = self.bit(va)?;
+        let (word, mask) = (b / 64, 1u64 << (b % 64));
+        let new = self.bits[word] & mask == 0;
+        self.bits[word] |= mask;
+        self.count += u64::from(new);
+        Some(new)
+    }
+
+    /// Whether `obj` was visited.
+    pub(crate) fn contains(&self, obj: ObjRef) -> bool {
+        self.bit(obj.addr())
+            .is_some_and(|b| self.bits[b / 64] & (1 << (b % 64)) != 0)
+    }
+
+    /// Number of objects visited.
+    pub(crate) fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// The visited objects in address order.
+    fn objects(&self) -> impl Iterator<Item = ObjRef> + '_ {
+        self.extents.iter().flat_map(move |&(base, bytes, first)| {
+            let words = &self.bits[first / 64..(first + (bytes / WORD) as usize).div_ceil(64)];
+            words
+                .iter()
+                .enumerate()
+                .filter(|&(_, &bits)| bits != 0)
+                .flat_map(move |(w, &bits)| {
+                    (0..64)
+                        .filter(move |b| bits & (1 << b) != 0)
+                        .map(move |b| ObjRef::new(base + (w * 64 + b) as u64 * WORD))
+                })
+        })
+    }
+}
+
+/// Where a walk over every object stands: the next cell of the
+/// mark-sweep blocks, then the next LOS object.
+#[derive(Debug, Default)]
+struct ObjectCursor {
+    block: usize,
+    cell: u64,
+    los: usize,
+}
+
 /// The simulated JVM heap.
 ///
 /// Owns the physical memory, the page tables and all space metadata. The
 /// API is purely functional (no timing): timed agents read and write the
 /// same [`PhysMem`] through their own cost models.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Heap {
     /// Simulated physical memory; agents access it directly.
+    ///
+    /// Only the heap maps pages, and it keeps an exact shadow of its
+    /// page tables for functional translation. Writing page-table frames
+    /// through `phys` is unsupported: the shadow would no longer match.
     pub phys: PhysMem,
     cfg: HeapConfig,
     aspace: AddressSpace,
+    shadow: Shadow,
     falloc: FrameAlloc,
     blocks: Vec<BlockInfo>,
     /// Per-class stack of block indices that still have free cells.
@@ -161,6 +330,7 @@ impl Heap {
         Self {
             phys,
             aspace,
+            shadow: Shadow::new(&spaces),
             falloc,
             blocks: Vec::new(),
             class_avail,
@@ -234,6 +404,10 @@ impl Heap {
                     );
                     self.mapped_pages
                         .insert_range(base_page, base_page + MEGAPAGE_SIZE / PAGE_SIZE);
+                    for i in 0..MEGAPAGE_SIZE / PAGE_SIZE {
+                        self.shadow
+                            .record((base_page + i) * PAGE_SIZE, frame + i * PAGE_SIZE);
+                    }
                 }
             }
             return;
@@ -245,6 +419,7 @@ impl Heap {
                 let frame = self.falloc.alloc();
                 self.aspace
                     .map_page(&mut self.phys, &mut self.falloc, page * PAGE_SIZE, frame);
+                self.shadow.record(page * PAGE_SIZE, frame);
             }
         }
     }
@@ -257,20 +432,52 @@ impl Heap {
     }
 
     /// Translates a virtual address through the heap's own page tables
-    /// (the zero-latency oracle used by functional accesses).
+    /// (the zero-latency oracle used by functional accesses). VAs in the
+    /// four spaces are answered from the shadow of the tables; any other
+    /// VA walks them.
     ///
     /// # Panics
     ///
     /// Panics if `va` is unmapped — functional accesses must never fault.
+    #[inline]
     pub fn va_to_pa(&self, va: u64) -> u64 {
-        self.aspace
-            .translate(&self.phys, va)
+        self.try_va_to_pa(va)
             .unwrap_or_else(|| panic!("unmapped virtual address {va:#x}"))
     }
 
+    /// [`Heap::va_to_pa`], with `None` for an unmapped `va`.
+    #[inline]
+    pub(crate) fn try_va_to_pa(&self, va: u64) -> Option<u64> {
+        match self.shadow.translate(va) {
+            Some(pa) => {
+                debug_assert_eq!(
+                    pa,
+                    self.aspace.translate(&self.phys, va),
+                    "shadow translation of {va:#x} diverged from the page-table walk"
+                );
+                pa
+            }
+            None => self.aspace.translate(&self.phys, va),
+        }
+    }
+
+    /// Whether the shadow answers for `va` (it lies in one of the four
+    /// spaces), so differential tests can tell the shadow from the walk.
+    #[cfg(test)]
+    pub(crate) fn shadowed(&self, va: u64) -> bool {
+        self.shadow.translate(va).is_some()
+    }
+
     /// Reads the word at virtual address `va`.
+    #[inline]
     pub fn read_va(&self, va: u64) -> u64 {
         self.phys.read_u64(self.va_to_pa(va))
+    }
+
+    /// [`Heap::read_va`], with `None` for an unmapped `va`.
+    #[inline]
+    fn try_read_va(&self, va: u64) -> Option<u64> {
+        self.try_va_to_pa(va).map(|pa| self.phys.read_u64(pa))
     }
 
     /// Writes the word at virtual address `va`.
@@ -299,7 +506,7 @@ impl Heap {
     pub fn cell_bytes_needed(&self, nrefs: u32, scalars: u32) -> u64 {
         match self.cfg.layout {
             LayoutKind::Bidirectional => bidi::cell_words(nrefs, scalars) * WORD,
-            LayoutKind::Conventional => conv::cell_words(nrefs + scalars) * WORD,
+            LayoutKind::Conventional => conv::cell_words(nrefs, scalars) * WORD,
         }
     }
 
@@ -568,10 +775,64 @@ impl Heap {
     // Traversal & sweep support
     // ------------------------------------------------------------------
 
-    /// The reachability oracle: a plain BFS over the object graph from
-    /// the roots, ignoring mark bits. Every timed collector's mark set is
-    /// compared against this.
+    /// The reachability oracle: every object reachable from the roots,
+    /// ignoring mark bits. Every timed collector's mark set is compared
+    /// against this.
     pub fn reachable_from_roots(&self) -> BTreeSet<ObjRef> {
+        match self.reach() {
+            Some(reach) => reach.objects().collect(),
+            None => self.reachable_by_set(),
+        }
+    }
+
+    /// The number of objects [`Heap::reachable_from_roots`] returns,
+    /// without building the set.
+    pub fn reachable_count(&self) -> usize {
+        match self.reach() {
+            Some(reach) => reach.count() as usize,
+            None => self.reachable_by_set().len(),
+        }
+    }
+
+    /// Visits the closure of the roots into a [`Reach`] bitmap with a
+    /// depth-first stack. `None` when a root or a reference is unaligned
+    /// or outside the bitmap's extents, or a read would hit an unmapped
+    /// page: the caller then answers with [`Heap::reachable_by_set`],
+    /// which returns the same set or panics as it always did.
+    pub(crate) fn reach(&self) -> Option<Reach> {
+        let mut reach = Reach::new(self);
+        let mut stack = Vec::new();
+        for &root in &self.roots {
+            if reach.insert(root.addr())? {
+                stack.push(root);
+            }
+        }
+        while let Some(obj) = stack.pop() {
+            let nrefs = Header::from_raw(self.try_read_va(obj.addr())?).nrefs();
+            let tib = match self.cfg.layout {
+                LayoutKind::Conventional if nrefs > 0 => self.try_read_va(conv::tib_slot(obj))?,
+                _ => 0,
+            };
+            for i in 0..nrefs {
+                let slot = match self.cfg.layout {
+                    LayoutKind::Bidirectional => bidi::ref_slot(obj, i),
+                    LayoutKind::Conventional => {
+                        let offset = self.try_read_va(tib + (1 + i as u64) * WORD)? as u32;
+                        conv::field_slot(obj, offset)
+                    }
+                };
+                let raw = self.try_read_va(slot)?;
+                if raw != 0 && reach.insert(raw)? {
+                    stack.push(ObjRef::new(raw));
+                }
+            }
+        }
+        Some(reach)
+    }
+
+    /// The reachability oracle as first written: a breadth-first search
+    /// into a `BTreeSet`. It answers whatever [`Heap::reach`] cannot.
+    pub(crate) fn reachable_by_set(&self) -> BTreeSet<ObjRef> {
         let mut seen: BTreeSet<ObjRef> = BTreeSet::new();
         let mut frontier: VecDeque<ObjRef> = self.roots.iter().copied().collect();
         while let Some(obj) = frontier.pop_front() {
@@ -590,40 +851,54 @@ impl Heap {
     /// The set of objects whose mark bit is currently set (linear scan of
     /// all blocks plus the LOS).
     pub fn marked_set(&self) -> BTreeSet<ObjRef> {
-        let mut out = BTreeSet::new();
-        for obj in self.iter_objects() {
-            if self.is_marked(obj) {
-                out.insert(obj);
-            }
-        }
-        out
+        self.objects().filter(|&obj| self.is_marked(obj)).collect()
     }
 
-    /// Iterates over every live-cell object in the mark-sweep space and
-    /// the LOS, in address order — exactly what a linear sweep sees.
-    pub fn iter_objects(&self) -> Vec<ObjRef> {
-        let mut out = Vec::new();
-        for block in &self.blocks {
-            for i in 0..block.ncells {
-                let cell = block.base_va + i * block.cell_bytes;
+    /// The objects of [`Heap::iter_objects`], in the same order, without
+    /// collecting them.
+    pub(crate) fn objects(&self) -> impl Iterator<Item = ObjRef> + '_ {
+        let mut at = ObjectCursor::default();
+        std::iter::from_fn(move || self.next_object(&mut at))
+    }
+
+    /// The object after `at` in the order of [`Heap::iter_objects`].
+    #[inline]
+    fn next_object(&self, at: &mut ObjectCursor) -> Option<ObjRef> {
+        while let Some(block) = self.blocks.get(at.block) {
+            while at.cell < block.ncells {
+                let cell = block.base_va + at.cell * block.cell_bytes;
+                at.cell += 1;
                 if let CellStart::Live { nrefs, .. } = decode_cell_start(self.read_va(cell)) {
                     let header = match self.cfg.layout {
                         LayoutKind::Bidirectional => bidi::header_of_cell(cell, nrefs),
                         LayoutKind::Conventional => conv::header_of_cell(cell),
                     };
-                    out.push(ObjRef::new(header));
+                    return Some(ObjRef::new(header));
                 }
             }
+            at.block += 1;
+            at.cell = 0;
         }
-        out.extend(self.los_objects.iter().map(|l| l.obj));
-        out
+        let los = self.los_objects.get(at.los)?;
+        at.los += 1;
+        Some(los.obj)
+    }
+
+    /// Iterates over every live-cell object in the mark-sweep space and
+    /// the LOS, in address order — exactly what a linear sweep sees.
+    pub fn iter_objects(&self) -> Vec<ObjRef> {
+        self.objects().collect()
     }
 
     /// Clears every mark bit (start of a GC pass).
     pub fn clear_marks(&mut self) {
-        for obj in self.iter_objects() {
-            let h = self.header(obj).without_mark();
-            self.write_va(obj.addr(), h.raw());
+        let mut at = ObjectCursor::default();
+        while let Some(obj) = self.next_object(&mut at) {
+            let pa = self.va_to_pa(obj.addr());
+            let raw = self.phys.read_u64(pa);
+            if raw & HEADER_MARK_BIT != 0 {
+                self.phys.write_u64(pa, raw & !HEADER_MARK_BIT);
+            }
         }
     }
 
@@ -655,6 +930,46 @@ impl Heap {
     /// Total free cells across all blocks (consistency checks).
     pub fn total_free_cells(&self) -> u64 {
         self.blocks.iter().map(|b| b.free_cells).sum()
+    }
+}
+
+/// The scans as first written, kept as the references the fast paths
+/// are tested against.
+#[cfg(test)]
+impl Heap {
+    pub(crate) fn iter_objects_reference(&self) -> Vec<ObjRef> {
+        let mut out = Vec::new();
+        for block in &self.blocks {
+            for i in 0..block.ncells {
+                let cell = block.base_va + i * block.cell_bytes;
+                if let CellStart::Live { nrefs, .. } = decode_cell_start(self.read_va(cell)) {
+                    let header = match self.cfg.layout {
+                        LayoutKind::Bidirectional => bidi::header_of_cell(cell, nrefs),
+                        LayoutKind::Conventional => conv::header_of_cell(cell),
+                    };
+                    out.push(ObjRef::new(header));
+                }
+            }
+        }
+        out.extend(self.los_objects.iter().map(|l| l.obj));
+        out
+    }
+
+    pub(crate) fn marked_set_reference(&self) -> BTreeSet<ObjRef> {
+        let mut out = BTreeSet::new();
+        for obj in self.iter_objects_reference() {
+            if self.is_marked(obj) {
+                out.insert(obj);
+            }
+        }
+        out
+    }
+
+    pub(crate) fn clear_marks_reference(&mut self) {
+        for obj in self.iter_objects_reference() {
+            let h = self.header(obj).without_mark();
+            self.write_va(obj.addr(), h.raw());
+        }
     }
 }
 

@@ -248,9 +248,11 @@ pub mod bidi {
 pub mod conv {
     use super::{ObjRef, WORD};
 
-    /// Total words a cell must hold (`fields` = refs + scalars).
-    pub fn cell_words(fields: u32) -> u64 {
-        3 + fields as u64
+    /// Total words a cell must hold for an object with `nrefs`
+    /// references and `scalars` scalar words (cell-start + header + TIB
+    /// pointer + fields).
+    pub fn cell_words(nrefs: u32, scalars: u32) -> u64 {
+        3 + nrefs as u64 + scalars as u64
     }
 
     /// Header VA given the cell base.
@@ -377,7 +379,12 @@ mod tests {
         let obj = ObjRef::new(header);
         assert_eq!(conv::tib_slot(obj), header + 8);
         assert_eq!(conv::field_slot(obj, 0), header + 16);
-        assert_eq!(conv::cell_words(4), 7);
+        assert_eq!(conv::cell_words(1, 3), 7);
+        // Counts are summed in u64: no wrap past u32.
+        assert_eq!(
+            conv::cell_words(u32::MAX, u32::MAX),
+            3 + 2 * u32::MAX as u64
+        );
     }
 
     #[test]

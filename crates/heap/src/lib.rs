@@ -43,6 +43,8 @@ pub mod snapshot;
 pub mod soc;
 pub mod space;
 pub mod verify;
+#[cfg(test)]
+mod walls;
 
 pub use heap::{AllocError, BlockInfo, Heap, HeapConfig, HeapStats};
 pub use layout::{CellStart, Header, LayoutKind, ObjRef, WORD};

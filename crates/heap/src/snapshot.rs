@@ -24,6 +24,7 @@ use std::io;
 
 use crate::heap::{Heap, HeapConfig};
 use crate::layout::{bidi, conv, LayoutKind, ObjRef, WORD};
+use crate::space::SpaceMap;
 
 /// A malformed snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -219,6 +220,30 @@ pub fn load(text: &str) -> Result<Heap, SnapshotError> {
         }
     }
 
+    // Every object takes at least its cell bytes out of the mark-sweep
+    // space or the LOS, so a snapshot that needs more than both hold
+    // could never load; reject it before sizing memory for it.
+    let cell_bytes = |s: &Shape| {
+        WORD * match layout {
+            LayoutKind::Bidirectional => bidi::cell_words(s.nrefs, s.scalars),
+            LayoutKind::Conventional => conv::cell_words(s.nrefs, s.scalars),
+        }
+    };
+    let spaces = SpaceMap::default();
+    let capacity = spaces.ms_size + spaces.los_size;
+    let needed = shapes
+        .iter()
+        .try_fold(0u64, |sum, s| sum.checked_add(cell_bytes(s)));
+    if needed.is_none_or(|n| n > capacity) {
+        let needed = needed.map_or_else(|| format!("over {}", u64::MAX), |n| n.to_string());
+        return Err(err(
+            0,
+            format!(
+                "objects need {needed} bytes, more than the {capacity} bytes \
+                 the mark-sweep and large-object spaces hold"
+            ),
+        ));
+    }
     let approx = shapes
         .iter()
         .map(|s| (s.nrefs as u64 + s.scalars as u64 + 3) * WORD)
@@ -376,6 +401,27 @@ mod tests {
             load(full).expect("a full root region").roots().len(),
             524_287
         );
+        // Shapes no space could hold are an error naming the bytes they
+        // need and what the spaces hold, before any memory is sized for
+        // them (sizing it from these shapes asked the host for 1 TiB).
+        let capacity = (512u64 << 20) + (128 << 20);
+        for layout in ["bidirectional", "conventional"] {
+            let mut huge = format!("tracegc-snapshot v1\nlayout {layout}\n");
+            for i in 0..10_000 {
+                huge.push_str(&format!(
+                    "object {i} nrefs 4294967295 scalars 4294967295 array 0 marked 0\n"
+                ));
+            }
+            let e = load(&huge).expect_err("oversized shapes must be rejected");
+            let per_object =
+                8 * (if layout == "bidirectional" { 2 } else { 3 } + 2 * 4294967295u64);
+            assert!(
+                e.message
+                    .contains(&format!("need {} bytes", 10_000 * per_object)),
+                "{e}"
+            );
+            assert!(e.message.contains(&capacity.to_string()), "{e}");
+        }
     }
 
     #[test]

@@ -116,9 +116,14 @@ pub fn software_sweep(heap: &mut Heap) -> SweepOutcome {
 ///
 /// Returns a description of the first inconsistency found.
 pub fn check_free_lists(heap: &Heap) -> Result<(), String> {
+    // One bit per cell of the block being checked.
+    let mut visited: Vec<u64> = Vec::new();
     for (bidx, block) in heap.blocks().iter().enumerate() {
         let block_end = block.base_va + block.ncells * block.cell_bytes;
-        let mut visited = BTreeSet::new();
+        visited.clear();
+        visited.resize(block.ncells.div_ceil(64) as usize, 0);
+        let on_list = |visited: &[u64], i: u64| visited[(i / 64) as usize] & (1 << (i % 64)) != 0;
+        let mut entries = 0u64;
         let mut cursor = block.free_head;
         while cursor != 0 {
             if cursor < block.base_va || cursor >= block_end {
@@ -131,11 +136,14 @@ pub fn check_free_lists(heap: &Heap) -> Result<(), String> {
                     "block {bidx}: free-list entry {cursor:#x} not cell-aligned"
                 ));
             }
-            if !visited.insert(cursor) {
+            let i = (cursor - block.base_va) / block.cell_bytes;
+            if on_list(&visited, i) {
                 return Err(format!(
                     "block {bidx}: free list has a cycle at {cursor:#x}"
                 ));
             }
+            visited[(i / 64) as usize] |= 1 << (i % 64);
+            entries += 1;
             match decode_cell_start(heap.read_va(cursor)) {
                 CellStart::Free { next } => cursor = next,
                 CellStart::Live { .. } => {
@@ -143,10 +151,9 @@ pub fn check_free_lists(heap: &Heap) -> Result<(), String> {
                 }
             }
         }
-        if visited.len() as u64 != block.free_cells {
+        if entries != block.free_cells {
             return Err(format!(
-                "block {bidx}: free list has {} entries, metadata says {}",
-                visited.len(),
+                "block {bidx}: free list has {entries} entries, metadata says {}",
                 block.free_cells
             ));
         }
@@ -154,7 +161,7 @@ pub fn check_free_lists(heap: &Heap) -> Result<(), String> {
         for i in 0..block.ncells {
             let cell = block.base_va + i * block.cell_bytes;
             if let CellStart::Free { .. } = decode_cell_start(heap.read_va(cell)) {
-                if !visited.contains(&cell) {
+                if !on_list(&visited, i) {
                     return Err(format!(
                         "block {bidx}: free cell {cell:#x} missing from list"
                     ));
@@ -168,17 +175,38 @@ pub fn check_free_lists(heap: &Heap) -> Result<(), String> {
 /// Asserts that the marked set equals the reachability oracle — the
 /// central differential check.
 ///
+/// With S the reachable set and I the objects a linear scan meets, the
+/// marked set is S ∩ I exactly when every scanned object's mark bit
+/// equals its reachability; |S ∩ I| = |S| then gives S ⊆ I, so the
+/// marked set is S. One bitmap traversal and one scan check both, and
+/// only a divergence (or a heap the bitmap cannot cover) builds the two
+/// sets for the report.
+///
 /// # Errors
 ///
 /// Returns a description of the first divergence.
 pub fn check_marks_match_reachability(heap: &Heap) -> Result<(), String> {
-    let reachable = heap.reachable_from_roots();
-    let marked = heap.marked_set();
+    if let Some(reach) = heap.reach() {
+        let (mut agree, mut met) = (true, 0u64);
+        for obj in heap.objects() {
+            let reachable = reach.contains(obj);
+            agree &= heap.is_marked(obj) == reachable;
+            met += u64::from(reachable);
+        }
+        if agree && met == reach.count() {
+            return Ok(());
+        }
+    }
+    divergence(&heap.reachable_from_roots(), &heap.marked_set())
+}
+
+/// The report of a mark/reachability comparison between the two sets.
+fn divergence(reachable: &BTreeSet<ObjRef>, marked: &BTreeSet<ObjRef>) -> Result<(), String> {
     if reachable == marked {
         return Ok(());
     }
-    let missing: Vec<_> = reachable.difference(&marked).take(3).collect();
-    let extra: Vec<_> = marked.difference(&reachable).take(3).collect();
+    let missing: Vec<_> = reachable.difference(marked).take(3).collect();
+    let extra: Vec<_> = marked.difference(reachable).take(3).collect();
     Err(format!(
         "mark/reachability divergence: {} reachable, {} marked; missing {:?}, extra {:?}",
         reachable.len(),
@@ -186,6 +214,66 @@ pub fn check_marks_match_reachability(heap: &Heap) -> Result<(), String> {
         missing,
         extra
     ))
+}
+
+/// The checks as first written, kept as the references the fast paths
+/// are tested against.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    pub(crate) fn check_free_lists(heap: &Heap) -> Result<(), String> {
+        for (bidx, block) in heap.blocks().iter().enumerate() {
+            let block_end = block.base_va + block.ncells * block.cell_bytes;
+            let mut visited = BTreeSet::new();
+            let mut cursor = block.free_head;
+            while cursor != 0 {
+                if cursor < block.base_va || cursor >= block_end {
+                    return Err(format!(
+                        "block {bidx}: free-list entry {cursor:#x} outside block"
+                    ));
+                }
+                if (cursor - block.base_va) % block.cell_bytes != 0 {
+                    return Err(format!(
+                        "block {bidx}: free-list entry {cursor:#x} not cell-aligned"
+                    ));
+                }
+                if !visited.insert(cursor) {
+                    return Err(format!(
+                        "block {bidx}: free list has a cycle at {cursor:#x}"
+                    ));
+                }
+                match decode_cell_start(heap.read_va(cursor)) {
+                    CellStart::Free { next } => cursor = next,
+                    CellStart::Live { .. } => {
+                        return Err(format!("block {bidx}: live cell {cursor:#x} on free list"))
+                    }
+                }
+            }
+            if visited.len() as u64 != block.free_cells {
+                return Err(format!(
+                    "block {bidx}: free list has {} entries, metadata says {}",
+                    visited.len(),
+                    block.free_cells
+                ));
+            }
+            for i in 0..block.ncells {
+                let cell = block.base_va + i * block.cell_bytes;
+                if let CellStart::Free { .. } = decode_cell_start(heap.read_va(cell)) {
+                    if !visited.contains(&cell) {
+                        return Err(format!(
+                            "block {bidx}: free cell {cell:#x} missing from list"
+                        ));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    pub(crate) fn check_marks_match_reachability(heap: &Heap) -> Result<(), String> {
+        divergence(&heap.reachable_by_set(), &heap.marked_set_reference())
+    }
 }
 
 #[cfg(test)]

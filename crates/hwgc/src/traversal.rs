@@ -256,12 +256,24 @@ enum TraceState {
     ConvFields { obj: u64, offsets: VecDeque<u32> },
 }
 
-/// A tracer response: references (possibly none) arriving at `done`.
+/// The most words one tracer response carries: one aligned access of
+/// at most 64 bytes.
+const RESP_WORDS: usize = 8;
+
+/// A tracer response: references (possibly none) arriving at `done`,
+/// held inline so a response costs no heap allocation.
 #[derive(Debug)]
 struct TraceResp {
     done: Cycle,
     seq: u64,
-    refs: Vec<u64>,
+    len: u8,
+    words: [u64; RESP_WORDS],
+}
+
+impl TraceResp {
+    fn refs(&self) -> &[u64] {
+        &self.words[..self.len as usize]
+    }
 }
 
 impl PartialEq for TraceResp {
@@ -949,7 +961,7 @@ impl TraversalUnit {
         }
         // Undelivered tracer responses and buffered references.
         while let Some(Reverse(resp)) = self.responses.pop() {
-            pending.extend(resp.refs);
+            pending.extend_from_slice(resp.refs());
         }
         pending.extend(self.deliver_buf.drain(..));
         pending.extend(self.injected.drain(..));
@@ -1159,7 +1171,7 @@ impl TraversalUnit {
         if let Some(Reverse(resp)) = self.responses.peek() {
             if resp.done <= now {
                 let Reverse(resp) = self.responses.pop().expect("peeked");
-                self.deliver_buf.extend(resp.refs);
+                self.deliver_buf.extend(resp.refs());
                 return true;
             }
         }
@@ -1245,10 +1257,9 @@ impl TraversalUnit {
                 let done =
                     self.data_access(pa, size as u32, false, false, Source::Tracer, ready, mem);
                 // Clipped at the page end: every word is in `pa`'s page.
-                let refs: Vec<u64> = (0..size / WORD)
+                let refs = (0..size / WORD)
                     .map(|i| heap.phys.read_u64(pa + i * WORD))
-                    .filter(|&r| r != 0)
-                    .collect();
+                    .filter(|&r| r != 0);
                 self.push_response(done, refs);
                 if let Some(trace) = &mut self.trace {
                     trace.record(now, "tracer", "trace_issue", size);
@@ -1296,7 +1307,7 @@ impl TraversalUnit {
                     }
                 }
                 // An empty response carries the dependency time forward.
-                self.push_response(t2, Vec::new());
+                self.push_response(t2, std::iter::empty());
                 self.trace_state = Some(TraceState::ConvFields { obj, offsets });
                 true
             }
@@ -1320,8 +1331,7 @@ impl TraversalUnit {
                 self.block_tracer_on_walk(&before, ready);
                 let done = self.data_access(pa, 8, false, false, Source::Tracer, ready, mem);
                 let raw = heap.phys.read_u64(pa);
-                let refs = if raw != 0 { vec![raw] } else { Vec::new() };
-                self.push_response(done, refs);
+                self.push_response(done, Some(raw).filter(|&r| r != 0));
                 if !offsets.is_empty() {
                     self.trace_state = Some(TraceState::ConvFields { obj, offsets });
                 }
@@ -1346,12 +1356,28 @@ impl TraversalUnit {
         }
     }
 
-    fn push_response(&mut self, done: Cycle, refs: Vec<u64>) {
+    /// Queues a response of at most [`RESP_WORDS`] references.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `refs` yields more than [`RESP_WORDS`] words.
+    fn push_response(&mut self, done: Cycle, refs: impl IntoIterator<Item = u64>) {
+        let mut words = [0; RESP_WORDS];
+        let mut len = 0;
+        for r in refs {
+            assert!(
+                len < RESP_WORDS,
+                "a tracer response holds at most {RESP_WORDS} words"
+            );
+            words[len] = r;
+            len += 1;
+        }
         self.resp_seq += 1;
         self.responses.push(Reverse(TraceResp {
             done,
             seq: self.resp_seq,
-            refs,
+            len: len as u8,
+            words,
         }));
     }
 

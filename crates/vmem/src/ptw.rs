@@ -294,7 +294,7 @@ fn translate_core(
     }
     if let Some(pa) = l2.lookup(va) {
         stats.l2_hits += 1;
-        l1[who.index()].insert(va, pa);
+        l1[who.index()].fill(va, pa, crate::PAGE_SIZE);
         return Ok((pa, now + cfg.l2_hit_latency));
     }
 
@@ -333,9 +333,10 @@ fn translate_core(
         return Err(TranslateFault { va });
     }
     let (pa, page_bytes) = walk.leaf.ok_or(TranslateFault { va })?;
-    // Superpage mappings install reach-appropriate TLB entries.
-    l2.insert_sized(va, pa, page_bytes);
-    l1[who.index()].insert_sized(va, pa, page_bytes);
+    // Superpage mappings install reach-appropriate TLB entries. Both
+    // lookups above missed `va`, so neither TLB holds it.
+    l2.fill(va, pa, page_bytes);
+    l1[who.index()].fill(va, pa, page_bytes);
     Ok((pa, t))
 }
 

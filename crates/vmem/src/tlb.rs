@@ -101,14 +101,23 @@ impl Tlb {
             page_bytes.is_power_of_two() && page_bytes >= 64,
             "page size must be a power of two of at least 64 bytes"
         );
-        let shift = page_bytes.trailing_zeros();
-        let base_pa = pa & !(page_bytes - 1);
-        let key = tag(va & !(page_bytes - 1), shift);
+        let key = tag(va & !(page_bytes - 1), page_bytes.trailing_zeros());
         if let Some(pos) = self.map.find(key) {
-            *self.map.value_mut(pos) = base_pa;
+            *self.map.value_mut(pos) = pa & !(page_bytes - 1);
             self.map.touch(pos);
             return;
         }
+        self.fill(va, pa, page_bytes);
+    }
+
+    /// Installs a translation right after [`Tlb::lookup`] of the same
+    /// `va` missed. No resident entry of any size covers `va` then, so
+    /// unlike [`Tlb::insert_sized`] this does not probe for one
+    /// ([`LruMap::insert`] debug-asserts that the key is absent).
+    pub(crate) fn fill(&mut self, va: u64, pa: u64, page_bytes: u64) {
+        let shift = page_bytes.trailing_zeros();
+        let base_pa = pa & !(page_bytes - 1);
+        let key = tag(va & !(page_bytes - 1), shift);
         if let Some((victim, _)) = self.map.insert(key, base_pa) {
             let s = (victim & 63) as usize;
             self.per_size[s] -= 1;
@@ -358,6 +367,42 @@ mod differential {
         tlb.insert(PAGE_SIZE, 0x10_0000);
         // Both entries cover 0x1010; the superpage sits first.
         assert_eq!(tlb.lookup(PAGE_SIZE + 0x10), Some(0x80_1010));
+    }
+
+    /// A fill after a missed lookup installs exactly what
+    /// `insert_sized` installs there, in both page sizes.
+    #[test]
+    fn fill_after_a_miss_matches_linear_reference() {
+        let base = 0x4000_0000u64;
+        for case in 0..50u64 {
+            let mut rng = StdRng::seed_from_u64(0xF111_0000 + case);
+            let capacity = rng.random_range(1usize..65);
+            let mut fast = Tlb::new(capacity);
+            let mut slow = LinearTlb::new(capacity);
+            for op in 0..2000 {
+                let va = base + rng.random_range(0..4 * capacity as u64 + 1) * PAGE_SIZE;
+                let got = fast.lookup(va);
+                assert_eq!(got, slow.lookup(va), "case {case} op {op}: {va:#x}");
+                if got.is_none() {
+                    let size = if rng.random_range(0..8u32) == 0 {
+                        MEGAPAGE_SIZE
+                    } else {
+                        PAGE_SIZE
+                    };
+                    let pa = (1 << 32) + (va - base);
+                    fast.fill(va, pa, size);
+                    slow.insert_sized(va, pa, size);
+                }
+                assert_eq!(contents(&fast), slow_contents(&slow), "case {case} op {op}");
+            }
+        }
+    }
+
+    fn slow_contents(slow: &LinearTlb) -> Vec<(u64, u64, u64)> {
+        slow.entries
+            .iter()
+            .map(|e| (e.base_va, e.base_pa, e.page_bytes))
+            .collect()
     }
 
     /// Seeded mixes of lookups and inserts against the linear reference.

@@ -7,7 +7,7 @@ use tracegc_sim::rng::{Rng, StdRng};
 use crate::spec::BenchSpec;
 
 /// A generated benchmark heap plus the bookkeeping experiments need.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct WorkloadHeap {
     /// The heap, roots already published.
     pub heap: Heap,
@@ -152,7 +152,7 @@ pub fn generate_heap_opts(spec: &BenchSpec, layout: LayoutKind, superpages: bool
     }
     heap.set_roots(&roots);
 
-    let live_objects = heap.reachable_from_roots().len();
+    let live_objects = heap.reachable_count();
     WorkloadHeap {
         heap,
         objects,
