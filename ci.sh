@@ -17,6 +17,14 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "==> cargo doc (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline >/dev/null
 
+echo "==> no numbered ROADMAP references"
+# ROADMAP.md renumbers its items at every re-anchor, so a reference to
+# an item by number goes stale; name the subject instead.
+if grep -rnE 'ROADMAP items? [0-9]' crates/ tests/ examples/ README.md DESIGN.md EXPERIMENTS.md; then
+    echo "numbered ROADMAP references (listed above) go stale; name the subject" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release --offline
 

@@ -1,4 +1,4 @@
-//! `fleet`: multi-tenant GC serving at fleet scale (ROADMAP item 4).
+//! `fleet`: multi-tenant GC serving at fleet scale.
 //!
 //! Not a paper figure — the production version of §VII's multi-process
 //! story. N tenant heaps (streamed shapes: forest, lru-churn, sessions,

@@ -1,4 +1,4 @@
-//! `heapscale`: the unit at production heap sizes (ROADMAP item 2).
+//! `heapscale`: the unit at production heap sizes.
 //!
 //! The paper evaluates a 200 MB heap cap (§VI-A) but every other
 //! experiment here runs the ~10× scaled-down suite of DESIGN.md. This

@@ -1,10 +1,10 @@
 //! The heap proper: spaces, blocks, size classes, segregated free lists
 //! and the functional object API shared by every timed agent.
 
-use crate::pageset::PageSet;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap};
 
 use tracegc_mem::PhysMem;
+use tracegc_vmem::pagetable::MEGAPAGE_SIZE;
 use tracegc_vmem::{AddressSpace, FrameAlloc, PAGE_SIZE};
 
 use crate::layout::{
@@ -106,84 +106,138 @@ pub struct HeapStats {
 /// A shadow table entry for a page that is not mapped.
 const UNMAPPED: u64 = u64::MAX;
 
-/// The frame of every mapped 4 KiB page of one space, indexed by page
-/// within the space. A space grows by bump allocation, so the table is
-/// dense up to the highest page mapped so far.
+/// 4 KiB pages per 2 MiB superpage.
+const PAGES_PER_MEGAPAGE: u64 = MEGAPAGE_SIZE / PAGE_SIZE;
+
+/// The frame of every mapped 4 KiB page of one VA region, indexed by
+/// page within the region. A region is mapped from its base up (each
+/// space grows by bump allocation), so the table is dense up to the
+/// highest page mapped so far.
 #[derive(Debug, Clone)]
-struct ShadowSpace {
+struct ShadowRegion {
     first_page: u64,
     pages: u64,
     frames: Vec<u64>,
 }
 
-/// An exact copy of what the page tables say about the heap's four
-/// spaces, answered without walking them.
+impl ShadowRegion {
+    /// The region of `[va, va + len)`, rounded out to 2 MiB.
+    fn new(va: u64, len: u64) -> Self {
+        let first_page = va / MEGAPAGE_SIZE * PAGES_PER_MEGAPAGE;
+        let end_page = (va + len).div_ceil(MEGAPAGE_SIZE) * PAGES_PER_MEGAPAGE;
+        Self {
+            first_page,
+            pages: end_page - first_page,
+            frames: Vec::new(),
+        }
+    }
+
+    /// The index of `page` in the region, when the region holds it.
+    #[inline]
+    fn index(&self, page: u64) -> Option<usize> {
+        let i = page.wrapping_sub(self.first_page);
+        (i < self.pages).then_some(i as usize)
+    }
+}
+
+/// An exact copy of what the heap's page tables say, answered without
+/// walking them: the heap's only record of which pages are mapped.
 ///
-/// [`Heap::ensure_mapped`] is the only code that maps pages into a
-/// heap's tables, it maps only unmapped pages, and it records every page
-/// it maps here (each 4 KiB page of a superpage included). Nothing else
-/// writes page-table frames, so the shadow and the walk agree on every
-/// VA of the four spaces; debug builds assert it on every translation.
+/// Its regions are the four spaces and every range passed to
+/// [`Heap::ensure_mapped_region`], each rounded out to 2 MiB so that no
+/// superpage reaches past them; a page belongs to the first region that
+/// holds it. [`Heap::ensure_mapped`] is the only code that maps pages
+/// into a heap's tables. It asks the shadow whether a page is mapped,
+/// maps only unmapped pages, and records every page it maps here (each
+/// 4 KiB page of a superpage included). Nothing else writes page-table
+/// frames, so the shadow and the walk agree on every VA, and a VA
+/// outside every region is unmapped; debug builds assert it on every
+/// translation.
 #[derive(Debug, Clone)]
 struct Shadow {
-    /// Mark-sweep, LOS, immortal and hwgc, the hottest first.
-    spaces: [ShadowSpace; 4],
+    /// Mark-sweep, LOS, immortal and hwgc, the hottest first. A fixed
+    /// array, so that the lookup of a heap VA is four unrolled compares:
+    /// one `Vec` of every region made `read_va` about 1 ns slower.
+    spaces: [ShadowRegion; 4],
+    /// The ranges of `ensure_mapped_region`, in call order.
+    scratch: Vec<ShadowRegion>,
 }
 
 impl Shadow {
     fn new(map: &SpaceMap) -> Self {
-        let space = |base: u64, size: u64| ShadowSpace {
-            first_page: base / PAGE_SIZE,
-            pages: (base + size).div_ceil(PAGE_SIZE) - base / PAGE_SIZE,
-            frames: Vec::new(),
-        };
         Self {
             spaces: [
-                space(map.ms_base, map.ms_size),
-                space(map.los_base, map.los_size),
-                space(map.immortal_base, map.immortal_size),
-                space(map.hwgc_base, map.hwgc_size),
+                ShadowRegion::new(map.ms_base, map.ms_size),
+                ShadowRegion::new(map.los_base, map.los_size),
+                ShadowRegion::new(map.immortal_base, map.immortal_size),
+                ShadowRegion::new(map.hwgc_base, map.hwgc_size),
             ],
+            scratch: Vec::new(),
         }
     }
 
-    /// The first space holding `page`, and the page's index in it.
-    #[inline]
-    fn locate(&self, page: u64) -> Option<(usize, usize)> {
-        self.spaces.iter().enumerate().find_map(|(s, space)| {
-            let i = page.wrapping_sub(space.first_page);
-            (i < space.pages).then_some((s, i as usize))
-        })
-    }
-
-    /// `None` when `va` lies outside the four spaces; otherwise its
-    /// physical address, `None` inside when its page is unmapped.
-    #[inline]
-    fn translate(&self, va: u64) -> Option<Option<u64>> {
-        let (s, i) = self.locate(va / PAGE_SIZE)?;
-        let frame = self.spaces[s].frames.get(i).copied().unwrap_or(UNMAPPED);
-        Some((frame != UNMAPPED).then(|| frame + va % PAGE_SIZE))
-    }
-
-    /// Records that the page at `page_va` now maps to `frame`.
-    fn record(&mut self, page_va: u64, frame: u64) {
-        if let Some((s, i)) = self.locate(page_va / PAGE_SIZE) {
-            let frames = &mut self.spaces[s].frames;
-            if frames.len() <= i {
-                frames.resize(i + 1, UNMAPPED);
-            }
-            frames[i] = frame;
+    /// Adds `[va, va + len)`, rounded out to 2 MiB, as a region, unless
+    /// one region already holds all of it.
+    fn cover(&mut self, va: u64, len: u64) {
+        let new = ShadowRegion::new(va, len);
+        let end = |r: &ShadowRegion| r.first_page + r.pages;
+        if !self
+            .spaces
+            .iter()
+            .chain(&self.scratch)
+            .any(|r| r.first_page <= new.first_page && end(&new) <= end(r))
+        {
+            self.scratch.push(new);
         }
+    }
+
+    /// The frame `page` maps to, `None` when it is unmapped.
+    #[inline]
+    fn frame(&self, page: u64) -> Option<u64> {
+        let frame = self.spaces.iter().chain(&self.scratch).find_map(|r| {
+            r.index(page)
+                .map(|i| r.frames.get(i).copied().unwrap_or(UNMAPPED))
+        })?;
+        (frame != UNMAPPED).then_some(frame)
+    }
+
+    /// The physical address of `va`, `None` when it is unmapped.
+    #[inline]
+    fn translate(&self, va: u64) -> Option<u64> {
+        self.frame(va / PAGE_SIZE)
+            .map(|frame| frame + va % PAGE_SIZE)
+    }
+
+    /// Records that `page` now maps to `frame`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no region holds `page`.
+    fn record(&mut self, page: u64, frame: u64) {
+        let (region, i) = self
+            .spaces
+            .iter_mut()
+            .chain(&mut self.scratch)
+            .find_map(|r| r.index(page).map(|i| (r, i)))
+            .unwrap_or_else(|| panic!("page {page:#x} lies outside every shadow region"));
+        if region.frames.len() <= i {
+            region.frames.resize(i + 1, UNMAPPED);
+        }
+        region.frames[i] = frame;
     }
 }
 
 /// The objects reachable from the roots: one bit per word over the
 /// allocated extents of the mark-sweep space and the LOS, the only
-/// places an object's header can be.
+/// places an object's header can be, and a set for any other address
+/// a malformed heap references.
 pub(crate) struct Reach {
     /// `(base VA, bytes, first bit)` of each extent, in address order.
     extents: [(u64, u64, usize); 2],
     bits: Vec<u64>,
+    /// Visited objects outside both extents; empty on every heap whose
+    /// references all come from [`Heap::alloc`].
+    others: BTreeSet<ObjRef>,
     /// Objects visited.
     count: u64,
 }
@@ -202,6 +256,7 @@ impl Reach {
         Self {
             extents,
             bits: vec![0; words.div_ceil(64)],
+            others: BTreeSet::new(),
             count: 0,
         }
     }
@@ -209,31 +264,34 @@ impl Reach {
     /// The bit of the word at `va`, when the bitmap covers it.
     #[inline]
     fn bit(&self, va: u64) -> Option<usize> {
-        if !va.is_multiple_of(WORD) {
-            return None;
-        }
         self.extents.iter().find_map(|&(base, bytes, first)| {
             let off = va.wrapping_sub(base);
             (off < bytes).then_some(first + (off / WORD) as usize)
         })
     }
 
-    /// Sets the bit of `va`: `Some(true)` when newly set, `None` when
-    /// the bitmap does not cover `va`.
+    /// Visits `obj`: `true` when it was not visited before.
     #[inline]
-    fn insert(&mut self, va: u64) -> Option<bool> {
-        let b = self.bit(va)?;
-        let (word, mask) = (b / 64, 1u64 << (b % 64));
-        let new = self.bits[word] & mask == 0;
-        self.bits[word] |= mask;
+    fn insert(&mut self, obj: ObjRef) -> bool {
+        let new = match self.bit(obj.addr()) {
+            Some(b) => {
+                let (word, mask) = (b / 64, 1u64 << (b % 64));
+                let new = self.bits[word] & mask == 0;
+                self.bits[word] |= mask;
+                new
+            }
+            None => self.others.insert(obj),
+        };
         self.count += u64::from(new);
-        Some(new)
+        new
     }
 
     /// Whether `obj` was visited.
     pub(crate) fn contains(&self, obj: ObjRef) -> bool {
-        self.bit(obj.addr())
-            .is_some_and(|b| self.bits[b / 64] & (1 << (b % 64)) != 0)
+        match self.bit(obj.addr()) {
+            Some(b) => self.bits[b / 64] & (1 << (b % 64)) != 0,
+            None => self.others.contains(&obj),
+        }
     }
 
     /// Number of objects visited.
@@ -241,9 +299,9 @@ impl Reach {
         self.count
     }
 
-    /// The visited objects in address order.
-    fn objects(&self) -> impl Iterator<Item = ObjRef> + '_ {
-        self.extents.iter().flat_map(move |&(base, bytes, first)| {
+    /// The visited objects.
+    pub(crate) fn objects(&self) -> impl Iterator<Item = ObjRef> + '_ {
+        let extents = self.extents.iter().flat_map(move |&(base, bytes, first)| {
             let words = &self.bits[first / 64..(first + (bytes / WORD) as usize).div_ceil(64)];
             words
                 .iter()
@@ -254,7 +312,8 @@ impl Reach {
                         .filter(move |b| bits & (1 << b) != 0)
                         .map(move |b| ObjRef::new(base + (w * 64 + b) as u64 * WORD))
                 })
-        })
+        });
+        extents.chain(self.others.iter().copied())
     }
 }
 
@@ -290,7 +349,6 @@ pub struct Heap {
     ms_next_va: u64,
     los_next_va: u64,
     immortal_next_va: u64,
-    mapped_pages: PageSet,
     los_objects: Vec<LosObject>,
     roots: Vec<ObjRef>,
     /// Conventional mode: TIB address per (nrefs, fields, is_array) shape.
@@ -337,7 +395,6 @@ impl Heap {
             ms_next_va: spaces.ms_base,
             los_next_va: spaces.los_base,
             immortal_next_va: spaces.immortal_base,
-            mapped_pages: PageSet::new(),
             los_objects: Vec::new(),
             roots: Vec::new(),
             tib_cache: HashMap::new(),
@@ -387,14 +444,16 @@ impl Heap {
         &self.roots
     }
 
+    /// Maps every unmapped page of `[va, va + len)`, which must lie in
+    /// a shadow region; in 2 MiB mode, every unmapped superpage it
+    /// touches.
     fn ensure_mapped(&mut self, va: u64, len: u64) {
-        use tracegc_vmem::pagetable::MEGAPAGE_SIZE;
         if self.cfg.superpages {
             let first = va / MEGAPAGE_SIZE;
             let last = (va + len - 1) / MEGAPAGE_SIZE;
             for mp in first..=last {
-                let base_page = mp * (MEGAPAGE_SIZE / PAGE_SIZE);
-                if !self.mapped_pages.contains(base_page) {
+                let base_page = mp * PAGES_PER_MEGAPAGE;
+                if self.shadow.frame(base_page).is_none() {
                     let frame = self.falloc.alloc_region(MEGAPAGE_SIZE, MEGAPAGE_SIZE);
                     self.aspace.map_superpage(
                         &mut self.phys,
@@ -402,11 +461,8 @@ impl Heap {
                         mp * MEGAPAGE_SIZE,
                         frame,
                     );
-                    self.mapped_pages
-                        .insert_range(base_page, base_page + MEGAPAGE_SIZE / PAGE_SIZE);
-                    for i in 0..MEGAPAGE_SIZE / PAGE_SIZE {
-                        self.shadow
-                            .record((base_page + i) * PAGE_SIZE, frame + i * PAGE_SIZE);
+                    for i in 0..PAGES_PER_MEGAPAGE {
+                        self.shadow.record(base_page + i, frame + i * PAGE_SIZE);
                     }
                 }
             }
@@ -415,26 +471,27 @@ impl Heap {
         let first = va / PAGE_SIZE;
         let last = (va + len - 1) / PAGE_SIZE;
         for page in first..=last {
-            if self.mapped_pages.insert(page) {
+            if self.shadow.frame(page).is_none() {
                 let frame = self.falloc.alloc();
                 self.aspace
                     .map_page(&mut self.phys, &mut self.falloc, page * PAGE_SIZE, frame);
-                self.shadow.record(page * PAGE_SIZE, frame);
+                self.shadow.record(page, frame);
             }
         }
     }
 
     /// Maps (if needed) an arbitrary virtual region — used for scratch
     /// structures like the software collector's mark stack, which in a
-    /// real system the runtime would have mapped long before a GC.
+    /// real system the runtime would have mapped long before a GC. The
+    /// shadow covers the region from then on.
     pub fn ensure_mapped_region(&mut self, va: u64, len: u64) {
+        self.shadow.cover(va, len);
         self.ensure_mapped(va, len);
     }
 
     /// Translates a virtual address through the heap's own page tables
-    /// (the zero-latency oracle used by functional accesses). VAs in the
-    /// four spaces are answered from the shadow of the tables; any other
-    /// VA walks them.
+    /// (the zero-latency oracle used by functional accesses), answered
+    /// from their shadow.
     ///
     /// # Panics
     ///
@@ -448,36 +505,19 @@ impl Heap {
     /// [`Heap::va_to_pa`], with `None` for an unmapped `va`.
     #[inline]
     pub(crate) fn try_va_to_pa(&self, va: u64) -> Option<u64> {
-        match self.shadow.translate(va) {
-            Some(pa) => {
-                debug_assert_eq!(
-                    pa,
-                    self.aspace.translate(&self.phys, va),
-                    "shadow translation of {va:#x} diverged from the page-table walk"
-                );
-                pa
-            }
-            None => self.aspace.translate(&self.phys, va),
-        }
-    }
-
-    /// Whether the shadow answers for `va` (it lies in one of the four
-    /// spaces), so differential tests can tell the shadow from the walk.
-    #[cfg(test)]
-    pub(crate) fn shadowed(&self, va: u64) -> bool {
-        self.shadow.translate(va).is_some()
+        let pa = self.shadow.translate(va);
+        debug_assert_eq!(
+            pa,
+            self.aspace.translate(&self.phys, va),
+            "shadow translation of {va:#x} diverged from the page-table walk"
+        );
+        pa
     }
 
     /// Reads the word at virtual address `va`.
     #[inline]
     pub fn read_va(&self, va: u64) -> u64 {
         self.phys.read_u64(self.va_to_pa(va))
-    }
-
-    /// [`Heap::read_va`], with `None` for an unmapped `va`.
-    #[inline]
-    fn try_read_va(&self, va: u64) -> Option<u64> {
-        self.try_va_to_pa(va).map(|pa| self.phys.read_u64(pa))
     }
 
     /// Writes the word at virtual address `va`.
@@ -518,13 +558,18 @@ impl Heap {
     ///
     /// # Errors
     ///
-    /// Returns [`AllocError::OutOfMemory`] when the target space is full.
+    /// Returns [`AllocError::OutOfMemory`] when the target space is full,
+    /// or when the conventional layout needs a new TIB for this shape and
+    /// the immortal space cannot hold it.
     pub fn alloc(
         &mut self,
         nrefs: u32,
         scalars: u32,
         is_array: bool,
     ) -> Result<ObjRef, AllocError> {
+        if self.cfg.layout == LayoutKind::Conventional && !self.tib_fits(nrefs, scalars, is_array) {
+            return Err(AllocError::OutOfMemory);
+        }
         let needed = self.cell_bytes_needed(nrefs, scalars);
         self.stats.objects_allocated += 1;
         self.stats.bytes_allocated += needed;
@@ -649,10 +694,21 @@ impl Heap {
         }
     }
 
+    /// Whether the shape has a TIB, or the immortal space can hold one.
+    /// (A shape whose field count wraps never fits a cell, so the key it
+    /// looks up does not matter.)
+    fn tib_fits(&self, nrefs: u32, scalars: u32, is_array: bool) -> bool {
+        let spaces = self.cfg.spaces;
+        self.tib_cache
+            .contains_key(&(nrefs, nrefs.wrapping_add(scalars), is_array))
+            || self.immortal_next_va + (1 + nrefs as u64) * WORD
+                <= spaces.immortal_base + spaces.immortal_size
+    }
+
     /// Allocates (or reuses) a TIB describing an object shape:
     /// `[nrefs][off_0]..[off_{n-1}]` in the immortal space. Reference
     /// fields are interspersed (every other field slot) as in real
-    /// class layouts.
+    /// class layouts. [`Heap::alloc`] has checked that it fits.
     fn tib_for(&mut self, nrefs: u32, fields: u32, is_array: bool) -> u64 {
         if let Some(&tib) = self.tib_cache.get(&(nrefs, fields, is_array)) {
             return tib;
@@ -660,10 +716,6 @@ impl Heap {
         let words = 1 + nrefs as u64;
         let tib = self.immortal_next_va;
         self.immortal_next_va += words * WORD;
-        assert!(
-            self.immortal_next_va <= self.cfg.spaces.immortal_base + self.cfg.spaces.immortal_size,
-            "immortal space exhausted"
-        );
         self.ensure_mapped(tib, words * WORD);
         self.write_va(tib, nrefs as u64);
         for i in 0..nrefs {
@@ -778,74 +830,60 @@ impl Heap {
     /// The reachability oracle: every object reachable from the roots,
     /// ignoring mark bits. Every timed collector's mark set is compared
     /// against this.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a reachable reference is unaligned or a reachable
+    /// object lies on an unmapped page, which only a malformed heap has.
     pub fn reachable_from_roots(&self) -> BTreeSet<ObjRef> {
-        match self.reach() {
-            Some(reach) => reach.objects().collect(),
-            None => self.reachable_by_set(),
-        }
+        self.reach().objects().collect()
     }
 
     /// The number of objects [`Heap::reachable_from_roots`] returns,
     /// without building the set.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`Heap::reachable_from_roots`] does.
     pub fn reachable_count(&self) -> usize {
-        match self.reach() {
-            Some(reach) => reach.count() as usize,
-            None => self.reachable_by_set().len(),
-        }
+        self.reach().count() as usize
     }
 
-    /// Visits the closure of the roots into a [`Reach`] bitmap with a
-    /// depth-first stack. `None` when a root or a reference is unaligned
-    /// or outside the bitmap's extents, or a read would hit an unmapped
-    /// page: the caller then answers with [`Heap::reachable_by_set`],
-    /// which returns the same set or panics as it always did.
-    pub(crate) fn reach(&self) -> Option<Reach> {
+    /// Visits the closure of the roots into a [`Reach`] with a
+    /// depth-first stack, panicking as
+    /// [`Heap::reachable_from_roots`] does.
+    pub(crate) fn reach(&self) -> Reach {
         let mut reach = Reach::new(self);
         let mut stack = Vec::new();
         for &root in &self.roots {
-            if reach.insert(root.addr())? {
+            if reach.insert(root) {
                 stack.push(root);
             }
         }
         while let Some(obj) = stack.pop() {
-            let nrefs = Header::from_raw(self.try_read_va(obj.addr())?).nrefs();
+            let nrefs = self.nrefs(obj);
             let tib = match self.cfg.layout {
-                LayoutKind::Conventional if nrefs > 0 => self.try_read_va(conv::tib_slot(obj))?,
+                LayoutKind::Conventional if nrefs > 0 => self.read_va(conv::tib_slot(obj)),
                 _ => 0,
             };
             for i in 0..nrefs {
                 let slot = match self.cfg.layout {
                     LayoutKind::Bidirectional => bidi::ref_slot(obj, i),
                     LayoutKind::Conventional => {
-                        let offset = self.try_read_va(tib + (1 + i as u64) * WORD)? as u32;
+                        let offset = self.read_va(tib + (1 + i as u64) * WORD) as u32;
                         conv::field_slot(obj, offset)
                     }
                 };
-                let raw = self.try_read_va(slot)?;
-                if raw != 0 && reach.insert(raw)? {
-                    stack.push(ObjRef::new(raw));
+                let raw = self.read_va(slot);
+                if raw != 0 {
+                    let target = ObjRef::new(raw);
+                    if reach.insert(target) {
+                        stack.push(target);
+                    }
                 }
             }
         }
-        Some(reach)
-    }
-
-    /// The reachability oracle as first written: a breadth-first search
-    /// into a `BTreeSet`. It answers whatever [`Heap::reach`] cannot.
-    pub(crate) fn reachable_by_set(&self) -> BTreeSet<ObjRef> {
-        let mut seen: BTreeSet<ObjRef> = BTreeSet::new();
-        let mut frontier: VecDeque<ObjRef> = self.roots.iter().copied().collect();
-        while let Some(obj) = frontier.pop_front() {
-            if !seen.insert(obj) {
-                continue;
-            }
-            for r in self.refs_of(obj) {
-                if !seen.contains(&r) {
-                    frontier.push_back(r);
-                }
-            }
-        }
-        seen
+        reach
     }
 
     /// The set of objects whose mark bit is currently set (linear scan of
@@ -933,10 +971,33 @@ impl Heap {
     }
 }
 
-/// The scans as first written, kept as the references the fast paths
-/// are tested against.
+/// The traversal and scans as first written, kept as the references
+/// the fast paths are tested against.
 #[cfg(test)]
 impl Heap {
+    /// The reachability oracle as first written: a breadth-first search
+    /// into a `BTreeSet`.
+    pub(crate) fn reachable_by_set(&self) -> BTreeSet<ObjRef> {
+        let mut seen: BTreeSet<ObjRef> = BTreeSet::new();
+        let mut frontier: std::collections::VecDeque<ObjRef> = self.roots.iter().copied().collect();
+        while let Some(obj) = frontier.pop_front() {
+            if !seen.insert(obj) {
+                continue;
+            }
+            for r in self.refs_of(obj) {
+                if !seen.contains(&r) {
+                    frontier.push_back(r);
+                }
+            }
+        }
+        seen
+    }
+
+    /// Frames the heap has drawn for pages and page tables.
+    pub(crate) fn frames_allocated(&self) -> u64 {
+        self.falloc.allocated()
+    }
+
     pub(crate) fn iter_objects_reference(&self) -> Vec<ObjRef> {
         let mut out = Vec::new();
         for block in &self.blocks {

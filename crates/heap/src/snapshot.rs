@@ -422,6 +422,21 @@ mod tests {
             );
             assert!(e.message.contains(&capacity.to_string()), "{e}");
         }
+        // Conventional shapes whose TIBs overflow the 16 MiB immortal
+        // space, though their cells fit: one TIB of 3 000 001 words, and
+        // 6 000 distinct TIBs of 1..6 000 words.
+        let one_big = "tracegc-snapshot v1\nlayout conventional\n\
+                       object 0 nrefs 3000000 scalars 0 array 0 marked 0\n";
+        let mut many = String::from("tracegc-snapshot v1\nlayout conventional\n");
+        for i in 0..6_000 {
+            many.push_str(&format!(
+                "object {i} nrefs {i} scalars 0 array 0 marked 0\n"
+            ));
+        }
+        for text in [one_big, &many] {
+            let e = load(text).expect_err("TIBs past the immortal space must be rejected");
+            assert!(e.message.contains("allocation failed"), "{e}");
+        }
     }
 
     #[test]

@@ -178,26 +178,29 @@ pub fn check_free_lists(heap: &Heap) -> Result<(), String> {
 /// With S the reachable set and I the objects a linear scan meets, the
 /// marked set is S ∩ I exactly when every scanned object's mark bit
 /// equals its reachability; |S ∩ I| = |S| then gives S ⊆ I, so the
-/// marked set is S. One bitmap traversal and one scan check both, and
-/// only a divergence (or a heap the bitmap cannot cover) builds the two
-/// sets for the report.
+/// marked set is S. One traversal and one scan check both, and only a
+/// divergence builds the two sets for the report.
 ///
 /// # Errors
 ///
 /// Returns a description of the first divergence.
+///
+/// # Panics
+///
+/// Panics as [`Heap::reachable_from_roots`] does on a reachable
+/// reference that is unaligned or lies on an unmapped page.
 pub fn check_marks_match_reachability(heap: &Heap) -> Result<(), String> {
-    if let Some(reach) = heap.reach() {
-        let (mut agree, mut met) = (true, 0u64);
-        for obj in heap.objects() {
-            let reachable = reach.contains(obj);
-            agree &= heap.is_marked(obj) == reachable;
-            met += u64::from(reachable);
-        }
-        if agree && met == reach.count() {
-            return Ok(());
-        }
+    let reach = heap.reach();
+    let (mut agree, mut met) = (true, 0u64);
+    for obj in heap.objects() {
+        let reachable = reach.contains(obj);
+        agree &= heap.is_marked(obj) == reachable;
+        met += u64::from(reachable);
     }
-    divergence(&heap.reachable_from_roots(), &heap.marked_set())
+    if agree && met == reach.count() {
+        return Ok(());
+    }
+    divergence(&reach.objects().collect(), &heap.marked_set())
 }
 
 /// The report of a mark/reachability comparison between the two sets.

@@ -6,29 +6,20 @@
 //! region and the root region all live here, so the marked-object sets
 //! produced by every agent can be compared bit-for-bit.
 //!
-//! The default backing is **sparse**: the address space is divided into
+//! The backing is **sparse**: the address space is divided into
 //! [`CHUNK_BYTES`]-sized chunks held in a dense chunk table, and a chunk
 //! is allocated only on the first write of a nonzero word into it. Reads
 //! of untouched chunks observe zeros (zero-page semantics), and writing
 //! a zero — including [`PhysMem::zero_range`] — never allocates. A 4 GiB
 //! address space with a 300 MB live footprint therefore costs roughly
-//! 300 MB of host RSS plus one table slot (8 bytes) per chunk. The old
-//! flat `Vec<u64>` backing remains available via [`PhysMem::new_flat`]
-//! so differential tests can pin the two representations word-for-word
-//! equal.
+//! 300 MB of host RSS plus one table slot (16 bytes) per chunk. The
+//! differential wall in `tests/properties.rs` pins it word for word
+//! against a flat `Vec<u64>` model.
 
 /// Sparse-chunk granularity: 64 KiB, matching the heap's block size so a
 /// touched heap block maps onto exactly one resident chunk.
 pub const CHUNK_BYTES: u64 = 64 * 1024;
 const CHUNK_WORDS: u64 = CHUNK_BYTES / 8;
-
-#[derive(Clone)]
-enum Backing {
-    /// Dense table of lazily allocated chunks; `None` reads as zeros.
-    Sparse { chunks: Vec<Option<Box<[u64]>>> },
-    /// The original fully materialized array, for differential tests.
-    Flat { words: Vec<u64> },
-}
 
 /// Byte-addressed simulated physical memory backed by 64-bit words.
 ///
@@ -48,7 +39,8 @@ enum Backing {
 #[derive(Clone)]
 pub struct PhysMem {
     len_words: u64,
-    backing: Backing,
+    /// Dense table of lazily allocated chunks; `None` reads as zeros.
+    chunks: Vec<Option<Box<[u64]>>>,
 }
 
 impl std::fmt::Debug for PhysMem {
@@ -57,7 +49,6 @@ impl std::fmt::Debug for PhysMem {
         f.debug_struct("PhysMem")
             .field("size_bytes", &self.size_bytes())
             .field("resident_bytes", &self.resident_bytes())
-            .field("flat", &matches!(self.backing, Backing::Flat { .. }))
             .finish()
     }
 }
@@ -78,29 +69,7 @@ impl PhysMem {
         let n_chunks = len_words.div_ceil(CHUNK_WORDS) as usize;
         Self {
             len_words,
-            backing: Backing::Sparse {
-                chunks: vec![None; n_chunks],
-            },
-        }
-    }
-
-    /// Creates a zeroed memory of `bytes` bytes with the flat, fully
-    /// materialized backing — host RSS is paid up front for the whole
-    /// address space. Only differential tests should need this.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` is not a multiple of 8.
-    pub fn new_flat(bytes: u64) -> Self {
-        assert!(
-            bytes.is_multiple_of(8),
-            "physical memory size must be word-aligned"
-        );
-        Self {
-            len_words: bytes / 8,
-            backing: Backing::Flat {
-                words: vec![0; (bytes / 8) as usize],
-            },
+            chunks: vec![None; n_chunks],
         }
     }
 
@@ -109,25 +78,18 @@ impl PhysMem {
         self.len_words * 8
     }
 
-    /// Number of chunks currently backed by host storage (always the
-    /// full chunk count for the flat backing).
+    /// Number of chunks currently backed by host storage.
     pub fn allocated_chunks(&self) -> usize {
-        match &self.backing {
-            Backing::Sparse { chunks } => chunks.iter().filter(|c| c.is_some()).count(),
-            Backing::Flat { .. } => self.len_words.div_ceil(CHUNK_WORDS) as usize,
-        }
+        self.chunks.iter().filter(|c| c.is_some()).count()
     }
 
     /// Bytes of chunk storage resident on the host — the memory actually
     /// paid for, as opposed to [`PhysMem::size_bytes`] addressable.
     pub fn resident_bytes(&self) -> u64 {
-        match &self.backing {
-            Backing::Sparse { chunks } => chunks
-                .iter()
-                .filter_map(|c| c.as_ref().map(|w| w.len() as u64 * 8))
-                .sum(),
-            Backing::Flat { .. } => self.len_words * 8,
-        }
+        self.chunks
+            .iter()
+            .filter_map(|c| c.as_ref().map(|w| w.len() as u64 * 8))
+            .sum()
     }
 
     #[inline]
@@ -145,8 +107,8 @@ impl PhysMem {
         idx
     }
 
-    /// Reads the word at byte address `paddr`. Untouched sparse chunks
-    /// read as zero.
+    /// Reads the word at byte address `paddr`. Untouched chunks read as
+    /// zero.
     ///
     /// # Panics
     ///
@@ -154,17 +116,14 @@ impl PhysMem {
     #[inline]
     pub fn read_u64(&self, paddr: u64) -> u64 {
         let idx = self.index(paddr);
-        match &self.backing {
-            Backing::Sparse { chunks } => match &chunks[(idx / CHUNK_WORDS) as usize] {
-                Some(words) => words[(idx % CHUNK_WORDS) as usize],
-                None => 0,
-            },
-            Backing::Flat { words } => words[idx as usize],
+        match &self.chunks[(idx / CHUNK_WORDS) as usize] {
+            Some(words) => words[(idx % CHUNK_WORDS) as usize],
+            None => 0,
         }
     }
 
     /// Writes the word at byte address `paddr`. Writing zero into an
-    /// untouched sparse chunk is elided — it never allocates storage.
+    /// untouched chunk is elided — it never allocates storage.
     ///
     /// # Panics
     ///
@@ -172,21 +131,17 @@ impl PhysMem {
     #[inline]
     pub fn write_u64(&mut self, paddr: u64, value: u64) {
         let idx = self.index(paddr);
-        match &mut self.backing {
-            Backing::Sparse { chunks } => {
-                let ci = (idx / CHUNK_WORDS) as usize;
-                if chunks[ci].is_none() {
-                    if value == 0 {
-                        return;
-                    }
-                    let len = (self.len_words - ci as u64 * CHUNK_WORDS).min(CHUNK_WORDS) as usize;
-                    chunks[ci] = Some(vec![0u64; len].into_boxed_slice());
-                }
-                chunks[ci].as_mut().expect("chunk just ensured")[(idx % CHUNK_WORDS) as usize] =
-                    value;
+        let ci = (idx / CHUNK_WORDS) as usize;
+        let len_words = self.len_words;
+        let words = match &mut self.chunks[ci] {
+            Some(words) => words,
+            None if value == 0 => return,
+            absent => {
+                let len = (len_words - ci as u64 * CHUNK_WORDS).min(CHUNK_WORDS) as usize;
+                absent.insert(vec![0u64; len].into_boxed_slice())
             }
-            Backing::Flat { words } => words[idx as usize] = value,
-        }
+        };
+        words[(idx % CHUNK_WORDS) as usize] = value;
     }
 
     /// Atomically ORs `bits` into the word at `paddr` and returns the *old*
@@ -218,22 +173,17 @@ impl PhysMem {
         // Bounds-check both ends up front so partial ranges never write.
         let first = self.index(paddr);
         let last = self.index(paddr + len - 8);
-        match &mut self.backing {
-            Backing::Sparse { chunks } => {
-                // Zero whole resident chunks at once; skip absent ones.
-                let mut idx = first;
-                while idx <= last {
-                    let ci = (idx / CHUNK_WORDS) as usize;
-                    let lo = (idx % CHUNK_WORDS) as usize;
-                    let chunk_end = ((ci as u64 + 1) * CHUNK_WORDS - 1).min(last);
-                    if let Some(words) = &mut chunks[ci] {
-                        let hi = (chunk_end % CHUNK_WORDS) as usize;
-                        words[lo..=hi].fill(0);
-                    }
-                    idx = chunk_end + 1;
-                }
+        // Zero whole resident chunks at once; skip absent ones.
+        let mut idx = first;
+        while idx <= last {
+            let ci = (idx / CHUNK_WORDS) as usize;
+            let lo = (idx % CHUNK_WORDS) as usize;
+            let chunk_end = ((ci as u64 + 1) * CHUNK_WORDS - 1).min(last);
+            if let Some(words) = &mut self.chunks[ci] {
+                let hi = (chunk_end % CHUNK_WORDS) as usize;
+                words[lo..=hi].fill(0);
             }
-            Backing::Flat { words } => words[first as usize..=last as usize].fill(0),
+            idx = chunk_end + 1;
         }
     }
 }
@@ -283,13 +233,6 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "out of range")]
-    fn flat_out_of_range_panics() {
-        let mem = PhysMem::new_flat(8);
-        let _ = mem.read_u64(8);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
     fn zero_range_end_out_of_range_panics() {
         let mut mem = PhysMem::new(64);
         mem.zero_range(32, 64);
@@ -298,7 +241,6 @@ mod tests {
     #[test]
     fn size_reports_bytes() {
         assert_eq!(PhysMem::new(4096).size_bytes(), 4096);
-        assert_eq!(PhysMem::new_flat(4096).size_bytes(), 4096);
     }
 
     #[test]
@@ -342,12 +284,5 @@ mod tests {
         mem.write_u64(bytes - 8, 99);
         assert_eq!(mem.read_u64(bytes - 8), 99);
         assert_eq!(mem.resident_bytes(), 16);
-    }
-
-    #[test]
-    fn flat_backing_pays_up_front() {
-        let mem = PhysMem::new_flat(CHUNK_BYTES * 4);
-        assert_eq!(mem.allocated_chunks(), 4);
-        assert_eq!(mem.resident_bytes(), CHUNK_BYTES * 4);
     }
 }

@@ -229,15 +229,38 @@ fn at_most_one_fill_per_distinct_line() {
     }
 }
 
-// --- Sparse vs flat PhysMem differential properties -------------------
+// --- Sparse PhysMem vs a flat model ------------------------------------
 //
-// The sparse chunked backing must be observationally identical to the
-// flat Vec<u64> it replaced: same words on every read, same panics on
-// every out-of-range access, while allocating storage only for chunks
-// actually written with nonzero data.
+// The sparse chunked backing must be observationally identical to a flat
+// Vec<u64>: same words on every read, same panics on every out-of-range
+// access, while allocating storage only for chunks actually written with
+// nonzero data.
 
 use tracegc_mem::phys::CHUNK_BYTES;
 use tracegc_mem::PhysMem;
+
+/// The flat reference: one `u64` per word of the address space.
+struct Flat(Vec<u64>);
+
+impl Flat {
+    fn new(bytes: u64) -> Self {
+        Self(vec![0; (bytes / 8) as usize])
+    }
+    fn read_u64(&self, addr: u64) -> u64 {
+        self.0[(addr / 8) as usize]
+    }
+    fn write_u64(&mut self, addr: u64, value: u64) {
+        self.0[(addr / 8) as usize] = value;
+    }
+    fn fetch_or_u64(&mut self, addr: u64, bits: u64) -> u64 {
+        let old = self.read_u64(addr);
+        self.write_u64(addr, old | bits);
+        old
+    }
+    fn zero_range(&mut self, addr: u64, len: u64) {
+        self.0[(addr / 8) as usize..((addr + len) / 8) as usize].fill(0);
+    }
+}
 
 #[test]
 fn sparse_matches_flat_on_random_access_patterns() {
@@ -245,7 +268,7 @@ fn sparse_matches_flat_on_random_access_patterns() {
     for case in 0..CASES {
         let mut rng = case_rng(10, case);
         let mut sparse = PhysMem::new(SIZE);
-        let mut flat = PhysMem::new_flat(SIZE);
+        let mut flat = Flat::new(SIZE);
         for _ in 0..rng.random_range(64usize..512) {
             let addr = rng.random_range(0u64..SIZE / 8) * 8;
             match rng.random_range(0u32..5) {
@@ -318,7 +341,7 @@ fn sparse_and_flat_panic_on_the_same_out_of_range_accesses() {
         // both, out-of-range must panic on both.
         let addr = rng.random_range(0u64..SIZE / 4) * 8 + SIZE - CHUNK_BYTES / 2;
         let sparse = PhysMem::new(SIZE);
-        let flat = PhysMem::new_flat(SIZE);
+        let flat = Flat::new(SIZE);
         let s = catch_unwind(AssertUnwindSafe(|| sparse.read_u64(addr))).is_err();
         let f = catch_unwind(AssertUnwindSafe(|| flat.read_u64(addr))).is_err();
         assert_eq!(s, f, "case {case}: panic behavior diverged at {addr:#x}");

@@ -1,6 +1,5 @@
 //! Fleet-scale GC request queueing: N tenant heaps sharing K traversal
-//! units (ROADMAP item 4, the production version of §VII's
-//! multi-process story).
+//! units (the production version of §VII's multi-process story).
 //!
 //! The paper shows one traversal unit serving multiple processes over
 //! shared DDR3; a deployment runs the other direction — hundreds of

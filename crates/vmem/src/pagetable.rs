@@ -47,6 +47,7 @@ const PTE_PPN_SHIFT: u32 = 10;
 /// ```
 #[derive(Debug, Clone)]
 pub struct FrameAlloc {
+    start: u64,
     next: u64,
     limit: u64,
 }
@@ -60,7 +61,11 @@ impl FrameAlloc {
     pub fn new(start: u64, limit: u64) -> Self {
         assert!(start.is_multiple_of(PAGE_SIZE) && limit.is_multiple_of(PAGE_SIZE));
         assert!(start < limit, "empty frame region");
-        Self { next: start, limit }
+        Self {
+            start,
+            next: start,
+            limit,
+        }
     }
 
     /// Allocates the next frame.
@@ -91,9 +96,11 @@ impl FrameAlloc {
         base
     }
 
-    /// Frames allocated so far.
+    /// Frames drawn since [`FrameAlloc::new`], including any skipped to
+    /// align a region, so `allocated() + remaining()` is the region's
+    /// frame count.
     pub fn allocated(&self) -> u64 {
-        self.next
+        (self.next - self.start) / PAGE_SIZE
     }
 
     /// Remaining capacity in frames.
@@ -265,22 +272,7 @@ impl AddressSpace {
     /// the mapping's page (4 KiB, 2 MiB or 1 GiB) so TLBs can install
     /// reach-appropriate entries.
     pub fn translate_entry(&self, mem: &PhysMem, va: u64) -> Option<(u64, u64)> {
-        // Not `walk(..).leaf`: recording the path slows this functional
-        // path, which every untimed heap access takes, by about a third.
-        let mut node = self.root_pa;
-        for level in 0..LEVELS {
-            let pte = mem.read_u64(node + Self::vpn(va, level) * 8);
-            if pte & PTE_VALID == 0 {
-                return None;
-            }
-            if pte & PTE_LEAF != 0 {
-                let page_bytes = PAGE_SIZE << (VPN_BITS * (LEVELS - 1 - level));
-                let ppn = pte >> PTE_PPN_SHIFT;
-                return Some((ppn * PAGE_SIZE + (va % page_bytes), page_bytes));
-            }
-            node = (pte >> PTE_PPN_SHIFT) * PAGE_SIZE;
-        }
-        None
+        self.walk(mem, va).leaf
     }
 }
 
@@ -395,6 +387,22 @@ mod tests {
     }
 
     #[test]
+    fn allocated_counts_frames_from_a_nonzero_start() {
+        let mut falloc = FrameAlloc::new(0x1000, 0x40_0000);
+        assert_eq!(falloc.allocated(), 0);
+        falloc.alloc();
+        falloc.alloc();
+        assert_eq!(falloc.allocated(), 2);
+        // An aligned region counts the frames skipped to align it.
+        falloc.alloc_region(MEGAPAGE_SIZE, MEGAPAGE_SIZE);
+        assert_eq!(falloc.allocated(), 0x40_0000 / PAGE_SIZE - 1);
+        assert_eq!(
+            falloc.allocated() + falloc.remaining(),
+            0x3F_F000 / PAGE_SIZE
+        );
+    }
+
+    #[test]
     fn vpn_of_is_page_number() {
         assert_eq!(vpn_of(0), 0);
         assert_eq!(vpn_of(4095), 0);
@@ -406,7 +414,7 @@ mod tests {
         let (mut mem, mut falloc, aspace) = setup();
         let before = falloc.allocated();
         aspace.map_range(&mut mem, &mut falloc, 0x4000_0000, 16 * PAGE_SIZE);
-        let used = (falloc.allocated() - before) / PAGE_SIZE;
+        let used = falloc.allocated() - before;
         // 16 data frames + at most 2 interior nodes (L1 + L2 created once).
         assert!(used <= 18, "used {used} frames");
     }

@@ -356,10 +356,7 @@ pub fn generate_streamed_opts(
         ),
     };
     heap.set_roots(&roots);
-    // Count the live set by marking and unmarking — no O(live) set is
-    // ever materialized.
-    let live_objects = software_mark_count(&mut heap) as usize;
-    heap.clear_marks();
+    let live_objects = heap.reachable_count();
     StreamedHeap {
         heap,
         live_objects,
