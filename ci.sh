@@ -31,6 +31,17 @@ cargo build --release --offline
 echo "==> cargo test"
 cargo test -q --offline
 
+echo "==> examples run (release)"
+# `cargo build --release` skips the examples and `cargo test` only
+# compiles them; quickstart and pause_latency drive the CPU collector
+# and the unit end to end. Any non-zero exit fails the step.
+cargo build --release --offline --examples
+for example in examples/*.rs; do
+    name=$(basename "$example" .rs)
+    echo "--> $name"
+    "./target/release/examples/$name" >/dev/null
+done
+
 echo "==> pacing and event-contract walls at full size (release)"
 # `cargo test` above builds with debug assertions, where the randomized
 # families in engine_equivalence.rs run a trimmed seed pool (COMBOS);

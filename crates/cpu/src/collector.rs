@@ -2,8 +2,11 @@
 
 use std::collections::VecDeque;
 
-use tracegc_heap::layout::{bidi, conv, Header, LayoutKind, HEADER_MARK_BIT, WORD};
-use tracegc_heap::{Heap, ObjRef};
+use tracegc_heap::layout::{
+    bidi, conv, decode_cell_start, encode_free_cell_start, CellStart, Header, LayoutKind,
+    HEADER_MARK_BIT, WORD,
+};
+use tracegc_heap::{BlockInfo, Heap, ObjRef};
 use tracegc_mem::cache::L2Backing;
 use tracegc_mem::{Cache, CacheConfig, MemSystem, Source};
 use tracegc_sim::{Cycle, StallAccounting, StallReason};
@@ -88,17 +91,17 @@ pub struct PhaseResult {
 /// ```
 #[derive(Debug)]
 pub struct Cpu {
-    pub(crate) cfg: CpuConfig,
+    cfg: CpuConfig,
     l1d: Cache,
     l2: Cache,
     translator: Translator,
-    pub(crate) now: Cycle,
+    now: Cycle,
     /// Per-phase cycle ledger (reset at each phase start).
-    pub(crate) stalls: StallAccounting,
+    stalls: StallAccounting,
     /// Whether the most recent [`Cpu::access`] triggered a page-table
     /// walk — load-use waits on it are then TLB misses, not plain memory
     /// latency.
-    pub(crate) last_access_walked: bool,
+    last_access_walked: bool,
 }
 
 impl Cpu {
@@ -134,13 +137,7 @@ impl Cpu {
 
     /// A timed data access: translate, then L1 → L2 → DRAM. Returns the
     /// cycle the data is available.
-    pub(crate) fn access(
-        &mut self,
-        heap: &Heap,
-        mem: &mut MemSystem,
-        va: u64,
-        write: bool,
-    ) -> Cycle {
+    fn access(&mut self, heap: &Heap, mem: &mut MemSystem, va: u64, write: bool) -> Cycle {
         let walks_before = self.translator.stats().walks;
         let (pa, t) = self
             .translator
@@ -157,14 +154,14 @@ impl Cpu {
 
     /// Issue `n` single-cycle instructions.
     #[inline]
-    pub(crate) fn instr(&mut self, n: u64) {
+    fn instr(&mut self, n: u64) {
         self.now += n;
         self.stalls.busy(n);
     }
 
     /// Stalls the core until `t` (a load-use dependency), attributing the
     /// wait to a TLB miss when `walked`, memory latency otherwise.
-    pub(crate) fn wait_tagged(&mut self, t: Cycle, walked: bool) {
+    fn wait_tagged(&mut self, t: Cycle, walked: bool) {
         let span = t.saturating_sub(self.now);
         if span > 0 {
             let reason = if walked {
@@ -178,61 +175,101 @@ impl Cpu {
     }
 
     /// [`Cpu::wait_tagged`] using the most recent access's walk flag.
-    pub(crate) fn wait(&mut self, t: Cycle) {
+    fn wait(&mut self, t: Cycle) {
         self.wait_tagged(t, self.last_access_walked);
     }
 
     /// Runs the mark phase: a breadth-limited DFS with a software mark
     /// stack, exactly the traversal of §III-A, with every memory touch
     /// timed through the cache hierarchy.
-    ///
-    /// A thin driver: schedules a single
-    /// [`CpuMarkEngine`](crate::engine::CpuMarkEngine) under the lockstep
-    /// policy (proven cycle- and ledger-exact against the historical
-    /// inline loop by `tests/engine_equivalence.rs`).
     pub fn run_mark(&mut self, heap: &mut Heap, mem: &mut MemSystem) -> PhaseResult {
-        let start = self.now;
-        let mut engine = crate::engine::CpuMarkEngine::new(self, 0);
-        {
-            let mut ctx = tracegc_heap::SocCtx::single(mem, heap);
-            tracegc_sim::Scheduler::new(tracegc_sim::Policy::Lockstep)
-                .try_run(&mut [&mut engine], &mut ctx, start)
-                .expect("Cpu::run_mark: the mark engine wedged");
-        }
-        engine.into_result()
+        self.phase(|cpu, result| {
+            let mut stack: Vec<ObjRef> = Vec::new();
+            // The runtime scanned the roots into the hwgc space; the
+            // software collector reads the count from there.
+            let hwgc_base = heap.spaces().hwgc_base;
+            let t = cpu.access(heap, mem, hwgc_base, false);
+            cpu.wait(t);
+            let nroots = heap.read_va(hwgc_base);
+            for i in 0..nroots {
+                let slot = hwgc_base + (1 + i) * WORD;
+                let t = cpu.access(heap, mem, slot, false);
+                cpu.wait(t);
+                let raw = heap.read_va(slot);
+                if raw != 0 {
+                    cpu.push(heap, mem, &mut stack, ObjRef::new(raw));
+                }
+            }
+            while let Some(obj) = cpu.pop(heap, mem, &mut stack) {
+                cpu.visit(heap, mem, &mut stack, obj, result);
+            }
+        })
     }
 
-    pub(crate) fn push(
+    /// Runs one timed phase: resets the per-phase ledger, runs `body` on
+    /// the core and closes the result with the phase's cycles and ledger.
+    fn phase(&mut self, body: impl FnOnce(&mut Self, &mut PhaseResult)) -> PhaseResult {
+        self.stalls = StallAccounting::default();
+        let start = self.now;
+        let mut result = PhaseResult::default();
+        body(self, &mut result);
+        result.cycles = self.now - start;
+        result.stalls = self.stalls;
+        result
+    }
+
+    /// Visits one popped object: mark test, mark store, reference trace.
+    fn visit(
         &mut self,
         heap: &mut Heap,
         mem: &mut MemSystem,
         stack: &mut Vec<ObjRef>,
-        sp: &mut u64,
         obj: ObjRef,
+        result: &mut PhaseResult,
     ) {
-        assert!(
-            *sp * WORD < MARK_STACK_BYTES,
-            "software mark stack overflow"
-        );
-        let va = MARK_STACK_BASE + *sp * WORD;
+        self.instr(self.cfg.instr_per_object);
+        // Load the header; the mark-test branch *depends* on it, so
+        // the in-order core stalls until the data arrives.
+        let t = self.access(heap, mem, obj.addr(), false);
+        self.wait(t);
+        let pa = heap.va_to_pa(obj.addr());
+        let old = Header::from_raw(heap.phys.read_u64(pa));
+        if old.is_marked() {
+            return;
+        }
+        // Store the mark (write-back absorbs it; no stall).
+        heap.phys.write_u64(pa, old.with_mark().raw());
+        self.access(heap, mem, obj.addr(), true);
+        self.instr(1);
+        result.work_items += 1;
+        result.refs_traced += self.walk_refs(heap, mem, obj, old.nrefs(), |cpu, heap, mem, raw| {
+            cpu.push(heap, mem, stack, ObjRef::new(raw));
+        });
+    }
+
+    /// Pushes `obj` onto the software mark stack. `stack` mirrors the
+    /// simulated stack at [`MARK_STACK_BASE`]; its length is the stack
+    /// pointer.
+    fn push(&mut self, heap: &mut Heap, mem: &mut MemSystem, stack: &mut Vec<ObjRef>, obj: ObjRef) {
+        let sp = stack.len() as u64;
+        assert!(sp * WORD < MARK_STACK_BYTES, "software mark stack overflow");
+        let va = MARK_STACK_BASE + sp * WORD;
         heap.write_va(va, obj.addr());
         // Stack stores are fire-and-forget on a write-back cache.
         self.access(heap, mem, va, true);
         self.instr(1);
         stack.push(obj);
-        *sp += 1;
     }
 
-    pub(crate) fn pop(
+    /// Pops the top of the software mark stack; the load stalls the core.
+    fn pop(
         &mut self,
         heap: &mut Heap,
         mem: &mut MemSystem,
         stack: &mut Vec<ObjRef>,
-        sp: &mut u64,
     ) -> Option<ObjRef> {
         let obj = stack.pop()?;
-        *sp -= 1;
-        let va = MARK_STACK_BASE + *sp * WORD;
+        let va = MARK_STACK_BASE + stack.len() as u64 * WORD;
         let t = self.access(heap, mem, va, false);
         self.wait(t);
         debug_assert_eq!(heap.read_va(va), obj.addr());
@@ -263,45 +300,37 @@ impl Cpu {
         mem: &mut MemSystem,
         pending: &[u64],
     ) -> PhaseResult {
-        self.stalls = StallAccounting::default();
-        let start = self.now;
-        let mut result = PhaseResult::default();
-        let mut stack: Vec<ObjRef> = Vec::new();
-        let mut sp: u64 = 0;
-
-        for &va in pending {
-            // Null/alignment test plus the bounds compare.
-            self.instr(2);
-            if va == 0 || !va.is_multiple_of(WORD) || !heap.spaces().in_traced_space(va) {
-                continue;
+        self.phase(|cpu, result| {
+            let mut stack: Vec<ObjRef> = Vec::new();
+            for &va in pending {
+                // Null/alignment test plus the bounds compare.
+                cpu.instr(2);
+                if va == 0 || !va.is_multiple_of(WORD) || !heap.spaces().in_traced_space(va) {
+                    continue;
+                }
+                // Seed: mark (idempotent — the unit may already have) and
+                // stack for an unconditional trace.
+                if !cpu.mark_in_place(heap, mem, va) {
+                    result.work_items += 1;
+                }
+                cpu.push(heap, mem, &mut stack, ObjRef::new(va));
             }
-            // Seed: mark (idempotent — the unit may already have) and
-            // stack for an unconditional trace.
-            if !self.mark_in_place(heap, mem, va) {
-                result.work_items += 1;
+            while let Some(obj) = cpu.pop(heap, mem, &mut stack) {
+                cpu.trace_marked(heap, mem, &mut stack, obj, result);
             }
-            self.push(heap, mem, &mut stack, &mut sp, ObjRef::new(va));
-        }
-
-        while let Some(obj) = self.pop(heap, mem, &mut stack, &mut sp) {
-            self.trace_marked(heap, mem, &mut stack, &mut sp, obj, &mut result);
-        }
-
-        result.cycles = self.now - start;
-        result.stalls = self.stalls;
-        result
+        })
     }
 
     /// Traces every reference of an already-marked `obj`, marking each
     /// child in place and pushing only the newly marked — the resume
     /// loop's body. It shares [`Cpu::walk_refs`] with the normal mark
-    /// loop's visit, so the timing of the reference loads is the same.
+    /// loop's [`Cpu::visit`], so the timing of the reference loads is the
+    /// same.
     fn trace_marked(
         &mut self,
         heap: &mut Heap,
         mem: &mut MemSystem,
         stack: &mut Vec<ObjRef>,
-        sp: &mut u64,
         obj: ObjRef,
         result: &mut PhaseResult,
     ) {
@@ -312,7 +341,7 @@ impl Cpu {
         result.refs_traced += self.walk_refs(heap, mem, obj, nrefs, |cpu, heap, mem, raw| {
             if !cpu.mark_in_place(heap, mem, raw) {
                 result.work_items += 1;
-                cpu.push(heap, mem, stack, sp, ObjRef::new(raw));
+                cpu.push(heap, mem, stack, ObjRef::new(raw));
             }
         });
     }
@@ -340,7 +369,7 @@ impl Cpu {
     /// outstanding slot loads. Conventional objects cost a TIB-pointer
     /// load, then an offset-table load and a scattered field load per
     /// reference — the two extra accesses of §IV-A.
-    pub(crate) fn walk_refs(
+    fn walk_refs(
         &mut self,
         heap: &mut Heap,
         mem: &mut MemSystem,
@@ -399,22 +428,76 @@ impl Cpu {
 
     /// Runs the sweep phase: a linear scan over every mark-sweep block,
     /// rebuilding free lists and clearing surviving marks — the software
-    /// equivalent of the reclamation unit (§V-D).
-    ///
-    /// A thin driver: schedules a single
-    /// [`CpuSweepEngine`](crate::engine::CpuSweepEngine) under the
-    /// lockstep policy (proven cycle- and ledger-exact against the
-    /// historical inline loop by `tests/engine_equivalence.rs`).
+    /// equivalent of the reclamation unit (§V-D). Block bookkeeping and
+    /// the final LOS and allocator updates are untimed.
     pub fn run_sweep(&mut self, heap: &mut Heap, mem: &mut MemSystem) -> PhaseResult {
-        let start = self.now;
-        let mut engine = crate::engine::CpuSweepEngine::new(self, 0);
-        {
-            let mut ctx = tracegc_heap::SocCtx::single(mem, heap);
-            tracegc_sim::Scheduler::new(tracegc_sim::Policy::Lockstep)
-                .try_run(&mut [&mut engine], &mut ctx, start)
-                .expect("Cpu::run_sweep: the sweep engine wedged");
+        let result = self.phase(|cpu, result| {
+            for bidx in 0..heap.blocks().len() {
+                let block = heap.blocks()[bidx];
+                let (free_head, free_cells) = cpu.sweep_block(heap, mem, block, result);
+                heap.set_block_free_list(bidx, free_head, free_cells);
+            }
+        });
+        // LOS marks are cleared by the runtime (untimed here, matching the
+        // paper's split of responsibilities).
+        for i in 0..heap.los_objects().len() {
+            let obj = heap.los_objects()[i].obj;
+            let h = heap.header(obj).without_mark();
+            heap.write_va(obj.addr(), h.raw());
         }
-        engine.into_result()
+        heap.finish_sweep();
+        result
+    }
+
+    /// Sweeps `block`'s cells, clearing surviving marks and threading
+    /// every free cell onto a new free list; returns its head and length.
+    fn sweep_block(
+        &mut self,
+        heap: &mut Heap,
+        mem: &mut MemSystem,
+        block: BlockInfo,
+        result: &mut PhaseResult,
+    ) -> (u64, u64) {
+        let mut free_head = 0;
+        let mut free_cells = 0;
+        // High to low, so the rebuilt free list runs in address order.
+        for i in (0..block.ncells).rev() {
+            self.instr(self.cfg.instr_per_cell);
+            let cell = block.base_va + i * block.cell_bytes;
+            // Load the cell-start word; the classification branch depends
+            // on it.
+            let t = self.access(heap, mem, cell, false);
+            self.wait(t);
+            let free = match decode_cell_start(heap.read_va(cell)) {
+                CellStart::Free { .. } => true,
+                CellStart::Live { nrefs, .. } => {
+                    let header_va = match heap.layout() {
+                        LayoutKind::Bidirectional => bidi::header_of_cell(cell, nrefs),
+                        LayoutKind::Conventional => conv::header_of_cell(cell),
+                    };
+                    let t = self.access(heap, mem, header_va, false);
+                    self.wait(t);
+                    let header = Header::from_raw(heap.read_va(header_va));
+                    if header.is_marked() {
+                        heap.write_va(header_va, header.without_mark().raw());
+                        self.access(heap, mem, header_va, true);
+                        self.instr(1);
+                        false
+                    } else {
+                        result.work_items += 1;
+                        true
+                    }
+                }
+            };
+            if free {
+                heap.write_va(cell, encode_free_cell_start(free_head));
+                self.access(heap, mem, cell, true);
+                self.instr(1);
+                free_head = cell;
+                free_cells += 1;
+            }
+        }
+        (free_head, free_cells)
     }
 
     /// Runs a complete stop-the-world GC (mark then sweep); returns the
@@ -423,17 +506,6 @@ impl Cpu {
         let mark = self.run_mark(heap, mem);
         let sweep = self.run_sweep(heap, mem);
         (mark, sweep)
-    }
-
-    /// Marks a single object functionally through the timed path — used
-    /// by barrier-cost experiments.
-    pub fn timed_mark_one(&mut self, heap: &mut Heap, mem: &mut MemSystem, obj: ObjRef) -> bool {
-        let t = self.access(heap, mem, obj.addr(), false);
-        self.now = self.now.max(t);
-        let pa = heap.va_to_pa(obj.addr());
-        let old = heap.phys.fetch_or_u64(pa, HEADER_MARK_BIT);
-        self.access(heap, mem, obj.addr(), true);
-        Header::from_raw(old).is_marked()
     }
 }
 
@@ -543,16 +615,6 @@ mod tests {
         let mut cpu = Cpu::new(CpuConfig::default(), &mut heap);
         let result = cpu.run_mark(&mut heap, &mut mem);
         assert_eq!(result.refs_traced, expected);
-    }
-
-    #[test]
-    fn timed_mark_one_is_idempotent() {
-        let mut heap = build_graph(LayoutKind::Bidirectional);
-        let mut mem = MemSystem::ddr3(Default::default());
-        let mut cpu = Cpu::new(CpuConfig::default(), &mut heap);
-        let obj = heap.roots()[0];
-        assert!(!cpu.timed_mark_one(&mut heap, &mut mem, obj));
-        assert!(cpu.timed_mark_one(&mut heap, &mut mem, obj));
     }
 
     #[test]

@@ -20,9 +20,7 @@
 //! time it takes differs.
 
 pub mod collector;
-pub mod engine;
 pub mod refload;
 
 pub use collector::{Cpu, CpuConfig, PhaseResult};
-pub use engine::{CpuMarkEngine, CpuSweepEngine};
 pub use refload::{barrier_overheads, BarrierOverhead, BarrierScheme, RefloadCosts};

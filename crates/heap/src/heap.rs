@@ -571,19 +571,21 @@ impl Heap {
             return Err(AllocError::OutOfMemory);
         }
         let needed = self.cell_bytes_needed(nrefs, scalars);
+        let obj = if needed > *self.cfg.size_classes.last().expect("non-empty classes") {
+            self.alloc_los(nrefs, scalars, is_array, needed)?
+        } else {
+            let class = self
+                .cfg
+                .size_classes
+                .iter()
+                .position(|&c| c >= needed)
+                .expect("needed fits the largest class");
+            let cell = self.pop_free_cell(class)?;
+            self.format_object(cell, nrefs, scalars, is_array)
+        };
         self.stats.objects_allocated += 1;
         self.stats.bytes_allocated += needed;
-        if needed > *self.cfg.size_classes.last().expect("non-empty classes") {
-            return self.alloc_los(nrefs, scalars, is_array, needed);
-        }
-        let class = self
-            .cfg
-            .size_classes
-            .iter()
-            .position(|&c| c >= needed)
-            .expect("needed fits the largest class");
-        let cell = self.pop_free_cell(class)?;
-        Ok(self.format_object(cell, nrefs, scalars, is_array))
+        Ok(obj)
     }
 
     fn pop_free_cell(&mut self, class: usize) -> Result<u64, AllocError> {
@@ -1234,6 +1236,33 @@ mod tests {
             }
         }
         assert!(got_oom);
+    }
+
+    #[test]
+    fn failed_allocations_are_not_counted() {
+        let mut h = Heap::new(HeapConfig {
+            phys_bytes: 16 << 20,
+            spaces: SpaceMap {
+                ms_size: 64 * 1024,  // one block of 1 024 64-byte cells
+                los_size: 64 * 1024, // four 16 KiB large objects
+                ..SpaceMap::default()
+            },
+            ..HeapConfig::default()
+        });
+        // (nrefs, scalars) of a 64-byte cell, then of a 16 KiB LOS object.
+        for (nrefs, scalars, fits) in [(1, 5, 1024u64), (0, 2046, 4)] {
+            let before = h.stats();
+            for _ in 0..fits {
+                h.alloc(nrefs, scalars, false).unwrap();
+            }
+            assert_eq!(h.alloc(nrefs, scalars, false), Err(AllocError::OutOfMemory));
+            let after = h.stats();
+            assert_eq!(after.objects_allocated - before.objects_allocated, fits);
+            assert_eq!(
+                after.bytes_allocated - before.bytes_allocated,
+                fits * h.cell_bytes_needed(nrefs, scalars)
+            );
+        }
     }
 
     #[test]

@@ -305,7 +305,7 @@ pub fn load(text: &str) -> Result<Heap, SnapshotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify::software_mark;
+    use crate::verify::{check_free_lists, software_mark};
 
     fn demo_heap() -> Heap {
         let mut h = Heap::new(HeapConfig {
@@ -436,6 +436,75 @@ mod tests {
         for text in [one_big, &many] {
             let e = load(text).expect_err("TIBs past the immortal space must be rejected");
             assert!(e.message.contains("allocation failed"), "{e}");
+        }
+    }
+
+    /// Twelve objects of mixed shapes with edges, two roots and four
+    /// marks, in `layout`.
+    fn small_heap(layout: LayoutKind) -> Heap {
+        let mut h = Heap::new(HeapConfig {
+            phys_bytes: 64 << 20,
+            layout,
+            ..HeapConfig::default()
+        });
+        let objs: Vec<ObjRef> = (0..12u32)
+            .map(|i| h.alloc(i % 3, i % 4, i % 5 == 0).unwrap())
+            .collect();
+        for (i, &obj) in objs.iter().enumerate() {
+            for slot in 0..h.nrefs(obj) {
+                h.set_ref(obj, slot, Some(objs[(i * 7 + slot as usize + 1) % 12]));
+            }
+        }
+        h.set_roots(&[objs[0], objs[5]]);
+        for &obj in objs.iter().step_by(3) {
+            h.mark(obj);
+        }
+        h
+    }
+
+    /// Loads `bytes` (lossily decoded) and checks that `load` returns a
+    /// typed error or a heap with sound free lists whose dump is a
+    /// fixpoint; `what` names the input in a failure. Returns whether it
+    /// loaded.
+    fn load_is_sound(bytes: &[u8], what: impl Fn() -> String) -> bool {
+        let text = String::from_utf8_lossy(bytes);
+        let loaded = std::panic::catch_unwind(|| load(&text))
+            .unwrap_or_else(|_| panic!("load panicked on {}", what()));
+        let Ok(heap) = loaded else {
+            return false;
+        };
+        check_free_lists(&heap).unwrap_or_else(|e| panic!("{}: {e}", what()));
+        let once = dump(&heap);
+        let again = load(&once).unwrap_or_else(|e| panic!("{}: reload: {e}", what()));
+        assert_eq!(dump(&again), once, "{}: dump is not a fixpoint", what());
+        true
+    }
+
+    /// Every prefix of a small snapshot, and every one-bit flip of every
+    /// byte, in both layouts.
+    #[test]
+    fn every_truncation_and_bit_flip_loads_or_errors() {
+        for layout in [LayoutKind::Bidirectional, LayoutKind::Conventional] {
+            let image = dump(&small_heap(layout)).into_bytes();
+            let mut loaded = 0;
+            for len in 0..=image.len() {
+                if load_is_sound(&image[..len], || format!("{layout:?} cut at byte {len}")) {
+                    loaded += 1;
+                }
+            }
+            let mut flipped = image.clone();
+            for i in 0..image.len() {
+                for bit in 0..8 {
+                    flipped[i] ^= 1 << bit;
+                    if load_is_sound(&flipped, || format!("{layout:?} byte {i} bit {bit}")) {
+                        loaded += 1;
+                    }
+                    flipped[i] ^= 1 << bit;
+                }
+            }
+            // The whole image is one load; the checks must also have
+            // run on mutated images that still parse.
+            assert!(loaded > 1, "{layout:?}: no mutated image loaded");
         }
     }
 

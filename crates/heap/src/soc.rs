@@ -4,7 +4,7 @@
 //! `tracegc-sim`'s [`Scheduler`](tracegc_sim::sched::Scheduler) is
 //! generic over the context type passed to every
 //! [`Engine::step`](tracegc_sim::sched::Engine::step); [`SocCtx`] is the
-//! instantiation every hardware/CPU engine in this workspace uses. The
+//! instantiation every hardware engine in this workspace uses. The
 //! fields are public so an engine can split the borrow — its own heap
 //! mutably alongside the shared memory controller — without fighting the
 //! borrow checker:

@@ -4,8 +4,8 @@
 //!
 //! Both implement [`tracegc_sim::sched::Engine`] over the concrete
 //! [`SocCtx`], so any mix of them (plus the reclamation unit's
-//! [`SweepEngine`](crate::reclaim::SweepEngine) and the CPU collector
-//! engines) can share one clock and one memory system under a
+//! [`SweepEngine`](crate::reclaim::SweepEngine)) can share one clock
+//! and one memory system under a
 //! [`Scheduler`](tracegc_sim::sched::Scheduler). Every `try_run_*`
 //! driver in this crate is a thin driver over these adapters;
 //! `tests/engine_equivalence.rs` proves the scheduled form reproduces

@@ -7,7 +7,7 @@
 //! gap tracking (Fig. 17b reports one request every 8.66 cycles).
 
 use tracegc_sim::fault::{EccOutcome, FaultInjector, FaultStats, SimError};
-use tracegc_sim::{BandwidthMeter, Cycle, EventTrace, TraceEvent};
+use tracegc_sim::{BandwidthMeter, Cycle};
 
 use crate::ddr3::{Ddr3Config, Ddr3Model, Ddr3Stats};
 use crate::pipe::{PipeConfig, PipeModel};
@@ -98,7 +98,6 @@ pub struct MemSystem {
     controller: Controller,
     stats: MemStats,
     meter: BandwidthMeter,
-    trace: Option<EventTrace>,
     /// Optional fault source ([`FaultSite::Mem`]); `None` in clean runs.
     ///
     /// [`FaultSite::Mem`]: tracegc_sim::fault::FaultSite::Mem
@@ -120,7 +119,6 @@ impl MemSystem {
             controller: Controller::Ddr3(Ddr3Model::new(cfg)),
             stats: MemStats::default(),
             meter: BandwidthMeter::new(METER_WINDOW),
-            trace: None,
             fault: None,
             pending_fault: None,
         }
@@ -132,7 +130,6 @@ impl MemSystem {
             controller: Controller::Pipe(PipeModel::new(cfg)),
             stats: MemStats::default(),
             meter: BandwidthMeter::new(METER_WINDOW),
-            trace: None,
             fault: None,
             pending_fault: None,
         }
@@ -171,25 +168,6 @@ impl MemSystem {
         self.pending_fault.as_ref()
     }
 
-    /// Turns on per-request event tracing into a bounded ring of
-    /// `capacity` events. Off by default; tracing adds one ring push per
-    /// scheduled request.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(EventTrace::new(capacity));
-    }
-
-    /// Drains the request-event ring (empty when tracing is disabled),
-    /// leaving a fresh ring of the same capacity behind.
-    pub fn take_trace(&mut self) -> Vec<TraceEvent> {
-        match &mut self.trace {
-            Some(t) => {
-                let cap = t.capacity();
-                std::mem::replace(t, EventTrace::new(cap)).into_vec()
-            }
-            None => Vec::new(),
-        }
-    }
-
     /// Schedules a request presented at `earliest`; returns the
     /// response-ready cycle.
     ///
@@ -216,14 +194,6 @@ impl MemSystem {
         }
         s.last_request_at = s.last_request_at.max(earliest);
         self.meter.record(done, req.bytes as u64);
-        if let Some(trace) = &mut self.trace {
-            let kind = match req.kind {
-                AccessKind::Read => "mem_read",
-                AccessKind::Write => "mem_write",
-                AccessKind::Amo => "mem_amo",
-            };
-            trace.record(earliest, req.source.label(), kind, req.bytes as u64);
-        }
         done
     }
 
@@ -367,26 +337,6 @@ mod tests {
             mem.schedule(&MemReq::read(i * 64, 64, Source::Sweeper), 0);
         }
         assert_eq!(mem.meter().total_bytes(), 256);
-    }
-
-    #[test]
-    fn trace_ring_records_scheduled_requests() {
-        let mut mem = MemSystem::pipe(PipeConfig::default());
-        // Disabled by default: no events.
-        mem.schedule(&MemReq::read(0, 64, Source::Tracer), 0);
-        assert!(mem.take_trace().is_empty());
-        mem.enable_trace(8);
-        mem.schedule(&MemReq::read(64, 64, Source::Tracer), 10);
-        mem.schedule(&MemReq::write(128, 8, Source::MarkQueue), 20);
-        mem.schedule(&MemReq::amo(192, Source::Marker), 30);
-        let events = mem.take_trace();
-        assert_eq!(events.len(), 3);
-        assert_eq!(events[0].kind, "mem_read");
-        assert_eq!(events[1].component, "mark-queue");
-        assert_eq!(events[2].kind, "mem_amo");
-        assert_eq!(events[0].arg, 64);
-        // Drained: the ring restarts empty.
-        assert!(mem.take_trace().is_empty());
     }
 
     use tracegc_sim::fault::{FaultConfig, FaultPlan, FaultSite};

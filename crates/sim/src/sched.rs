@@ -3,12 +3,14 @@
 //!
 //! The paper's system is one synchronous SoC — traversal unit,
 //! reclamation sweepers, CPU and page-table walker all tick against a
-//! single DDR3 controller. Modelling each component as an independently
-//! steppable process under a bulk-synchronous scheduler is what makes
-//! multi-unit and overlapped-phase scenarios composable: any set of
-//! [`Engine`]s can share a clock and a memory system under a pluggable
-//! [`Policy`] (lockstep, round-robin datapath time-multiplexing, or
-//! the §VII bandwidth throttle).
+//! single DDR3 controller. Modelling each accelerator component as an
+//! independently steppable process under a bulk-synchronous scheduler
+//! is what makes multi-unit and overlapped-phase scenarios composable:
+//! any set of [`Engine`]s can share a clock and a memory system under a
+//! pluggable [`Policy`] (lockstep, round-robin datapath
+//! time-multiplexing, or the §VII bandwidth throttle). The CPU
+//! baseline's stop-the-world collector runs alone on the core's own
+//! clock, so it is not an engine.
 //!
 //! The scheduler is generic over the context type `Ctx` handed to every
 //! [`Engine::step`] call, so this crate stays free of heap/memory
@@ -190,9 +192,9 @@ pub enum Progress {
 /// A cycle-stepped state machine the [`Scheduler`] can tick.
 ///
 /// Implementations exist for the traversal unit, the reclamation
-/// unit's sweeper array, the CPU collector phases and the
-/// concurrent-mutator model (in their owning crates); anything that can
-/// advance one cycle at a time against shared state can join an SoC.
+/// unit's sweeper array and the concurrent-mutator model (in their
+/// owning crates); anything that can advance one cycle at a time
+/// against shared state can join an SoC.
 ///
 /// Engines that keep their own [`StallAccounting`] ledgers internally
 /// (self-clocked engines like the sweeper array) leave the `note_*`

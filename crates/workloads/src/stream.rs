@@ -249,7 +249,7 @@ impl RecentRing {
 /// Sizes the heap for a streamed spec. Thanks to the sparse physical
 /// memory, the address-space reservation costs nothing until touched, so
 /// every dimension is generous.
-fn heap_for(spec: &StreamSpec, layout: LayoutKind, superpages: bool) -> Heap {
+fn heap_for(spec: &StreamSpec, layout: LayoutKind) -> Heap {
     // Per-object footprint ~120 bytes plus shape-specific extras.
     let mut est = spec.live_objects as u64 * 120;
     let mut los = 0u64;
@@ -278,7 +278,6 @@ fn heap_for(spec: &StreamSpec, layout: LayoutKind, superpages: bool) -> Heap {
     Heap::new(HeapConfig {
         phys_bytes,
         layout,
-        superpages,
         spaces,
         ..HeapConfig::default()
     })
@@ -286,17 +285,8 @@ fn heap_for(spec: &StreamSpec, layout: LayoutKind, superpages: bool) -> Heap {
 
 /// Generates a streamed heap for `spec` under the given layout.
 pub fn generate_streamed(spec: &StreamSpec, layout: LayoutKind) -> StreamedHeap {
-    generate_streamed_opts(spec, layout, false)
-}
-
-/// Like [`generate_streamed`], with 2 MiB superpage mappings.
-pub fn generate_streamed_opts(
-    spec: &StreamSpec,
-    layout: LayoutKind,
-    superpages: bool,
-) -> StreamedHeap {
     let mut rng = StdRng::seed_from_u64(spec.seed);
-    let mut heap = heap_for(spec, layout, superpages);
+    let mut heap = heap_for(spec, layout);
     let mut stats = GenStats::default();
     let (roots, hot) = match spec.shape {
         StreamShape::Forest {

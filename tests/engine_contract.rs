@@ -1,7 +1,9 @@
 //! Property checks for the `Engine::next_event_at` contract that
 //! `Pacing::FastForward` leans on (see the trait docs in `sim::sched`).
 //!
-//! Every implementor is driven under a *lockstep* reference loop — one
+//! Every implementor (the traversal unit, the reclamation sweepers and
+//! the concurrent mutator; the CPU collector runs its own loops and is
+//! not an engine) is driven under a *lockstep* reference loop — one
 //! step per cycle, exactly what fast-forward elides — and checked at
 //! each step:
 //!
@@ -26,7 +28,6 @@
 //! queue-pressure, throttled, compressed and multi-walker corners, not
 //! just the defaults.
 
-use tracegc::cpu::{Cpu, CpuConfig, CpuMarkEngine, CpuSweepEngine};
 use tracegc::heap::{Heap, HeapConfig, LayoutKind, ObjRef, SocCtx};
 use tracegc::hwgc::{
     CacheTopology, GcUnitConfig, MarkEngine, MutatorConfig, MutatorEngine, ReclamationUnit,
@@ -252,44 +253,6 @@ fn sweep_engine_honors_the_event_contract() {
             &mut engine,
             &mut ctx,
             0,
-            LIMIT,
-            false,
-        );
-    }
-}
-
-#[test]
-fn cpu_engines_honor_the_event_contract() {
-    for seed in 0..4u64 {
-        let mut rng = StdRng::seed_from_u64(200 + seed);
-        let layout = if rng.random() {
-            LayoutKind::Bidirectional
-        } else {
-            LayoutKind::Conventional
-        };
-        let mut heap = random_mark_heap(&mut rng, layout);
-        let mut mem = MemSystem::ddr3(Default::default());
-        let mut cpu = Cpu::new(CpuConfig::default(), &mut heap);
-        {
-            let mut engine = CpuMarkEngine::new(&mut cpu, 0);
-            let mut ctx = SocCtx::single(&mut mem, &mut heap);
-            drive_checked(
-                &format!("cpu-mark[seed={seed}]"),
-                &mut engine,
-                &mut ctx,
-                0,
-                LIMIT,
-                false,
-            );
-        }
-        let start = cpu.now();
-        let mut engine = CpuSweepEngine::new(&mut cpu, 0);
-        let mut ctx = SocCtx::single(&mut mem, &mut heap);
-        drive_checked(
-            &format!("cpu-sweep[seed={seed}]"),
-            &mut engine,
-            &mut ctx,
-            start,
             LIMIT,
             false,
         );

@@ -1,15 +1,17 @@
 //! Refactor-equivalence wall for the `Engine`/`Scheduler` layer.
 //!
 //! The `try_run_mark` / `run_sweep` / `try_run_gc_at` /
-//! `try_run_multiprocess_mark` / `try_run_concurrent_mark` drivers and
-//! the CPU collector's `run_mark` / `run_sweep` are thin drivers over
-//! `Engine::step` + `Scheduler`. This file proves the refactor
-//! preserved behavior cycle-for-cycle: every fingerprint below (end
-//! cycle, work counts, and the complete per-reason stall ledger) was
-//! captured from the pre-refactor run-to-completion loops on `main` and
-//! must match byte for byte. The CPU resume fingerprints
-//! (`Cpu::resume_mark_from`, an inline loop that shares the mark
-//! loop's reference walk) were captured before that walk was shared.
+//! `try_run_multiprocess_mark` / `try_run_concurrent_mark` entry points
+//! run `Engine::step` under the `Scheduler`. This file proves the
+//! refactor preserved behavior cycle-for-cycle: every fingerprint below
+//! (end cycle, work counts, and the complete per-reason stall ledger)
+//! was captured from the pre-refactor run-to-completion loops on `main`
+//! and must match byte for byte. The CPU collector's `run_mark` /
+//! `run_sweep` are direct loops on the core's own clock; their
+//! fingerprints pin them to the same historical loops. The CPU resume
+//! fingerprints (`Cpu::resume_mark_from`, an inline loop that shares
+//! the mark loop's reference walk) were captured before that walk was
+//! shared.
 //!
 //! To regenerate after an *intentional* timing-model change, run
 //!
@@ -405,8 +407,6 @@ fn pacing_differential_deterministic_drivers() {
         ("mark_conv", &|| mark_fingerprint(LayoutKind::Conventional)),
         ("sweep_2", &|| sweep_fingerprint(2)),
         ("sweep_4", &|| sweep_fingerprint(4)),
-        ("cpu_bidi", &|| cpu_fingerprint(LayoutKind::Bidirectional)),
-        ("cpu_conv", &|| cpu_fingerprint(LayoutKind::Conventional)),
         ("gc_unit", &|| gc_unit_fingerprint()),
         ("multiproc", &|| multiproc_fingerprint()),
         ("concurrent", &|| concurrent_fingerprint()),
