@@ -184,10 +184,11 @@ cmp "$SIDECAR_DIR/hs1/heapscale.metrics.json" tests/golden/heapscale.metrics.jso
 
 echo "==> fleet smoke (golden cmp + pacing cross + exit-code contract)"
 # Multi-tenant serving at the golden scale: bytes must match the
-# committed goldens and be invariant to the scheduler pacing. Clean
-# fleets exit 0; with injected faults tenants degrade to the software
-# fallback (exit 2) but never fail the differential reachability check
-# (which would exit 3).
+# committed goldens. The lockstep cross checks the tenant marks, the
+# only part the scheduler pacing reaches (the queueing replay is an
+# event loop). Clean fleets exit 0; with injected faults tenants
+# degrade to the software fallback (exit 2) but never fail the
+# differential reachability check (which would exit 3).
 ./target/release/experiments --scale 0.015 --pauses 1 --jobs 1 \
     --out "$SIDECAR_DIR/fl1" fleet >/dev/null
 for f in fleet_0.csv fleet_1.csv fleet.metrics.json; do

@@ -673,11 +673,26 @@ mod tests {
         for layout in [LayoutKind::Bidirectional, LayoutKind::Conventional] {
             let clone = generate_heap(&spec, layout).clone();
             let fresh = generate_heap(&spec, layout);
+            // Every object with its header and references, every
+            // block's metadata, the large objects with their pages, and
+            // the roots.
+            let graph = |h: &Heap| {
+                h.iter_objects()
+                    .into_iter()
+                    .map(|o| {
+                        let refs: Vec<_> = (0..h.nrefs(o)).map(|i| h.get_ref(o, i)).collect();
+                        (o, h.header(o), refs)
+                    })
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(graph(&clone.heap), graph(&fresh.heap), "{layout:?}");
+            assert_eq!(clone.heap.blocks(), fresh.heap.blocks(), "{layout:?}");
             assert_eq!(
-                tracegc_heap::snapshot::dump(&clone.heap),
-                tracegc_heap::snapshot::dump(&fresh.heap),
+                clone.heap.los_objects(),
+                fresh.heap.los_objects(),
                 "{layout:?}"
             );
+            assert_eq!(clone.heap.roots(), fresh.heap.roots(), "{layout:?}");
             assert_eq!(clone.objects, fresh.objects, "{layout:?}");
             assert_eq!(clone.rng, fresh.rng, "{layout:?}");
         }

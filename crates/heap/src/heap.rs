@@ -1266,6 +1266,29 @@ mod tests {
     }
 
     #[test]
+    fn conventional_tibs_past_the_immortal_space_are_out_of_memory() {
+        // Conventional shapes whose TIBs overflow the 16 MiB immortal
+        // space, though their cells fit: one TIB of 3 000 001 words, and
+        // distinct TIBs of 1, 2, 3, ... words.
+        let conventional = || {
+            Heap::new(HeapConfig {
+                layout: LayoutKind::Conventional,
+                ..HeapConfig::default()
+            })
+        };
+        assert_eq!(
+            conventional().alloc(3_000_000, 0, false),
+            Err(AllocError::OutOfMemory)
+        );
+        let mut h = conventional();
+        let first_oom = (0..6_000).find(|&nrefs| h.alloc(nrefs, 0, false).is_err());
+        let nrefs = first_oom.expect("6 000 distinct TIBs overflow 16 MiB");
+        assert_eq!(h.alloc(nrefs, 0, false), Err(AllocError::OutOfMemory));
+        // A shape whose TIB exists still allocates.
+        assert!(h.alloc(nrefs - 1, 0, false).is_ok());
+    }
+
+    #[test]
     fn phys_region_allocation_is_contiguous() {
         let mut h = small_heap();
         let base = h.alloc_phys_region(4 << 20);
@@ -1299,8 +1322,7 @@ mod superpage_tests {
             h.set_ref(objs[i], 0, Some(objs[(i + 1) % 1000]));
         }
         h.set_roots(&[objs[0]]);
-        let marked = software_mark(&mut h);
-        assert_eq!(marked.len(), 1000);
+        assert_eq!(software_mark(&mut h), 1000);
         software_sweep(&mut h);
         check_free_lists(&h).unwrap();
     }

@@ -38,7 +38,6 @@
 
 pub mod heap;
 pub mod layout;
-pub mod snapshot;
 pub mod soc;
 pub mod space;
 pub mod verify;

@@ -25,26 +25,9 @@ pub struct SweepOutcome {
 }
 
 /// Marks every object reachable from the roots, functionally (no timing).
-/// Returns the set of marked objects.
-pub fn software_mark(heap: &mut Heap) -> BTreeSet<ObjRef> {
-    let mut marked = BTreeSet::new();
-    let mut stack: Vec<ObjRef> = heap.roots().to_vec();
-    while let Some(obj) = stack.pop() {
-        if heap.mark(obj) {
-            continue; // already marked
-        }
-        marked.insert(obj);
-        stack.extend(heap.refs_of(obj));
-    }
-    marked
-}
-
-/// Like [`software_mark`], returning only the count of newly marked
-/// objects without materializing the set — what the streamed workload
-/// generators' recycling sweeps use on multi-million-object heaps,
-/// where a `BTreeSet` of every live object would dwarf the generator's
-/// own footprint.
-pub fn software_mark_count(heap: &mut Heap) -> u64 {
+/// Returns the number of objects it marked; [`Heap::marked_set`] lists
+/// them.
+pub fn software_mark(heap: &mut Heap) -> u64 {
     let mut marked = 0u64;
     let mut stack: Vec<ObjRef> = heap.roots().to_vec();
     while let Some(obj) = stack.pop() {
@@ -308,9 +291,9 @@ mod tests {
     fn software_mark_matches_oracle() {
         let mut h = graph_heap();
         let marked = software_mark(&mut h);
-        assert_eq!(marked, h.reachable_from_roots());
+        assert_eq!(h.marked_set(), h.reachable_from_roots());
         check_marks_match_reachability(&h).unwrap();
-        assert_eq!(marked.len(), 50);
+        assert_eq!(marked, 50);
     }
 
     #[test]
@@ -351,8 +334,7 @@ mod tests {
     fn two_gc_cycles_are_stable() {
         let mut h = graph_heap();
         for _ in 0..2 {
-            let marked = software_mark(&mut h);
-            assert_eq!(marked.len(), 50);
+            assert_eq!(software_mark(&mut h), 50);
             software_sweep(&mut h);
             check_free_lists(&h).unwrap();
         }
@@ -390,8 +372,7 @@ mod tests {
             h.set_ref(objs[i], 0, Some(objs[i + 1]));
         }
         h.set_roots(&[objs[0]]);
-        let marked = software_mark(&mut h);
-        assert_eq!(marked.len(), 30);
+        assert_eq!(software_mark(&mut h), 30);
         let outcome = software_sweep(&mut h);
         assert_eq!(outcome.freed_cells, 30);
         check_free_lists(&h).unwrap();

@@ -4,11 +4,10 @@
 //! The paper shows one traversal unit serving multiple processes over
 //! shared DDR3; a deployment runs the other direction — hundreds of
 //! tenant heaps queueing on a few units. This module models that layer
-//! *as scheduled engines* on the same clock discipline as the SoC
-//! models: an arrival engine replays a seeded open-loop arrival
-//! process (per-tenant exponential interarrivals) into a bounded
-//! admission queue, and one server engine per traversal unit drains
-//! it under a pluggable [`FleetPolicy`].
+//! as a discrete-event replay: a seeded open-loop arrival process
+//! (per-tenant exponential interarrivals) feeds a bounded admission
+//! queue, and K traversal units drain it under a pluggable
+//! [`FleetPolicy`].
 //!
 //! Service times are **trace-driven**: each tenant's mark was measured
 //! cycle-exactly beforehand (clean, faulted and §VII-throttled variants
@@ -21,17 +20,20 @@
 //! isolation at the cost of a slower solo mark).
 //!
 //! Everything is deterministic: arrivals are a pure function of the
-//! seed, dispatch order is registration order under both pacings
-//! (the arrival engine is registered first so same-cycle arrivals are
-//! visible to every server), and the engines uphold the
-//! `next_event_at` contract, so lockstep and fast-forward produce
-//! byte-identical results.
+//! seed, and the replay's state changes only at arrivals and
+//! completions, so [`run_fleet`] jumps from one such event to the next.
+//! At each event cycle it first admits the arrivals that are due, so
+//! same-cycle arrivals are visible to every unit, then lets each unit
+//! in index order finish a request that is due and take the next one.
+//! Completions are therefore ordered by (cycle, unit). No scheduler
+//! runs the replay, so no pacing reaches it and no watchdog bounds an
+//! idle gap.
 
 use std::collections::VecDeque;
+use std::convert::Infallible;
 
 use crate::rng::{Rng, StdRng};
-use crate::sched::{Engine, Policy, Progress, Scheduler};
-use crate::{Cycle, SimError, StallReason};
+use crate::Cycle;
 
 /// How the fleet admits and orders queued GC requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,7 +63,7 @@ impl FleetPolicy {
 /// to replay its GC requests.
 #[derive(Debug, Clone, Copy)]
 pub struct TenantProfile {
-    /// Workload-shape label (watchdog dumps, reports).
+    /// Workload-shape label.
     pub shape: &'static str,
     /// Live objects in the tenant's heap (the smallest-first key).
     pub live_objects: u64,
@@ -155,209 +157,43 @@ impl FleetStats {
     }
 }
 
-/// Shared state the fleet engines communicate through.
-struct FleetCtx {
-    queue: VecDeque<Request>,
-    queue_cap: usize,
-    /// Busy units per channel (the dispatch-time contention factor).
-    channel_busy: Vec<u32>,
-    arrivals_done: bool,
-    completions: Vec<Completion>,
-    rejected: u64,
-    busy_cycles: u64,
-}
-
-/// Replays the precomputed arrival trace into the admission queue.
-struct ArrivalEngine {
-    /// (cycle, tenant, seq), sorted ascending.
-    arrivals: Vec<(Cycle, usize, usize)>,
-    next: usize,
-}
-
-impl ArrivalEngine {
-    /// Seeded open-loop arrivals: each tenant draws
-    /// `requests_per_tenant` exponential interarrival gaps around
-    /// `mean_period` from its own substream, then the per-tenant
-    /// timelines are merged by (cycle, tenant, seq).
-    fn new(cfg: &FleetConfig, tenants: usize) -> Self {
-        let mut arrivals = Vec::with_capacity(tenants * cfg.requests_per_tenant);
-        for tenant in 0..tenants {
-            let mut rng = StdRng::seed_from_u64(
-                cfg.seed ^ (tenant as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            );
-            let mut t = 0.0f64;
-            for seq in 0..cfg.requests_per_tenant {
-                let u = rng.random::<f64>();
-                t += -(1.0 - u).ln() * cfg.mean_period.max(1) as f64;
-                arrivals.push((t.ceil() as Cycle + 1, tenant, seq));
-            }
-        }
-        arrivals.sort_unstable();
-        Self { arrivals, next: 0 }
-    }
-}
-
-impl Engine<FleetCtx> for ArrivalEngine {
-    fn name(&self) -> &'static str {
-        "arrivals"
-    }
-
-    fn label(&self) -> String {
-        format!("arrivals[{} of {} issued]", self.next, self.arrivals.len())
-    }
-
-    fn step(&mut self, now: Cycle, ctx: &mut FleetCtx) -> Progress {
-        let mut progress = false;
-        while self.next < self.arrivals.len() && self.arrivals[self.next].0 <= now {
-            let (arrived, tenant, seq) = self.arrivals[self.next];
-            self.next += 1;
-            progress = true;
-            if ctx.queue.len() >= ctx.queue_cap {
-                ctx.rejected += 1;
-            } else {
-                ctx.queue.push_back(Request {
-                    tenant,
-                    seq,
-                    arrived,
-                });
-            }
-        }
-        if self.next >= self.arrivals.len() {
-            ctx.arrivals_done = true;
-            return Progress::Done;
-        }
-        if progress {
-            Progress::Advanced
-        } else {
-            Progress::Stalled
+/// Seeded open-loop arrivals: each tenant draws `requests_per_tenant`
+/// exponential interarrival gaps around `mean_period` from its own
+/// substream, then the per-tenant timelines are merged by
+/// (cycle, tenant, seq).
+fn arrivals(cfg: &FleetConfig, tenants: usize) -> Vec<(Cycle, usize, usize)> {
+    let mut arrivals = Vec::with_capacity(tenants * cfg.requests_per_tenant);
+    for tenant in 0..tenants {
+        let mut rng =
+            StdRng::seed_from_u64(cfg.seed ^ (tenant as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let mut t = 0.0f64;
+        for seq in 0..cfg.requests_per_tenant {
+            let u = rng.random::<f64>();
+            t += -(1.0 - u).ln() * cfg.mean_period.max(1) as f64;
+            arrivals.push((t.ceil() as Cycle + 1, tenant, seq));
         }
     }
-
-    fn next_event_at(&self) -> Option<Cycle> {
-        self.arrivals.get(self.next).map(|&(t, _, _)| t)
-    }
+    arrivals.sort_unstable();
+    arrivals
 }
 
-/// One traversal unit draining the admission queue.
-struct ServerEngine<'a> {
-    unit: usize,
-    channel: usize,
+/// Picks the next request under the policy. FIFO and Partitioned take
+/// the queue head (arrival order); SmallestFirst scans for the smallest
+/// live set, earliest arrival breaking ties.
+fn pick(
     policy: FleetPolicy,
-    profiles: &'a [TenantProfile],
-    serving: Option<(Request, Cycle, Cycle)>, // (req, started, until)
-}
-
-impl<'a> ServerEngine<'a> {
-    fn new(
-        unit: usize,
-        channels: usize,
-        policy: FleetPolicy,
-        profiles: &'a [TenantProfile],
-    ) -> Self {
-        Self {
-            unit,
-            channel: unit % channels.max(1),
-            policy,
-            profiles,
-            serving: None,
-        }
-    }
-
-    /// Picks the next request under the policy. FIFO and Partitioned
-    /// take the queue head (arrival order); SmallestFirst scans for the
-    /// smallest live set, earliest arrival breaking ties.
-    fn pick(&self, queue: &mut VecDeque<Request>) -> Option<Request> {
-        match self.policy {
-            FleetPolicy::Fifo | FleetPolicy::Partitioned => queue.pop_front(),
-            FleetPolicy::SmallestFirst => {
-                let best = queue
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(i, r)| (self.profiles[r.tenant].live_objects, *i))
-                    .map(|(i, _)| i)?;
-                queue.remove(best)
-            }
-        }
-    }
-
-    fn dispatch(&mut self, now: Cycle, ctx: &mut FleetCtx) -> bool {
-        let Some(req) = self.pick(&mut ctx.queue) else {
-            return false;
-        };
-        let profile = &self.profiles[req.tenant];
-        // Contention is fixed at dispatch: `b` units already busy on
-        // this channel slow the whole pass by `b + 1`. Partitioned
-        // replays the throttled measurement instead — the throttle
-        // already leaves residual bandwidth, so no contention factor.
-        let service = match self.policy {
-            FleetPolicy::Partitioned => profile.throttled_cycles,
-            _ => profile.service_cycles * (ctx.channel_busy[self.channel] as Cycle + 1),
-        };
-        ctx.channel_busy[self.channel] += 1;
-        self.serving = Some((req, now, now + service.max(1)));
-        true
-    }
-}
-
-impl<'a> Engine<FleetCtx> for ServerEngine<'a> {
-    fn name(&self) -> &'static str {
-        "gc-server"
-    }
-
-    fn label(&self) -> String {
-        match &self.serving {
-            Some((req, _, _)) => format!(
-                "gc-server[unit {} ch {}] serving tenant {} ({})",
-                self.unit, self.channel, req.tenant, self.profiles[req.tenant].shape
-            ),
-            None => format!("gc-server[unit {} ch {}] idle", self.unit, self.channel),
-        }
-    }
-
-    fn step(&mut self, now: Cycle, ctx: &mut FleetCtx) -> Progress {
-        let mut progress = false;
-        if let Some((req, started, until)) = self.serving {
-            if now < until {
-                return Progress::Stalled;
-            }
-            ctx.completions.push(Completion {
-                tenant: req.tenant,
-                seq: req.seq,
-                arrived: req.arrived,
-                started,
-                finished: until,
-                unit: self.unit,
-            });
-            ctx.busy_cycles += until - started;
-            ctx.channel_busy[self.channel] -= 1;
-            self.serving = None;
-            progress = true;
-        }
-        if self.dispatch(now, ctx) {
-            return Progress::Advanced;
-        }
-        if ctx.arrivals_done {
-            return Progress::Done;
-        }
-        if progress {
-            Progress::Advanced
-        } else {
-            Progress::Stalled
-        }
-    }
-
-    fn next_event_at(&self) -> Option<Cycle> {
-        // Serving: wake at completion. Idle: no self-scheduled wake —
-        // the arrival engine's event covers the only state change that
-        // can hand this unit work.
-        self.serving.map(|(_, _, until)| until)
-    }
-
-    fn stall_reason(&self, _now: Cycle) -> StallReason {
-        if self.serving.is_some() {
-            StallReason::MemLatency
-        } else {
-            StallReason::Idle
+    profiles: &[TenantProfile],
+    queue: &mut VecDeque<Request>,
+) -> Option<Request> {
+    match policy {
+        FleetPolicy::Fifo | FleetPolicy::Partitioned => queue.pop_front(),
+        FleetPolicy::SmallestFirst => {
+            let best = queue
+                .iter()
+                .enumerate()
+                .min_by_key(|(i, r)| (profiles[r.tenant].live_objects, *i))
+                .map(|(i, _)| i)?;
+            queue.remove(best)
         }
     }
 }
@@ -365,44 +201,88 @@ impl<'a> Engine<FleetCtx> for ServerEngine<'a> {
 /// Runs one fleet configuration over the measured tenant profiles and
 /// returns the completed-request history.
 ///
-/// Deterministic under both pacings and any `--jobs`: the queueing
-/// layer itself is one single-threaded scheduler run.
-pub fn run_fleet(cfg: &FleetConfig, profiles: &[TenantProfile]) -> Result<FleetStats, SimError> {
+/// The replay cannot fail: the error type is [`Infallible`].
+///
+/// # Panics
+///
+/// Panics when `cfg.units` is 0.
+pub fn run_fleet(cfg: &FleetConfig, profiles: &[TenantProfile]) -> Result<FleetStats, Infallible> {
     assert!(cfg.units > 0, "fleet needs at least one unit");
-    let mut ctx = FleetCtx {
-        queue: VecDeque::new(),
-        queue_cap: cfg.queue_cap.max(1),
-        channel_busy: vec![0; cfg.channels.max(1)],
-        arrivals_done: false,
+    let arrivals = arrivals(cfg, profiles.len());
+    let queue_cap = cfg.queue_cap.max(1);
+    let channels = cfg.channels.max(1);
+    // Busy units per channel (the dispatch-time contention factor).
+    let mut channel_busy = vec![0 as Cycle; channels];
+    // Per unit: the request in service, its start and its completion.
+    let mut serving: Vec<Option<(Request, Cycle, Cycle)>> = vec![None; cfg.units];
+    let mut queue = VecDeque::new();
+    let mut stats = FleetStats {
         completions: Vec::new(),
         rejected: 0,
         busy_cycles: 0,
+        makespan: 0,
     };
-    let mut arrivals = ArrivalEngine::new(cfg, profiles.len());
-    let mut servers: Vec<ServerEngine<'_>> = (0..cfg.units)
-        .map(|u| ServerEngine::new(u, cfg.channels, cfg.policy, profiles))
-        .collect();
-    // The arrival engine is registered first: a same-cycle arrival is
-    // visible to every server in the same service round, identically
-    // under lockstep and fast-forward.
-    let mut engines: Vec<&mut dyn Engine<FleetCtx>> = Vec::with_capacity(1 + cfg.units);
-    engines.push(&mut arrivals);
-    for s in &mut servers {
-        engines.push(s);
+    let mut next = 0;
+    let mut event = arrivals.first().map(|&(t, _, _)| t);
+    while let Some(now) = event {
+        while let Some(&(arrived, tenant, seq)) = arrivals.get(next).filter(|a| a.0 <= now) {
+            next += 1;
+            if queue.len() >= queue_cap {
+                stats.rejected += 1;
+            } else {
+                queue.push_back(Request {
+                    tenant,
+                    seq,
+                    arrived,
+                });
+            }
+        }
+        for (unit, slot) in serving.iter_mut().enumerate() {
+            let channel = unit % channels;
+            if let Some((req, started, until)) = *slot {
+                if until > now {
+                    continue;
+                }
+                stats.completions.push(Completion {
+                    tenant: req.tenant,
+                    seq: req.seq,
+                    arrived: req.arrived,
+                    started,
+                    finished: until,
+                    unit,
+                });
+                stats.busy_cycles += until - started;
+                channel_busy[channel] -= 1;
+                *slot = None;
+            }
+            let Some(req) = pick(cfg.policy, profiles, &mut queue) else {
+                continue;
+            };
+            let profile = &profiles[req.tenant];
+            // Contention is fixed at dispatch: `b` units already busy on
+            // this channel slow the whole pass by `b + 1`. Partitioned
+            // replays the throttled measurement instead — the throttle
+            // already leaves residual bandwidth, so no contention factor.
+            let service = match cfg.policy {
+                FleetPolicy::Partitioned => profile.throttled_cycles,
+                _ => profile.service_cycles * (channel_busy[channel] + 1),
+            };
+            channel_busy[channel] += 1;
+            *slot = Some((req, now, now + service.max(1)));
+        }
+        // Nothing changes between events: a request waits in the queue
+        // only while every unit is busy.
+        let next_arrival = arrivals.get(next).map(|&(t, _, _)| t);
+        let next_completion = serving.iter().flatten().map(|&(_, _, until)| until).min();
+        event = next_arrival.into_iter().chain(next_completion).min();
     }
-    let report = Scheduler::new(Policy::Lockstep).try_run(&mut engines, &mut ctx, 0)?;
-    Ok(FleetStats {
-        completions: ctx.completions,
-        rejected: ctx.rejected,
-        busy_cycles: ctx.busy_cycles,
-        makespan: report.end,
-    })
+    stats.makespan = stats.completions.last().map_or(0, |c| c.finished);
+    Ok(stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sched::{with_pacing, Pacing};
 
     fn profiles(n: usize) -> Vec<TenantProfile> {
         (0..n)
@@ -439,21 +319,6 @@ mod tests {
         assert!(a.utilization(4) > 0.0 && a.utilization(4) <= 1.0);
         for done in &a.completions {
             assert!(done.arrived <= done.started && done.started < done.finished);
-        }
-    }
-
-    #[test]
-    fn lockstep_and_fastforward_agree_exactly() {
-        for policy in [
-            FleetPolicy::Fifo,
-            FleetPolicy::SmallestFirst,
-            FleetPolicy::Partitioned,
-        ] {
-            let p = profiles(12);
-            let c = cfg(policy, 900);
-            let ls = with_pacing(Pacing::Lockstep, || run_fleet(&c, &p).unwrap());
-            let ff = with_pacing(Pacing::FastForward, || run_fleet(&c, &p).unwrap());
-            assert_eq!(ls, ff, "{} diverged across pacings", policy.name());
         }
     }
 
@@ -536,5 +401,39 @@ mod tests {
                 "partitioned service must be the throttled measurement"
             );
         }
+    }
+
+    #[test]
+    fn arrival_gaps_past_ten_million_cycles_complete() {
+        // Arrivals ~50 M cycles apart on one unit: the fleet idles far
+        // longer than a scheduler's 10 M-cycle no-progress watchdog
+        // window, and every request is still served at its profiled
+        // service time.
+        let p = profiles(2);
+        let c = FleetConfig {
+            units: 1,
+            channels: 1,
+            policy: FleetPolicy::Fifo,
+            requests_per_tenant: 2,
+            mean_period: 50_000_000,
+            queue_cap: 4,
+            seed: 0xF1EE_7001,
+        };
+        let run = run_fleet(&c, &p).unwrap();
+        assert_eq!(run.rejected, 0);
+        assert_eq!(run.completions.len(), 4);
+        for done in &run.completions {
+            assert_eq!(done.finished - done.started, p[done.tenant].service_cycles);
+        }
+        // The fleet idles past the window before its first arrival and
+        // between two later ones.
+        let mut arrived: Vec<Cycle> = run.completions.iter().map(|c| c.arrived).collect();
+        arrived.sort_unstable();
+        assert!(arrived[0] > 10_000_000, "first arrival at {}", arrived[0]);
+        assert!(
+            arrived.windows(2).any(|w| w[1] - w[0] > 10_000_000),
+            "{arrived:?}"
+        );
+        assert_eq!(run.makespan, run.completions.last().unwrap().finished);
     }
 }

@@ -24,7 +24,8 @@
 //! * [`fleet`] — fleet-scale multi-tenant GC request queueing: a
 //!   seeded open-loop arrival process, bounded admission, pluggable
 //!   scheduling policies and trace-driven replay of measured per-tenant
-//!   mark service times over shared traversal units.
+//!   mark service times over shared traversal units, run as a direct
+//!   event loop off the cycle scheduler.
 //! * [`lru`] — [`LruMap`], the exact O(1) LRU map behind the TLBs and
 //!   the mark-bit cache.
 //! * [`sched`] — the SoC composition layer: the cycle-stepped

@@ -207,7 +207,7 @@ pub trait Engine<Ctx> {
 
     /// Instance label for watchdog dumps: [`Engine::name`] plus any
     /// per-instance identity (heap index, tenant id, partition). A
-    /// fleet deadlock dump that says `traversal` eight times is
+    /// multi-unit deadlock dump that says `traversal` eight times is
     /// useless; one that says `traversal[tenant 3 social-graph]` names
     /// the culprit. Defaults to the bare name.
     fn label(&self) -> String {

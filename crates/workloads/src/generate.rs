@@ -245,7 +245,7 @@ mod tests {
             let spec = spec.scaled(0.01);
             let mut w = generate_heap(&spec, LayoutKind::Bidirectional);
             let marked = software_mark(&mut w.heap);
-            assert_eq!(marked.len(), w.live_objects, "{}", spec.name);
+            assert_eq!(marked, w.live_objects as u64, "{}", spec.name);
             software_sweep(&mut w.heap);
             check_free_lists(&w.heap).unwrap();
         }
@@ -283,8 +283,7 @@ mod tests {
         let allocated = churn(&mut w, 0.2);
         assert!(allocated > 0, "churn should allocate");
         // The next GC still works and frees something.
-        let marked = software_mark(&mut w.heap);
-        assert!(!marked.is_empty());
+        assert!(software_mark(&mut w.heap) > 0);
         let out = software_sweep(&mut w.heap);
         check_free_lists(&w.heap).unwrap();
         let _ = out;

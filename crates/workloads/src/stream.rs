@@ -30,7 +30,7 @@
 //!   previous message and its payload), so pointer *mutation* — not
 //!   allocation order — decides liveness.
 
-use tracegc_heap::verify::{software_mark_count, software_sweep};
+use tracegc_heap::verify::{software_mark, software_sweep};
 use tracegc_heap::{Heap, HeapConfig, LayoutKind, ObjRef, SpaceMap};
 use tracegc_sim::dist::Zipf;
 use tracegc_sim::rng::{Rng, StdRng};
@@ -759,7 +759,7 @@ fn gen_actor_mesh(
 /// cells are recycled by subsequent allocations.
 fn gen_sweep(heap: &mut Heap, roots: &[ObjRef], stats: &mut GenStats) {
     heap.set_roots(roots);
-    software_mark_count(heap);
+    software_mark(heap);
     let outcome = software_sweep(heap);
     stats.gen_sweeps += 1;
     stats.cells_recycled += outcome.freed_cells;
@@ -1057,7 +1057,7 @@ mod tests {
             let mut g = generate_streamed(&spec(shape, 3000), LayoutKind::Bidirectional);
             assert!(g.live_objects > 0, "{name}: nothing live");
             let marked = software_mark(&mut g.heap);
-            assert_eq!(marked.len(), g.live_objects, "{name}: mark mismatch");
+            assert_eq!(marked, g.live_objects as u64, "{name}: mark mismatch");
             software_sweep(&mut g.heap);
             check_free_lists(&g.heap).unwrap();
         }

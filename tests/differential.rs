@@ -51,9 +51,8 @@ fn assert_hw_matches_sw(spec: &BenchSpec) {
         spec.name
     );
     assert_eq!(
-        mark.objects_marked as usize,
-        sw_marked.len(),
-        "{}: unit's own counter disagrees with the software set",
+        mark.objects_marked, sw_marked,
+        "{}: unit's own counter disagrees with the software mark's",
         spec.name
     );
 

@@ -1,8 +1,10 @@
 //! The fleet experiment's determinism wall: tables and the metrics
 //! sidecar must be byte-identical under both scheduler pacings, with
 //! and without active fault injection — the in-process counterpart of
-//! ci.sh's cross-process `cmp` gate. (One experiment id never fans out
-//! under `--jobs`; `tests/determinism.rs` pins that axis.)
+//! ci.sh's cross-process `cmp` gate. The pacing reaches the tenant
+//! marks only: the queueing replay (`sim::fleet::run_fleet`) is an
+//! event loop, not a scheduled engine set. (One experiment id never
+//! fans out under `--jobs`; `tests/determinism.rs` pins that axis.)
 
 use tracegc::experiments::{exit_code_for, run_ids, CompletedExperiment, Options};
 use tracegc::sim::{with_pacing, FaultConfig, Pacing};
