@@ -91,8 +91,12 @@ echo "==> golden wall, fig18 and ablE (release)"
 # tests/golden.rs::golden_wall_full is #[ignore]d because these two
 # experiments force their own large workload scales (minutes under the
 # debug profile). They are the only golden experiments that put a large
-# heap through the DDR3 model, so CI byte-checks them here.
-cargo test --release --offline -p tracegc --test golden golden_wall_full -- --ignored
+# heap through the DDR3 model, so CI byte-checks them here, together
+# with the other ignored tests over them: the ledger closure of fig18's
+# shared and partitioned phases and of ablE (metrics_sidecar) and their
+# smoke run (experiments_smoke). About 35 s on a 2-vCPU host.
+cargo test --release --offline -p tracegc --test golden --test metrics_sidecar \
+    --test experiments_smoke -- --ignored --skip regenerate_goldens
 
 echo "==> metrics sidecar smoke (fig15, --jobs 1 vs --jobs 8)"
 SIDECAR_DIR=$(mktemp -d)

@@ -98,10 +98,6 @@ pub struct Cpu {
     now: Cycle,
     /// Per-phase cycle ledger (reset at each phase start).
     stalls: StallAccounting,
-    /// Whether the most recent [`Cpu::access`] triggered a page-table
-    /// walk — load-use waits on it are then TLB misses, not plain memory
-    /// latency.
-    last_access_walked: bool,
 }
 
 impl Cpu {
@@ -115,7 +111,6 @@ impl Cpu {
             translator: Translator::new(heap.address_space(), cfg.tlb),
             now: 0,
             stalls: StallAccounting::default(),
-            last_access_walked: false,
         }
     }
 
@@ -138,12 +133,10 @@ impl Cpu {
     /// A timed data access: translate, then L1 → L2 → DRAM. Returns the
     /// cycle the data is available.
     fn access(&mut self, heap: &Heap, mem: &mut MemSystem, va: u64, write: bool) -> Cycle {
-        let walks_before = self.translator.stats().walks;
         let (pa, t) = self
             .translator
             .translate(Requester::Cpu, va, self.now, mem, &heap.phys)
             .unwrap_or_else(|e| panic!("CPU access fault: {e}"));
-        self.last_access_walked = self.translator.stats().walks > walks_before;
         let mut backing = L2Backing {
             l2: &mut self.l2,
             mem,
@@ -174,9 +167,10 @@ impl Cpu {
         }
     }
 
-    /// [`Cpu::wait_tagged`] using the most recent access's walk flag.
+    /// [`Cpu::wait_tagged`] for the most recent [`Cpu::access`], which
+    /// walked when its translation did.
     fn wait(&mut self, t: Cycle) {
-        self.wait_tagged(t, self.last_access_walked);
+        self.wait_tagged(t, self.translator.last_walk().is_some());
     }
 
     /// Runs the mark phase: a breadth-limited DFS with a software mark
@@ -386,7 +380,7 @@ impl Cpu {
                     let slot = bidi::ref_slot(obj, i);
                     let t = self.access(heap, mem, slot, false);
                     let raw = heap.read_va(slot);
-                    pending.push_back((t, raw, self.last_access_walked));
+                    pending.push_back((t, raw, self.translator.last_walk().is_some()));
                     if pending.len() >= window {
                         let (t, raw, walked) = pending.pop_front().expect("non-empty");
                         self.wait_tagged(t, walked);

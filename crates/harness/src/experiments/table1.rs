@@ -50,7 +50,7 @@ pub fn run(_opts: &Options) -> ExperimentOutput {
             ddr.scheduler, ddr.max_reads, ddr.max_writes
         ),
     ]);
-    mem.row(vec!["Page policy".into(), format!("{:?}", ddr.page_policy)]);
+    mem.row(vec!["Page policy".into(), "Open".into()]);
     mem.row(vec![
         "DRAM latencies (ns)".into(),
         format!("{}-{}-{}-{}", ddr.t_cas, ddr.t_rcd, ddr.t_rp, ddr.t_ras),

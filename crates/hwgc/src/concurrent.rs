@@ -92,8 +92,9 @@ pub fn try_run_concurrent_mark(
     // The mutator is scheduled *before* the collector so barrier
     // references published at cycle `t` enter the mark queue at `t`;
     // as a background engine it paces the clock (via its next-op time)
-    // without gating completion. Lockstep over both reproduces the
-    // historical hand-rolled interleaving cycle-for-cycle.
+    // without gating completion. Lockstep steps both every cycle; the
+    // concurrent fingerprint in `tests/engine_equivalence.rs` pins the
+    // interleaving.
     let mut mutator = MutatorEngine::new(mutator_cfg, 0, working_set, start);
     let end = {
         let mut mark = MarkEngine::new(unit, 0);

@@ -39,14 +39,6 @@ pub struct GcUnitConfig {
     pub markbit_cache: usize,
     /// Parallel block sweepers in the reclamation unit (Fig. 20).
     pub sweepers: usize,
-    /// Line buffers per sweeper ("only need 2 cache lines", §VI-B).
-    pub sweeper_line_bufs: usize,
-    /// Cycles a block sweeper's state machine spends per cell
-    /// (classification, mark-word address computation, free-list link
-    /// update; §V-D).
-    pub sweeper_cell_cycles: u64,
-    /// Cycles to dequeue/enqueue a block from the global block lists.
-    pub sweeper_block_cycles: u64,
     /// TLB and page-table-walker sizing.
     pub tlb: TlbConfig,
     /// Cache topology (partitioned vs shared).
@@ -80,9 +72,6 @@ impl Default for GcUnitConfig {
             compress: false,
             markbit_cache: 0,
             sweepers: 2,
-            sweeper_line_bufs: 2,
-            sweeper_cell_cycles: 16,
-            sweeper_block_cycles: 8,
             tlb: TlbConfig::default(),
             topology: CacheTopology::Partitioned,
             spill_bytes: 4 << 20,

@@ -8,8 +8,8 @@
 //! and one memory system under a
 //! [`Scheduler`](tracegc_sim::sched::Scheduler). Every `try_run_*`
 //! driver in this crate is a thin driver over these adapters;
-//! `tests/engine_equivalence.rs` proves the scheduled form reproduces
-//! the pre-refactor cycle counts and stall ledgers exactly.
+//! `tests/engine_equivalence.rs` pins their cycle counts and stall
+//! ledgers to golden fingerprints.
 
 use tracegc_heap::layout::HEADER_MARK_BIT;
 use tracegc_heap::{ObjRef, SocCtx};
@@ -27,8 +27,7 @@ use crate::traversal::TraversalUnit;
 /// before scheduling. The engine drains the heap's [`SocCtx`] mailbox
 /// into the unit's injection queue at the top of every step, so a
 /// mutator engine scheduled *earlier in the same cycle* has its
-/// write-barrier references observed exactly as the historical
-/// hand-rolled concurrent loop did.
+/// write-barrier references observed in that same cycle.
 ///
 /// Scheduler charges are routed into the unit's own per-pass ledger
 /// ([`TraversalUnit::charge_busy`] / [`TraversalUnit::charge_stall`]),
@@ -142,8 +141,7 @@ impl<'a, 'c> Engine<SocCtx<'c>> for MarkEngine<'a> {
 /// ([`Engine::is_background`]).
 ///
 /// Schedule it *before* the heap's [`MarkEngine`] so barrier references
-/// published at cycle `t` enter the unit's mark queue at `t`, exactly as
-/// in the historical hand-rolled loop.
+/// published at cycle `t` enter the unit's mark queue at `t`.
 #[derive(Debug)]
 pub struct MutatorEngine {
     cfg: MutatorConfig,

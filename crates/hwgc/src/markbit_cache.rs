@@ -68,16 +68,6 @@ impl MarkBitCache {
         self.misses
     }
 
-    /// Fraction of lookups filtered, 0.0 when unused.
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
     /// Configured capacity.
     pub fn capacity(&self) -> usize {
         self.map.capacity()
@@ -194,17 +184,6 @@ mod tests {
         c.filter(24); // C evicts B
         assert!(c.filter(8), "hot entry evicted");
         assert!(!c.filter(16), "cold entry retained");
-    }
-
-    #[test]
-    fn hit_ratio_reflects_skew() {
-        let mut c = MarkBitCache::new(8);
-        // One hot object referenced 90 times among 10 cold ones.
-        for i in 0..100u64 {
-            let va = if i % 10 == 0 { 8 * (i + 1000) } else { 0x100 };
-            c.filter(va);
-        }
-        assert!(c.hit_ratio() > 0.8, "ratio {}", c.hit_ratio());
     }
 
     #[test]

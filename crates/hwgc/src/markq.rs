@@ -21,7 +21,7 @@
 
 use std::collections::VecDeque;
 
-use tracegc_mem::cache::MemBacking;
+use tracegc_mem::cache::issue;
 use tracegc_mem::{Cache, MemReq, MemSystem, PhysMem, Source};
 use tracegc_sim::{BoundedQueue, Cycle};
 
@@ -227,12 +227,16 @@ impl MarkQueue {
 
     /// Advances the spill state machine by one action. Returns `true`
     /// when any state changed (for the unit's progress tracking).
+    ///
+    /// Spill writes and fills go through `cache` when one is given (the
+    /// shared topology's one cache, Fig. 18a), straight to `mem`
+    /// otherwise.
     pub fn tick(
         &mut self,
         now: Cycle,
         mem: &mut MemSystem,
         phys: &mut PhysMem,
-        mut shared_cache: Option<&mut Cache>,
+        cache: Option<&mut Cache>,
         port_free: &mut bool,
     ) -> bool {
         // 1. Land a completed fill into inQ.
@@ -286,7 +290,7 @@ impl MarkQueue {
             if !*port_free {
                 return false;
             }
-            if self.issue_spill_write(now, mem, phys, shared_cache.as_deref_mut()) {
+            if self.issue_spill_write(now, mem, phys, cache) {
                 *port_free = false;
                 return true;
             }
@@ -303,7 +307,7 @@ impl MarkQueue {
             if !*port_free {
                 return false;
             }
-            if self.issue_fill(now, mem, phys, shared_cache) {
+            if self.issue_fill(now, mem, phys, cache) {
                 *port_free = false;
                 return true;
             }
@@ -334,7 +338,7 @@ impl MarkQueue {
         now: Cycle,
         mem: &mut MemSystem,
         phys: &mut PhysMem,
-        shared_cache: Option<&mut Cache>,
+        cache: Option<&mut Cache>,
     ) -> bool {
         let chunk_entries = self.entries_per_chunk();
         let slots_total = self.cfg.spill_bytes / 64;
@@ -354,10 +358,8 @@ impl MarkQueue {
         let entry_bytes = self.cfg.codec.entry_bytes();
         // Functionally pack the entries into the spill region.
         let mut word = 0u64;
-        let mut entries = Vec::with_capacity(take);
         for i in 0..take {
             let e = self.outq.pop().expect("sized by len");
-            entries.push(e);
             match entry_bytes {
                 8 => phys.write_u64(self.cfg.spill_base + offset + (i as u64) * 8, e),
                 4 => {
@@ -375,27 +377,8 @@ impl MarkQueue {
             phys.write_u64(self.cfg.spill_base + offset + (take as u64 / 2) * 8, word);
         }
         let bytes = (take as u64 * entry_bytes).next_power_of_two().clamp(8, 64) as u32;
-        match shared_cache {
-            Some(cache) => {
-                let mut backing = MemBacking {
-                    mem,
-                    source: Source::MarkQueue,
-                };
-                cache.access(
-                    self.cfg.spill_base + offset,
-                    true,
-                    now,
-                    Source::MarkQueue,
-                    &mut backing,
-                );
-            }
-            None => {
-                mem.schedule(
-                    &MemReq::write(self.cfg.spill_base + offset, bytes, Source::MarkQueue),
-                    now,
-                );
-            }
-        }
+        let req = MemReq::write(self.cfg.spill_base + offset, bytes, Source::MarkQueue);
+        issue(mem, cache, &req, now);
         self.chunks.push_back(SpillChunk {
             offset,
             count: take as u32,
@@ -412,54 +395,45 @@ impl MarkQueue {
         now: Cycle,
         mem: &mut MemSystem,
         phys: &mut PhysMem,
-        shared_cache: Option<&mut Cache>,
+        cache: Option<&mut Cache>,
     ) -> bool {
         let Some(chunk) = self.chunks.pop_front() else {
             return false;
         };
-        let entry_bytes = self.cfg.codec.entry_bytes();
-        let bytes = (chunk.count as u64 * entry_bytes)
+        let bytes = (chunk.count as u64 * self.cfg.codec.entry_bytes())
             .next_power_of_two()
             .clamp(8, 64) as u32;
-        let done = match shared_cache {
-            Some(cache) => {
-                let mut backing = MemBacking {
-                    mem,
-                    source: Source::MarkQueue,
-                };
-                cache.access(
-                    self.cfg.spill_base + chunk.offset,
-                    false,
-                    now,
-                    Source::MarkQueue,
-                    &mut backing,
-                )
-            }
-            None => mem.schedule(
-                &MemReq::read(self.cfg.spill_base + chunk.offset, bytes, Source::MarkQueue),
-                now,
-            ),
-        };
-        let mut entries = Vec::with_capacity(chunk.count as usize);
-        for i in 0..chunk.count as u64 {
-            let e = match entry_bytes {
-                8 => phys.read_u64(self.cfg.spill_base + chunk.offset + i * 8),
-                4 => {
-                    let w = phys.read_u64(self.cfg.spill_base + chunk.offset + (i / 2) * 8);
-                    if i % 2 == 0 {
-                        w & 0xFFFF_FFFF
-                    } else {
-                        w >> 32
-                    }
-                }
-                _ => unreachable!(),
-            };
-            entries.push(e);
-        }
+        let req = MemReq::read(self.cfg.spill_base + chunk.offset, bytes, Source::MarkQueue);
+        let done = issue(mem, cache, &req, now);
+        let entries = self.read_chunk(phys, chunk).collect();
         self.spilled -= chunk.count as u64;
         self.stats.spill_reads += 1;
         self.pending_fill = Some((done, entries));
         true
+    }
+
+    /// The encoded entries of the spilled `chunk`, read back
+    /// functionally from `phys` (two 4-byte entries share a word, low
+    /// half first).
+    fn read_chunk<'p>(
+        &self,
+        phys: &'p PhysMem,
+        chunk: SpillChunk,
+    ) -> impl Iterator<Item = u64> + 'p {
+        let base = self.cfg.spill_base + chunk.offset;
+        let entry_bytes = self.cfg.codec.entry_bytes();
+        (0..u64::from(chunk.count)).map(move |i| match entry_bytes {
+            8 => phys.read_u64(base + i * 8),
+            4 => {
+                let w = phys.read_u64(base + (i / 2) * 8);
+                if i % 2 == 0 {
+                    w & 0xFFFF_FFFF
+                } else {
+                    w >> 32
+                }
+            }
+            _ => unreachable!("entry sizes are 4 or 8"),
+        })
     }
 
     /// Earliest pending event (for the unit's idle skip-ahead).
@@ -486,23 +460,8 @@ impl MarkQueue {
         if let Some((_, entries)) = self.pending_fill.take() {
             encoded.extend(entries);
         }
-        let entry_bytes = self.cfg.codec.entry_bytes();
         while let Some(chunk) = self.chunks.pop_front() {
-            for i in 0..chunk.count as u64 {
-                let e = match entry_bytes {
-                    8 => phys.read_u64(self.cfg.spill_base + chunk.offset + i * 8),
-                    4 => {
-                        let w = phys.read_u64(self.cfg.spill_base + chunk.offset + (i / 2) * 8);
-                        if i % 2 == 0 {
-                            w & 0xFFFF_FFFF
-                        } else {
-                            w >> 32
-                        }
-                    }
-                    _ => unreachable!("entry sizes are 4 or 8"),
-                };
-                encoded.push(e);
-            }
+            encoded.extend(self.read_chunk(phys, chunk));
         }
         self.spilled = 0;
         encoded

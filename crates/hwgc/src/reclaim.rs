@@ -20,10 +20,19 @@ use tracegc_heap::{Heap, SocCtx};
 use tracegc_mem::{MemReq, MemSystem, Source};
 use tracegc_sim::metrics::DEFAULT_TRACE_CAPACITY;
 use tracegc_sim::sched::{Engine, Policy, Progress, Scheduler};
-use tracegc_sim::{Cycle, EventTrace, StallAccounting, StallReason};
+use tracegc_sim::{Cycle, EventTrace, LruMap, StallAccounting, StallReason};
 use tracegc_vmem::{Requester, Translator};
 
 use crate::config::GcUnitConfig;
+
+/// Line buffers per sweeper ("only need 2 cache lines", §VI-B).
+const LINE_BUFS: usize = 2;
+/// Cycles a block sweeper's state machine spends per cell
+/// (classification, mark-word address computation, free-list link
+/// update; §V-D).
+const CELL_CYCLES: u64 = 16;
+/// Cycles to dequeue/enqueue a block from the global block lists.
+const BLOCK_CYCLES: u64 = 8;
 
 /// Result of one sweep pass on the reclamation unit.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -56,22 +65,15 @@ impl ReclaimResult {
     }
 }
 
-/// A per-sweeper line buffer: the 64-byte line at `line_va` is valid from
-/// cycle `ready`.
-#[derive(Debug, Clone, Copy)]
-struct LineBuf {
-    line_va: u64,
-    ready: Cycle,
-    last_use: u64,
-}
-
 /// One block sweeper's progress through its current block.
 #[derive(Debug)]
 struct Sweeper {
     /// Index into the heap's block table, or `None` between blocks.
     block: Option<BlockJob>,
-    bufs: Vec<LineBuf>,
-    use_clock: u64,
+    /// The line buffers, keyed by line VA: each 64-byte line is valid
+    /// from the cycle it holds, and a miss replaces the least recently
+    /// used line.
+    bufs: LruMap<Cycle>,
     /// The sweeper's own notion of time (sweepers run in parallel).
     now: Cycle,
 }
@@ -119,9 +121,8 @@ impl ReclamationUnit {
     /// to [`tracegc_heap::verify::software_sweep`].
     ///
     /// A thin driver: schedules a single [`SweepEngine`] under the
-    /// lockstep policy, which replays the historical min-local-clock
-    /// event loop action-for-action (proven cycle- and ledger-exact by
-    /// `tests/engine_equivalence.rs`).
+    /// lockstep policy. `tests/engine_equivalence.rs` pins its cycles
+    /// and stall ledger to golden fingerprints.
     pub fn run_sweep(
         &mut self,
         heap: &mut Heap,
@@ -144,65 +145,36 @@ impl ReclamationUnit {
         sweeper: &mut Sweeper,
         heap: &Heap,
         mem: &mut MemSystem,
-        line_bufs: usize,
         translator: &mut Translator,
         result: &mut ReclaimResult,
         va: u64,
     ) -> Cycle {
         let line_va = va & !63;
-        sweeper.use_clock += 1;
-        let clock = sweeper.use_clock;
-        if let Some(buf) = sweeper.bufs.iter_mut().find(|b| b.line_va == line_va) {
-            buf.last_use = clock;
+        if let Some(pos) = sweeper.bufs.find(line_va) {
+            sweeper.bufs.touch(pos);
+            let ready = *sweeper.bufs.value(pos);
             // An in-flight buffered line: the remaining wait is memory.
-            result.stalls.stall(
-                StallReason::MemLatency,
-                buf.ready.saturating_sub(sweeper.now),
-            );
-            return buf.ready;
+            result
+                .stalls
+                .stall(StallReason::MemLatency, ready.saturating_sub(sweeper.now));
+            return ready;
         }
-        let before = translator.stats();
         let (pa, ready) = translator
             .translate(Requester::Sweeper, line_va, sweeper.now, mem, &heap.phys)
             .unwrap_or_else(|e| panic!("sweeper fault: {e}"));
-        let after = translator.stats();
         let done = mem.schedule(&MemReq::read(pa, 64, Source::Sweeper), ready);
         // Split the wait: the translation portion is a TLB-miss walk (or
         // a wait behind the busy shared walker), the rest is the line
         // fetch itself.
         let total = done.saturating_sub(sweeper.now);
-        let xlat = if after.walks > before.walks {
-            ready.saturating_sub(sweeper.now).min(total)
-        } else {
-            0
-        };
-        if xlat > 0 {
-            let reason = if after.walker_wait_cycles > before.walker_wait_cycles {
-                StallReason::PtwBusy
-            } else {
-                StallReason::TlbMiss
-            };
+        let mut xlat = 0;
+        if let Some(reason) = translator.last_walk() {
+            xlat = ready.saturating_sub(sweeper.now).min(total);
             result.stalls.stall(reason, xlat);
         }
         result.stalls.stall(StallReason::MemLatency, total - xlat);
         result.line_reads += 1;
-        let entry = LineBuf {
-            line_va,
-            ready: done,
-            last_use: clock,
-        };
-        if sweeper.bufs.len() < line_bufs {
-            sweeper.bufs.push(entry);
-        } else {
-            let lru = sweeper
-                .bufs
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, b)| b.last_use)
-                .map(|(i, _)| i)
-                .expect("buffers non-empty");
-            sweeper.bufs[lru] = entry;
-        }
+        sweeper.bufs.insert(line_va, done);
         done
     }
 
@@ -211,12 +183,10 @@ impl ReclamationUnit {
         sweeper: &mut Sweeper,
         heap: &mut Heap,
         mem: &mut MemSystem,
-        cfg: &GcUnitConfig,
         translator: &mut Translator,
         trace: &mut Option<EventTrace>,
         result: &mut ReclaimResult,
     ) {
-        let line_bufs = cfg.sweeper_line_bufs;
         let job = sweeper.block.as_mut().expect("has a block");
         if job.next_cell >= job.ncells {
             // Block finished: return it to the free/live block lists.
@@ -226,19 +196,19 @@ impl ReclamationUnit {
                 trace.record(sweeper.now, "sweeper", "block_done", job.bidx as u64);
             }
             sweeper.bufs.clear();
-            sweeper.now += cfg.sweeper_block_cycles;
-            result.stalls.busy(cfg.sweeper_block_cycles);
+            sweeper.now += BLOCK_CYCLES;
+            result.stalls.busy(BLOCK_CYCLES);
             return;
         }
         let cell = job.base_va + job.next_cell * job.cell_bytes;
         job.next_cell += 1;
         result.cells_scanned += 1;
-        sweeper.now += cfg.sweeper_cell_cycles;
-        result.stalls.busy(cfg.sweeper_cell_cycles);
+        sweeper.now += CELL_CYCLES;
+        result.stalls.busy(CELL_CYCLES);
 
         // Read the cell-start word and classify.
         let layout = heap.layout();
-        let t = Self::line_read(sweeper, heap, mem, line_bufs, translator, result, cell);
+        let t = Self::line_read(sweeper, heap, mem, translator, result, cell);
         sweeper.now = sweeper.now.max(t);
         let start_word = heap.read_va(cell);
 
@@ -254,8 +224,7 @@ impl ReclamationUnit {
                     LayoutKind::Bidirectional => bidi::header_of_cell(cell, nrefs),
                     LayoutKind::Conventional => conv::header_of_cell(cell),
                 };
-                let t =
-                    Self::line_read(sweeper, heap, mem, line_bufs, translator, result, header_va);
+                let t = Self::line_read(sweeper, heap, mem, translator, result, header_va);
                 sweeper.now = sweeper.now.max(t);
                 let header = Header::from_raw(heap.read_va(header_va));
                 let job = sweeper.block.as_mut().expect("has a block");
@@ -303,8 +272,7 @@ impl ReclamationUnit {
 ///
 /// Each [`step`](SweepEngine::step) replays every sweeper action whose
 /// local clock has been reached — block fetches and cell scans, chosen
-/// earliest-local-clock-first exactly like the historical event loop —
-/// so the action order, memory-request timestamps and [`ReclaimResult`]
+/// earliest-local-clock-first — so the action order, memory-request timestamps and [`ReclaimResult`]
 /// are identical whether the engine runs alone or interleaved with
 /// other engines on a shared memory system. When all blocks are swept
 /// the engine stalls until the slowest lane's finish cycle (charging
@@ -330,15 +298,13 @@ impl<'a> SweepEngine<'a> {
     /// A sweep pass over `heaps[heap_idx]` starting at `start`.
     pub fn new(unit: &'a mut ReclamationUnit, heap_idx: usize, start: Cycle) -> Self {
         let lanes = unit.cfg.sweepers.max(1);
-        let line_bufs = unit.cfg.sweeper_line_bufs;
         Self {
             unit,
             heap_idx,
             sweepers: (0..lanes)
                 .map(|_| Sweeper {
                     block: None,
-                    bufs: Vec::with_capacity(line_bufs),
-                    use_clock: 0,
+                    bufs: LruMap::new(LINE_BUFS),
                     now: start,
                 })
                 .collect(),
@@ -402,9 +368,9 @@ impl<'a, 'c> Engine<SocCtx<'c>> for SweepEngine<'a> {
             self.nblocks = Some(heap.blocks().len());
         }
         // Replay every sweeper action due by the shared clock, earliest
-        // local clock first: the same global time-ordering the
-        // historical standalone loop produced, so the interleaving of
-        // requests through the shared memory system is unchanged.
+        // local clock first, so the sweepers' requests reach the shared
+        // memory system in one global time order, alone or beside other
+        // engines.
         let mut progress = false;
         while let Some(idx) = self.earliest_pending() {
             if self.sweepers[idx].now > now {
@@ -429,14 +395,13 @@ impl<'a, 'c> Engine<SocCtx<'c>> for SweepEngine<'a> {
                     free_cells: 0,
                 });
                 self.next_block += 1;
-                sweeper.now += self.unit.cfg.sweeper_block_cycles;
-                self.result.stalls.busy(self.unit.cfg.sweeper_block_cycles);
+                sweeper.now += BLOCK_CYCLES;
+                self.result.stalls.busy(BLOCK_CYCLES);
             } else {
                 ReclamationUnit::step_cell(
                     sweeper,
                     heap,
                     mem,
-                    &self.unit.cfg,
                     &mut self.unit.translator,
                     &mut self.unit.trace,
                     &mut self.result,

@@ -19,7 +19,7 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use tracegc_heap::layout::{bidi, conv, Header, LayoutKind, HEADER_MARK_BIT, WORD};
 use tracegc_heap::{Heap, SocCtx};
-use tracegc_mem::cache::MemBacking;
+use tracegc_mem::cache::issue;
 use tracegc_mem::req::decompose_aligned;
 use tracegc_mem::{Cache, CacheConfig, MemReq, MemSystem, Source};
 use tracegc_sim::metrics::DEFAULT_TRACE_CAPACITY;
@@ -28,7 +28,7 @@ use tracegc_sim::{
     BoundedQueue, Cycle, EventTrace, FaultInjector, FaultPlan, FaultSite, FaultStats, SimError,
     StallAccounting, StallReason,
 };
-use tracegc_vmem::{Requester, Translator, TranslatorStats, PAGE_SIZE};
+use tracegc_vmem::{Requester, TlbConfig, Translator, TranslatorStats, PAGE_SIZE};
 
 use crate::compress::RefCodec;
 use crate::config::{CacheTopology, GcUnitConfig};
@@ -80,6 +80,16 @@ impl TraversalResult {
     /// Duration of the pass in cycles.
     pub fn cycles(&self) -> Cycle {
         self.end - self.start
+    }
+}
+
+/// The cache a unit request goes through: in the shared topology the
+/// translator's, which is Fig. 18a's one 16 KiB cache; in the
+/// partitioned topology none, so requests go straight to memory.
+fn request_cache(topology: CacheTopology, translator: &mut Translator) -> Option<&mut Cache> {
+    match topology {
+        CacheTopology::Partitioned => None,
+        CacheTopology::Shared => Some(translator.cache_mut()),
     }
 }
 
@@ -313,11 +323,11 @@ impl RootReader {
 #[derive(Debug)]
 pub struct TraversalUnit {
     cfg: GcUnitConfig,
-    /// Translation; in the partitioned topology its walks go through
-    /// its own dedicated PTW cache.
+    /// Translation. Its walks go through its own cache: the dedicated
+    /// 8 KiB PTW cache in the partitioned topology, the one shared
+    /// 16 KiB cache that also fronts every unit request in the shared
+    /// topology ([`request_cache`]).
     translator: Translator,
-    /// The single shared cache of the unpartitioned topology.
-    shared_cache: Option<Cache>,
     markq: MarkQueue,
     markbit: MarkBitCache,
     tracerq: BoundedQueue<TraceJob>,
@@ -411,13 +421,15 @@ impl TraversalUnit {
             spill_base,
             spill_bytes: cfg.spill_bytes,
         });
-        let shared_cache = match cfg.topology {
-            CacheTopology::Partitioned => None,
-            CacheTopology::Shared => Some(Cache::new(CacheConfig::hwgc_shared())),
+        let tlb = match cfg.topology {
+            CacheTopology::Partitioned => cfg.tlb,
+            CacheTopology::Shared => TlbConfig {
+                ptw_cache: CacheConfig::hwgc_shared(),
+                ..cfg.tlb
+            },
         };
         Self {
-            translator: Translator::new(heap.address_space(), cfg.tlb),
-            shared_cache,
+            translator: Translator::new(heap.address_space(), tlb),
             markq,
             markbit: MarkBitCache::new(cfg.markbit_cache),
             tracerq: BoundedQueue::new(cfg.tracer_queue),
@@ -476,9 +488,10 @@ impl TraversalUnit {
     }
 
     /// Shared-cache statistics (only in the [`CacheTopology::Shared`]
-    /// configuration; Fig. 18a).
+    /// configuration, where the translator's cache is the shared one;
+    /// Fig. 18a).
     pub fn shared_cache_stats(&self) -> Option<&tracegc_mem::CacheStats> {
-        self.shared_cache.as_ref().map(|c| c.stats())
+        (self.cfg.topology == CacheTopology::Shared).then(|| self.translator.cache().stats())
     }
 
     /// Attaches fault injectors from `plan`: the traversal-site stream
@@ -528,52 +541,16 @@ impl TraversalUnit {
         mem: &mut MemSystem,
         heap: &Heap,
     ) -> Result<(u64, Cycle), Trap> {
-        match &mut self.shared_cache {
-            Some(cache) => self
-                .translator
-                .translate_with_cache(who, va, now, mem, &heap.phys, cache),
-            None => self.translator.translate(who, va, now, mem, &heap.phys),
-        }
-        .map_err(|e| Trap::new(TrapKind::PageFault, e.va, now))
-    }
-
-    /// Issues a data request through the configured topology; returns the
-    /// response-ready cycle.
-    #[allow(clippy::too_many_arguments)]
-    fn data_access(
-        &mut self,
-        pa: u64,
-        bytes: u32,
-        write: bool,
-        amo: bool,
-        source: Source,
-        at: Cycle,
-        mem: &mut MemSystem,
-    ) -> Cycle {
-        match &mut self.shared_cache {
-            Some(cache) => {
-                let mut backing = MemBacking { mem, source };
-                cache.access(pa, write || amo, at, source, &mut backing)
-            }
-            None => {
-                let req = if amo {
-                    MemReq::amo(pa, source)
-                } else if write {
-                    MemReq::write(pa, bytes, source)
-                } else {
-                    MemReq::read(pa, bytes, source)
-                };
-                mem.schedule(&req, at)
-            }
-        }
+        self.translator
+            .translate(who, va, now, mem, &heap.phys)
+            .map_err(|e| Trap::new(TrapKind::PageFault, e.va, now))
     }
 
     /// Runs a complete mark pass starting at cycle `start`.
     ///
     /// A thin driver: schedules a single [`MarkEngine`] under the
-    /// lockstep policy, which reproduces the historical hand-rolled
-    /// step loop cycle-for-cycle and stall-ledger-exactly (proven by
-    /// `tests/engine_equivalence.rs`).
+    /// lockstep policy. `tests/engine_equivalence.rs` pins its cycles
+    /// and stall ledger to golden fingerprints.
     ///
     /// On success, exactly the objects reachable from the heap's roots
     /// carry mark bits (verified against the oracle in tests).
@@ -792,11 +769,10 @@ impl TraversalUnit {
         // The spill engine acts first ("we always give priority to
         // memory requests from outQ").
         {
-            // Split borrows: the shared cache is optional.
-            let shared = self.shared_cache.as_mut();
+            let cache = request_cache(self.cfg.topology, &mut self.translator);
             let mut port = self.port_free;
             let spill_before = self.trace.is_some().then(|| self.markq.stats());
-            progress |= self.markq.tick(now, mem, &mut heap.phys, shared, &mut port);
+            progress |= self.markq.tick(now, mem, &mut heap.phys, cache, &mut port);
             self.port_free = port;
             if let (Some(before), Some(trace)) = (spill_before, &mut self.trace) {
                 let after = self.markq.stats();
@@ -1020,7 +996,9 @@ impl TraversalUnit {
                     return true;
                 }
             };
-            let done = self.data_access(pa, size, false, false, Source::RootReader, ready, mem);
+            let req = MemReq::read(pa, size, Source::RootReader);
+            let cache = request_cache(self.cfg.topology, &mut self.translator);
+            let done = issue(mem, cache, &req, ready);
             // The chunk is aligned and at most 64 B, so all its words
             // share the page just translated.
             let refs: Vec<u64> = (0..size as u64 / WORD)
@@ -1128,7 +1106,6 @@ impl TraversalUnit {
             return true;
         }
         self.port_free = false;
-        let before = self.translator.stats();
         let (pa, ready) = match self.translate(Requester::Marker, va, now, mem, heap) {
             Ok(v) => v,
             Err(t) => {
@@ -1137,22 +1114,18 @@ impl TraversalUnit {
                 return true;
             }
         };
-        let after = self.translator.stats();
-        if self.cfg.tlb.blocking_requesters && after.walks > before.walks {
-            // Blocking TLB: the marker pipeline freezes for the walk —
-            // behind the busy walker first, if it had to queue.
-            self.marker_blocked_until = ready;
-            self.marker_block_reason = if after.walker_wait_cycles > before.walker_wait_cycles {
-                StallReason::PtwBusy
-            } else {
-                StallReason::TlbMiss
-            };
-        }
+        self.block_on_walk(Requester::Marker, ready);
         // Functional fetch-or now; timing decided by what the old value
         // was (write-back elision for already-marked objects, §V-C).
         let old = heap.phys.fetch_or_u64(pa, HEADER_MARK_BIT);
         let was_marked = Header::from_raw(old).is_marked();
-        let done = self.data_access(pa, 8, false, !was_marked, Source::Marker, ready, mem);
+        let req = if was_marked {
+            MemReq::read(pa, 8, Source::Marker)
+        } else {
+            MemReq::amo(pa, Source::Marker)
+        };
+        let cache = request_cache(self.cfg.topology, &mut self.translator);
+        let done = issue(mem, cache, &req, ready);
         if was_marked {
             self.already_marked += 1;
         } else {
@@ -1242,7 +1215,6 @@ impl TraversalUnit {
                 };
                 let to_page_end = PAGE_SIZE - (cursor % PAGE_SIZE);
                 let size = align.min(fit).min(to_page_end).max(WORD);
-                let before = self.translator.stats();
                 let (pa, ready) = match self.translate(Requester::Tracer, cursor, now, mem, heap) {
                     Ok(v) => v,
                     Err(t) => {
@@ -1253,9 +1225,10 @@ impl TraversalUnit {
                         return true;
                     }
                 };
-                self.block_tracer_on_walk(&before, ready);
-                let done =
-                    self.data_access(pa, size as u32, false, false, Source::Tracer, ready, mem);
+                self.block_on_walk(Requester::Tracer, ready);
+                let req = MemReq::read(pa, size as u32, Source::Tracer);
+                let cache = request_cache(self.cfg.topology, &mut self.translator);
+                let done = issue(mem, cache, &req, ready);
                 // Clipped at the page end: every word is in `pa`'s page.
                 let refs = (0..size / WORD)
                     .map(|i| heap.phys.read_u64(pa + i * WORD))
@@ -1276,7 +1249,6 @@ impl TraversalUnit {
                 // bidirectional layout removes (§IV-A.I).
                 let objref = tracegc_heap::ObjRef::new(obj);
                 let tib_va = conv::tib_slot(objref);
-                let before = self.translator.stats();
                 let (pa, ready) = match self.translate(Requester::Tracer, tib_va, now, mem, heap) {
                     Ok(v) => v,
                     Err(t) => {
@@ -1285,8 +1257,9 @@ impl TraversalUnit {
                         return true;
                     }
                 };
-                self.block_tracer_on_walk(&before, ready);
-                let t1 = self.data_access(pa, 8, false, false, Source::Tracer, ready, mem);
+                self.block_on_walk(Requester::Tracer, ready);
+                let cache = request_cache(self.cfg.topology, &mut self.translator);
+                let t1 = issue(mem, cache, &MemReq::read(pa, 8, Source::Tracer), ready);
                 let tib = heap.phys.read_u64(pa);
                 // Offset words, dependent on the TIB pointer.
                 let mut t2 = t1;
@@ -1301,7 +1274,8 @@ impl TraversalUnit {
                             return true;
                         }
                     };
-                    t2 = self.data_access(pa, size, false, false, Source::Tracer, ready, mem);
+                    let cache = request_cache(self.cfg.topology, &mut self.translator);
+                    t2 = issue(mem, cache, &MemReq::read(pa, size, Source::Tracer), ready);
                     for i in 0..size as u64 / WORD {
                         offsets.push_back(heap.phys.read_u64(pa + i * WORD) as u32);
                     }
@@ -1317,7 +1291,6 @@ impl TraversalUnit {
                 };
                 let objref = tracegc_heap::ObjRef::new(obj);
                 let field_va = conv::field_slot(objref, offset);
-                let before = self.translator.stats();
                 let (pa, ready) = match self.translate(Requester::Tracer, field_va, now, mem, heap)
                 {
                     Ok(v) => v,
@@ -1328,8 +1301,9 @@ impl TraversalUnit {
                         return true;
                     }
                 };
-                self.block_tracer_on_walk(&before, ready);
-                let done = self.data_access(pa, 8, false, false, Source::Tracer, ready, mem);
+                self.block_on_walk(Requester::Tracer, ready);
+                let cache = request_cache(self.cfg.topology, &mut self.translator);
+                let done = issue(mem, cache, &MemReq::read(pa, 8, Source::Tracer), ready);
                 let raw = heap.phys.read_u64(pa);
                 self.push_response(done, Some(raw).filter(|&r| r != 0));
                 if !offsets.is_empty() {
@@ -1340,19 +1314,23 @@ impl TraversalUnit {
         }
     }
 
-    /// Freezes the tracer when the translation that produced `before` →
-    /// current stats walked, classifying the freeze as a walk of its own
-    /// ([`StallReason::TlbMiss`]) or a wait behind the busy walker
-    /// ([`StallReason::PtwBusy`]).
-    fn block_tracer_on_walk(&mut self, before: &TranslatorStats, ready: Cycle) {
-        let after = self.translator.stats();
-        if self.cfg.tlb.blocking_requesters && after.walks > before.walks {
+    /// Blocking TLB: when the translation just made for `who` (the
+    /// marker or the tracer) walked, its pipeline freezes until `ready`,
+    /// charged as a walk of its own ([`StallReason::TlbMiss`]) or a wait
+    /// behind the busy walker first ([`StallReason::PtwBusy`]).
+    fn block_on_walk(&mut self, who: Requester, ready: Cycle) {
+        let Some(reason) = self.translator.last_walk() else {
+            return;
+        };
+        if !self.cfg.tlb.blocking_requesters {
+            return;
+        }
+        if who == Requester::Marker {
+            self.marker_blocked_until = ready;
+            self.marker_block_reason = reason;
+        } else {
             self.tracer_blocked_until = ready;
-            self.tracer_block_reason = if after.walker_wait_cycles > before.walker_wait_cycles {
-                StallReason::PtwBusy
-            } else {
-                StallReason::TlbMiss
-            };
+            self.tracer_block_reason = reason;
         }
     }
 

@@ -4,7 +4,8 @@
 //! * the Rocket CPU's 16 KiB L1 D-cache and 256 KiB L2 (Table I),
 //! * the traversal unit's 16 KiB *shared* cache in the unpartitioned
 //!   configuration of Fig. 18a (where PTW traffic drowns out everyone
-//!   else), and
+//!   else): the translator's walker cache, which [`issue`] also sends
+//!   every unit request through, and
 //! * the 8 KiB PTW cache holding the top page-table levels (§V-C).
 //!
 //! The model is timestamp-passing: an access consults the tag array
@@ -15,7 +16,7 @@
 
 use tracegc_sim::Cycle;
 
-use crate::req::{MemReq, Source};
+use crate::req::{AccessKind, MemReq, Source};
 use crate::system::MemSystem;
 
 /// The fixed cache-line size used throughout the SoC.
@@ -328,6 +329,26 @@ impl Cache {
             }
         }
         self.mshrs.clear();
+    }
+}
+
+/// Issues `req` at `at` and returns the cycle its response is ready:
+/// through `cache` when one is given (a write or AMO dirties the line,
+/// misses fill from `mem` under `req.source`), straight to `mem`
+/// otherwise. The page-table walker, the traversal unit and its spill
+/// engine issue every request here, so the unit's cache topology
+/// (Fig. 18a) is only whether a cache is passed.
+pub fn issue(mem: &mut MemSystem, cache: Option<&mut Cache>, req: &MemReq, at: Cycle) -> Cycle {
+    match cache {
+        Some(cache) => {
+            let write = req.kind != AccessKind::Read;
+            let mut backing = MemBacking {
+                mem,
+                source: req.source,
+            };
+            cache.access(req.addr, write, at, req.source, &mut backing)
+        }
+        None => mem.schedule(req, at),
     }
 }
 

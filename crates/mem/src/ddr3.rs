@@ -36,17 +36,6 @@ pub enum Scheduler {
     Fifo,
 }
 
-/// Row-buffer management policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PagePolicy {
-    /// Keep rows open after access (Table I).
-    #[default]
-    Open,
-    /// Precharge immediately after each access; every access pays
-    /// activation but never a conflict precharge.
-    Closed,
-}
-
 /// DDR3 controller configuration (defaults = the paper's Table I).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ddr3Config {
@@ -69,8 +58,6 @@ pub struct Ddr3Config {
     pub max_writes: usize,
     /// Scheduling policy.
     pub scheduler: Scheduler,
-    /// Row-buffer policy.
-    pub page_policy: PagePolicy,
     /// FR-FCFS row-hit batching window: an access counts as a row hit if
     /// its row is among this many recently used rows of the bank. This
     /// emulates the reordering a first-ready scheduler performs when
@@ -94,7 +81,6 @@ impl Default for Ddr3Config {
             max_reads: 16,
             max_writes: 8,
             scheduler: Scheduler::FrFcfs,
-            page_policy: PagePolicy::Open,
             row_window: 4,
         }
     }
@@ -363,12 +349,13 @@ impl Ddr3Model {
             Scheduler::Fifo => 1,
         };
         let row_hit = bank.open_rows.iter().any(|&r| r == row);
-        let col_start = match (self.cfg.page_policy, bank.open_rows.is_empty(), row_hit) {
-            (PagePolicy::Open, false, true) => {
+        // Open-page policy (Table I): rows stay open after an access.
+        let col_start = match (bank.open_rows.is_empty(), row_hit) {
+            (false, true) => {
                 self.stats.row_hits += 1;
                 cmd_at
             }
-            (PagePolicy::Open, false, false) => {
+            (false, false) => {
                 self.stats.row_conflicts += 1;
                 self.stats.activates += 1;
                 // Precharge may not happen before tRAS has elapsed.
@@ -377,17 +364,14 @@ impl Ddr3Model {
                 bank.activated_at = act_at;
                 act_at + self.cfg.t_rcd
             }
-            (PagePolicy::Open, true, _) | (PagePolicy::Closed, _, _) => {
+            (true, _) => {
                 self.stats.row_empty += 1;
                 self.stats.activates += 1;
                 bank.activated_at = cmd_at;
                 cmd_at + self.cfg.t_rcd
             }
         };
-        match self.cfg.page_policy {
-            PagePolicy::Open => bank.touch(row, window),
-            PagePolicy::Closed => bank.open_rows.clear(),
-        }
+        bank.touch(row, window);
         // Back-to-back column commands on the same bank pipeline at the
         // burst rate. Writes are buffered by the controller and drained
         // with low priority (standard read-priority scheduling), so they
@@ -510,20 +494,6 @@ mod tests {
         let w0 = wide.schedule(&read64(0), 0);
         let w1 = wide.schedule(&read64(64), 0);
         assert!(w1 - w0 < d1 - d0 || w1 < d1);
-    }
-
-    #[test]
-    fn closed_page_never_conflicts() {
-        let mut m = Ddr3Model::new(Ddr3Config {
-            page_policy: PagePolicy::Closed,
-            ..Ddr3Config::default()
-        });
-        let mut t = 0;
-        for i in 0..16u64 {
-            t = m.schedule(&read64((i % 2) << 14), t);
-        }
-        assert_eq!(m.stats().row_conflicts, 0);
-        assert_eq!(m.stats().row_hits, 0);
     }
 
     #[test]

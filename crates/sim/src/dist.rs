@@ -1,11 +1,12 @@
 //! Seeded random distributions for workload synthesis.
 //!
-//! The synthetic DaCapo heap generators need three shapes: uniform ranges,
-//! log-normal object sizes (heaps are dominated by small objects with a long
-//! tail), and Zipf-distributed reference popularity (the paper observes that
-//! ~56 hot objects receive ~10% of all mark operations, Fig. 21a). These are
-//! implemented directly against the in-tree [`crate::rng::Rng`] trait so the
-//! project needs no external crates at all.
+//! The synthetic DaCapo heap generators need two shapes beyond the uniform
+//! ranges of [`Rng::random_range`]: log-normal object sizes (heaps are
+//! dominated by small objects with a long tail), and Zipf-distributed
+//! reference popularity (the paper observes that ~56 hot objects receive
+//! ~10% of all mark operations, Fig. 21a). These are implemented directly
+//! against the in-tree [`Rng`] trait so the project needs no external
+//! crates at all.
 
 use crate::rng::Rng;
 
@@ -106,14 +107,6 @@ impl Zipf {
     }
 }
 
-/// Draws a value from `lo..hi` (exclusive upper bound).
-///
-/// Thin wrapper kept for call-site readability in the workload generators.
-pub fn uniform<R: Rng>(rng: &mut R, lo: u64, hi: u64) -> u64 {
-    assert!(lo < hi, "empty uniform range");
-    rng.random_range(lo..hi)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,15 +162,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(45);
         for _ in 0..1000 {
             assert!(zipf.sample(&mut rng) < 3);
-        }
-    }
-
-    #[test]
-    fn uniform_stays_in_range() {
-        let mut rng = StdRng::seed_from_u64(46);
-        for _ in 0..1000 {
-            let v = uniform(&mut rng, 5, 9);
-            assert!((5..9).contains(&v));
         }
     }
 

@@ -16,8 +16,8 @@
 //! * [`rng`] — the in-tree deterministic PRNG (SplitMix64-seeded
 //!   xoshiro256++); the project has no external dependencies, so all
 //!   randomness flows through this module.
-//! * [`dist`] — seeded random distributions (uniform, log-normal, Zipf) used
-//!   by the synthetic DaCapo workload generators.
+//! * [`dist`] — seeded random distributions (normal, log-normal, Zipf)
+//!   used by the synthetic DaCapo workload generators.
 //! * [`fault`] — seeded deterministic fault injection ([`FaultPlan`],
 //!   per-site [`FaultInjector`]s) and the structured [`SimError`] every
 //!   `try_run_*` driver degrades into instead of panicking.

@@ -87,10 +87,10 @@
 //! live engine is charged its own stall reason until the earliest
 //! pending event, and the grant pointer holds, so the post-wake service
 //! order continues the rotation exactly where it stopped — the rotation
-//! is *hop-invariant* (historically the grant was derived from the
-//! absolute cycle, `now % n`, so the skip could re-grant the engine
-//! just served or silently swallow another engine's turn depending on
-//! the parity of the wake cycle). Fast-forward hops the parked span at
+//! is *hop-invariant*: no grant depends on the absolute cycle, so
+//! however long the parked span and whatever the wake cycle, the skip
+//! neither re-grants the engine just served nor swallows another
+//! engine's turn. Fast-forward hops the parked span at
 //! once, lockstep crawls it cycle by cycle; both charge identical
 //! ledgers and resume at the identical grant, an equivalence pinned by
 //! the randomized round-robin differential in
@@ -797,9 +797,7 @@ impl Scheduler {
     /// full grant round without progress *parks* the arbiter until the
     /// earliest pending event; the grant pointer is carried across the
     /// parked span, so the rotation is hop-invariant (see the module
-    /// docs — the grant was historically derived from the absolute
-    /// cycle, `now % n`, so a skip landing on the wrong parity
-    /// re-granted the engine just served or swallowed a turn).
+    /// docs): no grant depends on the absolute cycle.
     fn run_round_robin<Ctx>(
         &self,
         engines: &mut [&mut dyn Engine<Ctx>],
@@ -1279,9 +1277,9 @@ mod tests {
     fn round_robin_rotation_is_hop_invariant_across_idle_spans() {
         // a is served at 0, b at 1; both stall until 11, parking the
         // arbiter. Hop-invariance: after the wake the rotation resumes
-        // at a (the successor of b's consumed slot). The historical
-        // `now % n` grant re-derived the slot from the wake cycle's
-        // parity and served b at 11 — a's turn silently swallowed.
+        // at a (the successor of b's consumed slot), not at the slot the
+        // wake cycle's parity would pick (`11 % 2` serves b, swallowing
+        // a's turn).
         let run = |pacing: Pacing| {
             let mut a = Waker {
                 name: "a",

@@ -293,11 +293,6 @@ impl Walk {
     }
 }
 
-/// Virtual page number of `va` (the TLB lookup key).
-pub fn vpn_of(va: u64) -> u64 {
-    va / PAGE_SIZE
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,13 +395,6 @@ mod tests {
             falloc.allocated() + falloc.remaining(),
             0x3F_F000 / PAGE_SIZE
         );
-    }
-
-    #[test]
-    fn vpn_of_is_page_number() {
-        assert_eq!(vpn_of(0), 0);
-        assert_eq!(vpn_of(4095), 0);
-        assert_eq!(vpn_of(4096), 1);
     }
 
     #[test]

@@ -1,5 +1,11 @@
 //! The translation pipeline: per-requester L1 TLBs, a shared L2 TLB, and
-//! the (by default blocking) page-table walker with its 8 KiB cache.
+//! the (by default blocking) page-table walker with its own cache.
+//!
+//! The walker's cache is [`TlbConfig::ptw_cache`]: the dedicated 8 KiB
+//! PTW cache of the partitioned design (§V-C), or, in the shared
+//! topology of Fig. 18a, the traversal unit's one 16 KiB cache, which
+//! then also fronts every unit request through
+//! [`Translator::cache_mut`].
 //!
 //! §VI-A: "as the TLB and page table walker are blocking, TLB misses can
 //! serialize execution. Future work should therefore introduce a
@@ -9,10 +15,10 @@
 //! paper's prototype; larger values are the proposed extension measured
 //! by the `ablC` ablation.
 
-use tracegc_mem::cache::MemBacking;
-use tracegc_mem::{Cache, CacheConfig, MemSystem, PhysMem, Source};
+use tracegc_mem::cache::issue;
+use tracegc_mem::{Cache, CacheConfig, MemReq, MemSystem, PhysMem, Source};
 use tracegc_sim::fault::{FaultInjector, FaultStats};
-use tracegc_sim::Cycle;
+use tracegc_sim::{Cycle, StallReason};
 
 use crate::pagetable::AddressSpace;
 use crate::tlb::Tlb;
@@ -61,7 +67,9 @@ pub struct TlbConfig {
     /// non-blocking TLB "that can perform multiple page-table walks
     /// concurrently while still serving requests that hit in the TLB".
     pub blocking_requesters: bool,
-    /// Geometry of the PTW's dedicated cache (paper: 8 KiB).
+    /// Geometry of the walker's cache: the PTW's dedicated 8 KiB cache
+    /// by default (§V-C); the unit's 16 KiB shared cache in the shared
+    /// topology (Fig. 18a).
     pub ptw_cache: CacheConfig,
 }
 
@@ -118,11 +126,15 @@ pub struct Translator {
     cfg: TlbConfig,
     l1: Vec<Tlb>,
     l2: Tlb,
-    ptw_cache: Cache,
+    /// The walker's cache ([`TlbConfig::ptw_cache`]).
+    cache: Cache,
     /// Completion times of in-flight walks (bounded by
     /// `concurrent_walks`).
     walks_inflight: Vec<Cycle>,
     stats: TranslatorStats,
+    /// How the most recent translation was served
+    /// ([`Translator::last_walk`]).
+    last_walk: Option<StallReason>,
     /// Optional fault source ([`FaultSite::Ptw`]); rolls once per walk
     /// for an injected invalid PTE.
     ///
@@ -139,10 +151,11 @@ impl Translator {
                 .map(|_| Tlb::new(cfg.l1_entries))
                 .collect(),
             l2: Tlb::new(cfg.l2_entries),
-            ptw_cache: Cache::new(cfg.ptw_cache),
+            cache: Cache::new(cfg.ptw_cache),
             walks_inflight: Vec::new(),
             cfg,
             stats: TranslatorStats::default(),
+            last_walk: None,
             fault: None,
         }
     }
@@ -178,12 +191,34 @@ impl Translator {
         self.walks_inflight.clear();
     }
 
+    /// The cache the walker reads PTEs through (the configured
+    /// [`TlbConfig::ptw_cache`]).
+    pub fn cache(&self) -> &Cache {
+        &self.cache
+    }
+
+    /// The walker's cache, mutably: in the shared topology of Fig. 18a
+    /// the traversal unit's data, root and spill requests go through it
+    /// too.
+    pub fn cache_mut(&mut self) -> &mut Cache {
+        &mut self.cache
+    }
+
+    /// How the most recent [`Translator::translate`] was served: `None`
+    /// for an L1 or L2 TLB hit, [`StallReason::TlbMiss`] for a walk that
+    /// started at once, [`StallReason::PtwBusy`] for a walk that first
+    /// waited behind a busy walker (exactly when `walker_wait_cycles`
+    /// grew).
+    pub fn last_walk(&self) -> Option<StallReason> {
+        self.last_walk
+    }
+
     /// Translates `va` for `who` starting at `now`.
     ///
     /// Returns the physical address and the cycle at which it is
     /// available. TLB hits cost nothing (L1) or `l2_hit_latency`; misses
-    /// walk the real page table in `phys` through the PTW cache, issuing
-    /// PTE fills into `mem`.
+    /// walk the real page table in `phys` through the walker's cache,
+    /// issuing PTE fills into `mem`.
     ///
     /// # Errors
     ///
@@ -196,148 +231,60 @@ impl Translator {
         mem: &mut MemSystem,
         phys: &PhysMem,
     ) -> Result<(u64, Cycle), TranslateFault> {
-        // Split borrows: the walk core takes the dedicated PTW cache as
-        // a disjoint field, so no take/replace dance is needed.
-        let Self {
-            aspace,
-            cfg,
-            l1,
-            l2,
-            ptw_cache,
-            walks_inflight,
-            stats,
-            fault,
-        } = self;
-        translate_core(
-            aspace,
-            cfg,
-            l1,
-            l2,
-            walks_inflight,
-            stats,
-            fault.as_mut(),
-            who,
-            va,
-            now,
-            mem,
-            phys,
-            ptw_cache,
-        )
-    }
+        self.last_walk = None;
+        if let Some(pa) = self.l1[who.index()].lookup(va) {
+            self.stats.l1_hits += 1;
+            return Ok((pa, now));
+        }
+        if let Some(pa) = self.l2.lookup(va) {
+            self.stats.l2_hits += 1;
+            self.l1[who.index()].fill(va, pa, crate::PAGE_SIZE);
+            return Ok((pa, now + self.cfg.l2_hit_latency));
+        }
 
-    /// Like [`Translator::translate`], but PTE reads go through a
-    /// caller-supplied cache — the traversal unit's *shared* cache in the
-    /// unpartitioned configuration of Fig. 18a.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TranslateFault`] when `va` is unmapped.
-    pub fn translate_with_cache(
-        &mut self,
-        who: Requester,
-        va: u64,
-        now: Cycle,
-        mem: &mut MemSystem,
-        phys: &PhysMem,
-        ptw_cache: &mut Cache,
-    ) -> Result<(u64, Cycle), TranslateFault> {
-        let Self {
-            aspace,
-            cfg,
-            l1,
-            l2,
-            walks_inflight,
-            stats,
-            fault,
-            ..
-        } = self;
-        translate_core(
-            aspace,
-            cfg,
-            l1,
-            l2,
-            walks_inflight,
-            stats,
-            fault.as_mut(),
-            who,
-            va,
-            now,
-            mem,
-            phys,
-            ptw_cache,
-        )
-    }
-}
+        // Walk. The walker has a bounded number of concurrent walks; the
+        // paper's prototype has exactly one, serializing misses.
+        let mut start = now + self.cfg.l2_hit_latency;
+        self.walks_inflight.retain(|&t| t > start);
+        self.last_walk = Some(StallReason::TlbMiss);
+        if self.walks_inflight.len() >= self.cfg.concurrent_walks {
+            let earliest = *self
+                .walks_inflight
+                .iter()
+                .min()
+                .expect("inflight walks non-empty");
+            // Every walk left in flight ends after `start`, so the wait
+            // is never zero.
+            self.stats.walker_wait_cycles += earliest.saturating_sub(start);
+            start = earliest;
+            self.walks_inflight.retain(|&t| t > start);
+            self.last_walk = Some(StallReason::PtwBusy);
+        }
 
-/// The walk core, written against split borrows of [`Translator`]'s
-/// fields so both entry points share it without moving the PTW cache
-/// in and out of an `Option`.
-#[allow(clippy::too_many_arguments)]
-fn translate_core(
-    aspace: &AddressSpace,
-    cfg: &TlbConfig,
-    l1: &mut [Tlb],
-    l2: &mut Tlb,
-    walks_inflight: &mut Vec<Cycle>,
-    stats: &mut TranslatorStats,
-    fault: Option<&mut FaultInjector>,
-    who: Requester,
-    va: u64,
-    now: Cycle,
-    mem: &mut MemSystem,
-    phys: &PhysMem,
-    ptw_cache: &mut Cache,
-) -> Result<(u64, Cycle), TranslateFault> {
-    if let Some(pa) = l1[who.index()].lookup(va) {
-        stats.l1_hits += 1;
-        return Ok((pa, now));
-    }
-    if let Some(pa) = l2.lookup(va) {
-        stats.l2_hits += 1;
-        l1[who.index()].fill(va, pa, crate::PAGE_SIZE);
-        return Ok((pa, now + cfg.l2_hit_latency));
-    }
+        // Injected invalid PTE: the walk runs but ends in a fault, exactly
+        // as a corrupted page table would surface architecturally.
+        let injected_fault = self.fault.as_mut().is_some_and(|inj| inj.pte_fault());
 
-    // Walk. The walker has a bounded number of concurrent walks; the
-    // paper's prototype has exactly one, serializing misses.
-    let mut start = now + cfg.l2_hit_latency;
-    walks_inflight.retain(|&t| t > start);
-    if walks_inflight.len() >= cfg.concurrent_walks {
-        let earliest = *walks_inflight
-            .iter()
-            .min()
-            .expect("inflight walks non-empty");
-        stats.walker_wait_cycles += earliest.saturating_sub(start);
-        start = earliest;
-        walks_inflight.retain(|&t| t > start);
-    }
+        let walk = self.aspace.walk(phys, va);
+        let mut t = start;
+        for &pte_pa in walk.path() {
+            let pte = MemReq::read(pte_pa, 8, Source::Ptw);
+            t = issue(mem, Some(&mut self.cache), &pte, t);
+        }
+        self.stats.walks += 1;
+        self.stats.walk_cycles += t.saturating_sub(start);
+        self.walks_inflight.push(t);
 
-    // Injected invalid PTE: the walk runs but ends in a fault, exactly
-    // as a corrupted page table would surface architecturally.
-    let injected_fault = fault.is_some_and(|inj| inj.pte_fault());
-
-    let walk = aspace.walk(phys, va);
-    let mut t = start;
-    for &pte_pa in walk.path() {
-        let mut backing = MemBacking {
-            mem,
-            source: Source::Ptw,
-        };
-        t = ptw_cache.access(pte_pa, false, t, Source::Ptw, &mut backing);
+        if injected_fault {
+            return Err(TranslateFault { va });
+        }
+        let (pa, page_bytes) = walk.leaf.ok_or(TranslateFault { va })?;
+        // Superpage mappings install reach-appropriate TLB entries. Both
+        // lookups above missed `va`, so neither TLB holds it.
+        self.l2.fill(va, pa, page_bytes);
+        self.l1[who.index()].fill(va, pa, page_bytes);
+        Ok((pa, t))
     }
-    stats.walks += 1;
-    stats.walk_cycles += t.saturating_sub(start);
-    walks_inflight.push(t);
-
-    if injected_fault {
-        return Err(TranslateFault { va });
-    }
-    let (pa, page_bytes) = walk.leaf.ok_or(TranslateFault { va })?;
-    // Superpage mappings install reach-appropriate TLB entries. Both
-    // lookups above missed `va`, so neither TLB holds it.
-    l2.fill(va, pa, page_bytes);
-    l1[who.index()].fill(va, pa, page_bytes);
-    Ok((pa, t))
 }
 
 #[cfg(test)]
@@ -376,10 +323,12 @@ mod tests {
             .translate(Requester::Marker, base, 0, &mut mem, &phys)
             .unwrap();
         assert!(t1 > 0, "first access walks");
+        assert_eq!(tr.last_walk(), Some(StallReason::TlbMiss));
         let (_, t2) = tr
             .translate(Requester::Marker, base + 8, t1, &mut mem, &phys)
             .unwrap();
         assert_eq!(t2, t1, "L1 hit adds no latency");
+        assert_eq!(tr.last_walk(), None);
         assert_eq!(tr.stats().walks, 1);
         assert_eq!(tr.stats().l1_hits, 1);
     }
@@ -412,6 +361,7 @@ mod tests {
             .unwrap();
         assert!(t1 >= t0, "second walk must wait for the first");
         assert!(tr.stats().walker_wait_cycles > 0);
+        assert_eq!(tr.last_walk(), Some(StallReason::PtwBusy));
     }
 
     #[test]
@@ -432,6 +382,7 @@ mod tests {
         // completion should be well before a fully serialized walk.
         assert!(t1 < t0 * 2, "walks should overlap: {t0} {t1}");
         assert_eq!(tr.stats().walker_wait_cycles, 0);
+        assert_eq!(tr.last_walk(), Some(StallReason::TlbMiss));
     }
 
     #[test]

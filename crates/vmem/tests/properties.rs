@@ -2,7 +2,7 @@
 //! agrees with the page-table oracle, for arbitrary mappings and access
 //! orders. Randomized cases come from fixed seeds.
 
-use tracegc_mem::{Cache, CacheConfig, MemSystem, PhysMem};
+use tracegc_mem::{CacheConfig, MemSystem, PhysMem};
 use tracegc_sim::rng::{Rng, StdRng};
 use tracegc_vmem::{AddressSpace, FrameAlloc, Requester, Tlb, TlbConfig, Translator, PAGE_SIZE};
 
@@ -112,16 +112,20 @@ fn walk_path_lengths_are_bounded() {
 
 #[test]
 fn translator_uses_external_cache_identically() {
-    // translate() and translate_with_cache() must produce the same
-    // physical addresses (timing may differ with cache geometry).
+    // A translator walking through the shared topology's 16 KiB cache
+    // must produce the same physical addresses as one walking through
+    // the dedicated PTW cache (timing may differ with cache geometry).
     let mut phys = PhysMem::new(16 << 20);
     let mut falloc = FrameAlloc::new(0, 16 << 20);
     let aspace = AddressSpace::new(&mut phys, &mut falloc);
     let base = 0x4000_0000u64;
     aspace.map_range(&mut phys, &mut falloc, base, 8 * PAGE_SIZE);
     let mut internal = Translator::new(aspace, TlbConfig::default());
-    let mut external = Translator::new(aspace, TlbConfig::default());
-    let mut shared = Cache::new(CacheConfig::hwgc_shared());
+    let shared = TlbConfig {
+        ptw_cache: CacheConfig::hwgc_shared(),
+        ..TlbConfig::default()
+    };
+    let mut external = Translator::new(aspace, shared);
     let mut mem = MemSystem::pipe(Default::default());
     for i in 0..8 {
         let va = base + i * PAGE_SIZE + 16;
@@ -129,8 +133,9 @@ fn translator_uses_external_cache_identically() {
             .translate(Requester::Tracer, va, 0, &mut mem, &phys)
             .unwrap();
         let (pa2, _) = external
-            .translate_with_cache(Requester::Tracer, va, 0, &mut mem, &phys, &mut shared)
+            .translate(Requester::Tracer, va, 0, &mut mem, &phys)
             .unwrap();
         assert_eq!(pa1, pa2);
     }
+    assert_eq!(*external.cache().config(), CacheConfig::hwgc_shared());
 }

@@ -11,7 +11,9 @@
 //! fingerprints pin them to the same historical loops. The CPU resume
 //! fingerprints (`Cpu::resume_mark_from`, an inline loop that shares
 //! the mark loop's reference walk) were captured before that walk was
-//! shared.
+//! shared. The topology fingerprints pin both cache topologies of
+//! Fig. 18 through a spilling mark and a sweep; the shared one counts
+//! every access at the shared cache per requester.
 //!
 //! To regenerate after an *intentional* timing-model change, run
 //!
@@ -26,7 +28,7 @@ use tracegc::hwgc::multiproc::{try_run_multiprocess_mark, ProcessContext};
 use tracegc::hwgc::{
     try_run_concurrent_mark, GcUnit, GcUnitConfig, MutatorConfig, ReclamationUnit, TraversalUnit,
 };
-use tracegc::mem::MemSystem;
+use tracegc::mem::{MemSystem, Source};
 use tracegc::sim::{StallAccounting, StallReason};
 
 /// Renders a ledger as a stable, diffable string.
@@ -198,6 +200,58 @@ fn gc_unit_fingerprint() -> String {
     )
 }
 
+/// A full `GcUnit` mark and sweep of `mark_heap(12000, layout)` in
+/// `topology`, with a 64-entry mark queue so the spill engine writes
+/// and fills. The conventional run stores compressed entries. Holds both
+/// ledgers, the translator and spill counts, the memory requests per
+/// source and, in the shared topology, the shared cache's accesses per
+/// source and its write-backs (Fig. 18a).
+fn topology_fingerprint(topology: CacheTopology, layout: LayoutKind) -> String {
+    let mut heap = mark_heap(12_000, layout);
+    let mut mem = MemSystem::ddr3(Default::default());
+    let cfg = GcUnitConfig {
+        topology,
+        markq_entries: 64,
+        compress: layout == LayoutKind::Conventional,
+        ..GcUnitConfig::default()
+    };
+    let mut unit = GcUnit::new(cfg, &mut heap);
+    let r = unit.try_run_gc_at(&mut heap, &mut mem, 0).unwrap();
+    let (t, q) = (r.mark.translator, r.mark.markq);
+    let mut out = format!(
+        "end={};marked={};refs={};walks={};l1={};l2={};walker_wait={};walk_cycles={};\
+         spw={};spr={};spill_bytes={};{}|sweep_end={};freed={};reads={};{}|mem_bytes={}",
+        r.mark.end,
+        r.mark.objects_marked,
+        r.mark.refs_enqueued,
+        t.walks,
+        t.l1_hits,
+        t.l2_hits,
+        t.walker_wait_cycles,
+        t.walk_cycles,
+        q.spill_writes,
+        q.spill_reads,
+        q.spill_bytes_written,
+        ledger(&r.mark.stalls),
+        r.sweep.end,
+        r.sweep.cells_freed,
+        r.sweep.line_reads,
+        ledger(&r.sweep.stalls),
+        mem.stats().total_bytes
+    );
+    for s in Source::ALL {
+        out.push_str(&format!(";mem_{s}={}", mem.stats().requests(s)));
+    }
+    if let Some(c) = unit.traversal().shared_cache_stats() {
+        out.push('|');
+        for s in Source::ALL {
+            out.push_str(&format!("{s}={};", c.accesses(s)));
+        }
+        out.push_str(&format!("wb={}", c.writebacks));
+    }
+    out
+}
+
 fn multiproc_context(n: usize, seed: u64) -> ProcessContext {
     let mut h = Heap::new(HeapConfig {
         phys_bytes: 64 << 20,
@@ -283,6 +337,72 @@ const GOLDEN_RESUME_CONV_MARKED: &str = "cycles=29289;work=291;refs=900;busy=752
                                          mem_latency=21141;queue_full=0;tlb_miss=621;ptw_busy=0;\
                                          throttled=0;port_busy=0;idle=0";
 const GOLDEN_GC_UNIT: &str = "mark_end=7830;sweep_end=71908;marked=720;freed=480";
+/// The runs behind the topology fingerprints, in `print_fingerprints`
+/// order.
+const TOPOLOGY_RUNS: [(&str, CacheTopology, LayoutKind); 4] = [
+    (
+        "SHARED_BIDI",
+        CacheTopology::Shared,
+        LayoutKind::Bidirectional,
+    ),
+    (
+        "SHARED_CONV",
+        CacheTopology::Shared,
+        LayoutKind::Conventional,
+    ),
+    (
+        "PARTITIONED_BIDI",
+        CacheTopology::Partitioned,
+        LayoutKind::Bidirectional,
+    ),
+    (
+        "PARTITIONED_CONV",
+        CacheTopology::Partitioned,
+        LayoutKind::Conventional,
+    ),
+];
+const GOLDEN_SHARED_BIDI: &str = "end=264805;marked=7200;refs=14399;walks=125;l1=14771;l2=13905;\
+                                  walker_wait=0;walk_cycles=9514;spw=440;spr=440;\
+                                  spill_bytes=28160;busy=44598;mem_latency=212159;queue_full=0;\
+                                  tlb_miss=8048;ptw_busy=0;throttled=0;port_busy=0;idle=0|\
+                                  sweep_end=507372;freed=4800;reads=13260;busy=196736;\
+                                  mem_latency=257853;queue_full=0;tlb_miss=2628;ptw_busy=164;\
+                                  throttled=0;port_busy=0;idle=27753|mem_bytes=2584952;\
+                                  mem_mark-queue=1209;mem_tracer=3610;mem_ptw=100;\
+                                  mem_marker=20040;mem_sweeper=30619;mem_root-reader=1;mem_cpu=0|\
+                                  mark-queue=880;tracer=14400;ptw=375;marker=14400;sweeper=0;\
+                                  root-reader=1;cpu=0;wb=7607";
+const GOLDEN_SHARED_CONV: &str = "end=276522;marked=7200;refs=14399;walks=704;l1=44151;l2=12746;\
+                                  walker_wait=214;walk_cycles=106898;spw=221;spr=221;\
+                                  spill_bytes=14144;busy=63590;mem_latency=124621;queue_full=0;\
+                                  tlb_miss=87951;ptw_busy=360;throttled=0;port_busy=0;idle=0|\
+                                  sweep_end=510287;freed=4800;reads=12282;busy=207664;\
+                                  mem_latency=244171;queue_full=0;tlb_miss=3043;ptw_busy=138;\
+                                  throttled=0;port_busy=0;idle=12514|mem_bytes=2533888;\
+                                  mem_mark-queue=620;mem_tracer=3664;mem_ptw=730;\
+                                  mem_marker=19955;mem_sweeper=31002;mem_root-reader=1;mem_cpu=0|\
+                                  mark-queue=442;tracer=43200;ptw=2112;marker=14400;sweeper=0;\
+                                  root-reader=1;cpu=0;wb=7404";
+const GOLDEN_PARTITIONED_BIDI: &str = "end=196353;marked=7200;refs=14399;walks=125;l1=14450;\
+                                       l2=14226;walker_wait=2;walk_cycles=2525;spw=445;spr=445;\
+                                       spill_bytes=28424;busy=43481;mem_latency=150796;\
+                                       queue_full=0;tlb_miss=2074;ptw_busy=2;throttled=0;\
+                                       port_busy=0;idle=0|sweep_end=438957;freed=4800;\
+                                       reads=13260;busy=196736;mem_latency=257927;queue_full=0;\
+                                       tlb_miss=2628;ptw_busy=164;throttled=0;port_busy=0;\
+                                       idle=27753|mem_bytes=1335504;mem_mark-queue=890;\
+                                       mem_tracer=14400;mem_ptw=49;mem_marker=14400;\
+                                       mem_sweeper=30619;mem_root-reader=1;mem_cpu=0";
+const GOLDEN_PARTITIONED_CONV: &str = "end=257088;marked=7200;refs=14399;walks=790;l1=44004;\
+                                       l2=12807;walker_wait=0;walk_cycles=7123;spw=220;spr=220;\
+                                       spill_bytes=14032;busy=68432;mem_latency=182723;\
+                                       queue_full=0;tlb_miss=5933;ptw_busy=0;throttled=0;\
+                                       port_busy=0;idle=0|sweep_end=490881;freed=4800;\
+                                       reads=12282;busy=207664;mem_latency=244227;queue_full=0;\
+                                       tlb_miss=3043;ptw_busy=138;throttled=0;port_busy=0;\
+                                       idle=12514|mem_bytes=1485992;mem_mark-queue=440;\
+                                       mem_tracer=43200;mem_ptw=58;mem_marker=14400;\
+                                       mem_sweeper=31002;mem_root-reader=1;mem_cpu=0";
 // Regenerated when round-robin arbitration became hop-invariant (the
 // grant pointer now advances one slot per grant round instead of being
 // derived from the absolute cycle, so post-idle-span rotation resumes
@@ -325,6 +445,9 @@ fn print_fingerprints() {
         );
     }
     println!("GOLDEN_GC_UNIT: {}", gc_unit_fingerprint());
+    for (name, topology, layout) in TOPOLOGY_RUNS {
+        println!("GOLDEN_{name}: {}", topology_fingerprint(topology, layout));
+    }
     println!("GOLDEN_MULTIPROC_DUO: {}", multiproc_fingerprint());
     println!("GOLDEN_CONCURRENT: {}", concurrent_fingerprint());
 }
@@ -373,6 +496,19 @@ fn cpu_resume_matches_golden() {
 #[test]
 fn scheduled_gc_unit_matches_pre_refactor_golden() {
     assert_eq!(gc_unit_fingerprint(), GOLDEN_GC_UNIT);
+}
+
+#[test]
+fn topology_fingerprints_match_golden() {
+    let golden = [
+        GOLDEN_SHARED_BIDI,
+        GOLDEN_SHARED_CONV,
+        GOLDEN_PARTITIONED_BIDI,
+        GOLDEN_PARTITIONED_CONV,
+    ];
+    for ((name, topology, layout), want) in TOPOLOGY_RUNS.into_iter().zip(golden) {
+        assert_eq!(topology_fingerprint(topology, layout), want, "{name}");
+    }
 }
 
 #[test]

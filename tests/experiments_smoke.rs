@@ -36,7 +36,7 @@ fn every_experiment_runs_and_produces_tables() {
 }
 
 #[test]
-#[ignore = "fig18/ablE run at full workload scale; expensive (~1 min release, minutes debug)"]
+#[ignore = "fig18/ablE run at full workload scale (~11 s release, minutes debug); ci.sh runs it in release"]
 fn forced_scale_experiments_run() {
     let out = run("fig18", &smoke_opts()).expect("fig18 known");
     assert_eq!(out.tables.len(), 2);

@@ -17,16 +17,18 @@
 //! ```
 //!
 //! which reruns every experiment (including the two that force their
-//! own workload scale and take ~a minute) and rewrites the artifacts
-//! plus the manifest. Commit the result alongside the model change.
+//! own workload scale, ~13 s of it in release) and rewrites the
+//! artifacts plus the manifest. Commit the result alongside the model
+//! change.
 //!
 //! Those two, fig18 and ablE, are the only golden experiments that put
 //! a large heap through the DDR3 model. Their byte comparison is the
 //! `#[ignore]`d `golden_wall_full`, too slow for the debug profile;
-//! `ci.sh` runs it in release:
+//! `ci.sh` runs it in release, with the other ignored tests over them:
 //!
 //! ```text
-//! cargo test --release --offline -p tracegc --test golden golden_wall_full -- --ignored
+//! cargo test --release --offline -p tracegc --test golden --test metrics_sidecar \
+//!     --test experiments_smoke -- --ignored --skip regenerate_goldens
 //! ```
 
 use std::collections::BTreeMap;

@@ -92,7 +92,7 @@ fn sidecar_file_round_trips() {
 }
 
 #[test]
-#[ignore = "fig18/ablE run at full workload scale; expensive (~1 min release, minutes debug)"]
+#[ignore = "fig18/ablE run at full workload scale (~11 s release, minutes debug); ci.sh runs it in release"]
 fn forced_scale_sidecars_are_valid() {
     for id in ["fig18", "ablE"] {
         let out = run(id, &smoke_opts()).expect("known id");
