@@ -107,16 +107,8 @@ fn main() -> ExitCode {
             },
             "--fault-rate" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
                 Some(v) if (0.0..=1.0).contains(&v) => {
-                    let mut cfg = opts
-                        .fault
-                        .unwrap_or_else(|| tracegc_sim::FaultConfig::zero_rates(0x5EED));
-                    cfg.bit_flip_rate = v;
-                    cfg.drop_rate = v;
-                    cfg.delay_rate = v;
-                    cfg.corrupt_ref_rate = v;
-                    cfg.corrupt_header_rate = v;
-                    cfg.pte_fault_rate = v;
-                    opts.fault = Some(cfg);
+                    let seed = opts.fault.map_or(0x5EED, |f| f.seed);
+                    opts.fault = Some(tracegc_sim::FaultConfig::uniform(seed, v));
                 }
                 _ => {
                     eprintln!("--fault-rate needs a probability in [0, 1]\n{}", usage());

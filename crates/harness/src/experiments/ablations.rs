@@ -10,17 +10,24 @@
 //!   (§VI-A future work).
 //! * `ablD` — the §IV-D barrier cost model vs a trap-based read barrier.
 
-use tracegc_heap::{LayoutKind, ObjRef};
+use tracegc_cpu::{Cpu, CpuConfig, PhaseResult};
+use tracegc_heap::{Heap, LayoutKind, ObjRef};
 use tracegc_hwgc::barrier::{BarrierCosts, BarrierModel, ForwardingState};
 use tracegc_hwgc::GcUnitConfig;
 use tracegc_mem::ddr3::{Ddr3Config, Scheduler};
 use tracegc_vmem::TlbConfig;
+use tracegc_workloads::generate::{generate_heap, generate_heap_opts};
 use tracegc_workloads::spec::by_name;
 
 use super::{ExperimentOutput, Options};
 use crate::metrics::MetricsDoc;
-use crate::runner::{run_cpu_gc, run_unit_gc_faulted, MemKind};
+use crate::runner::{run_unit_gc, MemKind};
 use crate::table::{ms, ratio, Table};
+
+/// The software collector's mark of `heap` on a fresh `mem_kind` memory.
+fn cpu_mark(heap: &mut Heap, mem_kind: MemKind) -> PhaseResult {
+    Cpu::new(CpuConfig::default(), heap).run_mark(heap, &mut mem_kind.fresh())
+}
 
 /// `ablA`: FR-FCFS vs FIFO, 16 vs 8 outstanding reads.
 pub fn run_memsched(opts: &Options) -> ExperimentOutput {
@@ -48,25 +55,16 @@ pub fn run_memsched(opts: &Options) -> ExperimentOutput {
         "ablA: memory scheduler sensitivity (avrora mark phase)",
         &["config", "unit-mark-ms", "cpu-mark-ms"],
     );
+    let heap = generate_heap(&spec, LayoutKind::Bidirectional).heap;
     let rows = variants.into_iter().map(|(name, cfg)| {
-        let unit = run_unit_gc_faulted(
-            &spec,
-            LayoutKind::Bidirectional,
-            GcUnitConfig::default(),
-            MemKind::Ddr3(cfg),
-            false,
-            opts.fault,
-        );
-        let cpu = run_cpu_gc(&spec, LayoutKind::Bidirectional, MemKind::Ddr3(cfg));
-        let row = vec![
-            name.into(),
-            ms(unit.report.mark.cycles()),
-            ms(cpu.mark.cycles),
-        ];
+        let mem = MemKind::Ddr3(cfg);
+        let unit = run_unit_gc(&mut heap.clone(), GcUnitConfig::default(), mem, opts.fault);
+        let cpu = cpu_mark(&mut heap.clone(), mem);
+        let row = vec![name.into(), ms(unit.report.mark.cycles()), ms(cpu.cycles)];
         (
             row,
             (name, unit.report.mark.cycles(), unit.report.mark.stalls),
-            (name, cpu.mark.cycles, cpu.mark.stalls),
+            (name, cpu.cycles, cpu.stalls),
             (unit.fault_stats, unit.fallback.is_some()),
         )
     });
@@ -104,22 +102,17 @@ pub fn run_layout(opts: &Options) -> ExperimentOutput {
         ("conventional-tib", LayoutKind::Conventional),
     ];
     let results = layouts.into_iter().map(|(name, layout)| {
-        let unit = run_unit_gc_faulted(
-            &spec,
-            layout,
-            GcUnitConfig::default(),
-            MemKind::ddr3_default(),
-            false,
-            opts.fault,
-        );
-        let cpu = run_cpu_gc(&spec, layout, MemKind::ddr3_default());
+        let mut heap = generate_heap(&spec, layout).heap;
+        let mem = MemKind::ddr3_default();
+        let unit = run_unit_gc(&mut heap.clone(), GcUnitConfig::default(), mem, opts.fault);
+        let cpu = cpu_mark(&mut heap, mem);
         (
             name,
             unit.report.mark.cycles(),
             unit.snapshot.total_requests,
-            cpu.mark.cycles,
+            cpu.cycles,
             unit.report.mark.stalls,
-            cpu.mark.stalls,
+            cpu.stalls,
             (unit.fault_stats, unit.fallback.is_some()),
         )
     });
@@ -171,6 +164,7 @@ pub fn run_tlb(opts: &Options) -> ExperimentOutput {
         ("hit-under-miss, 1 walk", false, 1),
         ("hit-under-miss, 4 walks", false, 4),
     ];
+    let heap = generate_heap(&spec, LayoutKind::Bidirectional).heap;
     let results = variants.into_iter().map(|(name, blocking, walks)| {
         let cfg = GcUnitConfig {
             tlb: TlbConfig {
@@ -180,14 +174,7 @@ pub fn run_tlb(opts: &Options) -> ExperimentOutput {
             },
             ..GcUnitConfig::default()
         };
-        let unit = run_unit_gc_faulted(
-            &spec,
-            LayoutKind::Bidirectional,
-            cfg,
-            MemKind::pipe_8gbps(),
-            false,
-            opts.fault,
-        );
+        let unit = run_unit_gc(&mut heap.clone(), cfg, MemKind::pipe_8gbps(), opts.fault);
         (
             name,
             unit.report.mark.cycles(),
@@ -228,7 +215,7 @@ pub fn run_barriers(opts: &Options) -> ExperimentOutput {
     let spec = by_name("lusearch")
         .expect("lusearch exists")
         .scaled(opts.scale);
-    let workload = tracegc_workloads::generate::generate_heap(&spec, LayoutKind::Bidirectional);
+    let workload = generate_heap(&spec, LayoutKind::Bidirectional);
     let live: Vec<ObjRef> = workload.heap.reachable_from_roots().into_iter().collect();
 
     // A mutator trace: every live object's references are read once
@@ -310,12 +297,10 @@ pub fn run_superpages(opts: &Options) -> ExperimentOutput {
     let mut times = Vec::new();
     let variants = vec![("4KiB", false), ("2MiB-superpages", true)];
     let results = variants.into_iter().map(|(name, superpages)| {
-        let run = run_unit_gc_faulted(
-            &spec,
-            LayoutKind::Bidirectional,
+        let run = run_unit_gc(
+            &mut generate_heap_opts(&spec, LayoutKind::Bidirectional, superpages).heap,
             GcUnitConfig::default(),
             MemKind::ddr3_default(),
-            superpages,
             opts.fault,
         );
         (

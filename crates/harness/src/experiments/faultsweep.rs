@@ -24,30 +24,15 @@ use crate::table::Table;
 /// clean baseline the overhead column is computed against.
 pub const RATES: [f64; 4] = [0.0, 1e-5, 1e-4, 1e-3];
 
-/// The fault configuration for one grid point: every fault class driven
-/// by the same `rate`, seeded from the grid index so the sweep is
-/// byte-identical under any `--jobs` value (worker order never touches
-/// the seed).
-fn fault_config(rate: f64, grid_index: usize) -> FaultConfig {
-    FaultConfig {
-        seed: 0x5EED_0000 + grid_index as u64,
-        bit_flip_rate: rate,
-        drop_rate: rate,
-        delay_rate: rate,
-        corrupt_ref_rate: rate,
-        corrupt_header_rate: rate,
-        pte_fault_rate: rate,
-        ..FaultConfig::default()
-    }
-}
-
 /// Fault-rate sweep on avrora.
 pub fn run(opts: &Options) -> ExperimentOutput {
     let spec = by_name("avrora").expect("avrora exists").scaled(opts.scale);
     let repeats = opts.pauses.max(1);
 
     // The full (rate, repeat) grid, flattened so the seed and the
-    // output order both derive from the grid index alone.
+    // output order both derive from the grid index alone: every fault
+    // class runs at the point's rate, and worker order never touches
+    // the seed, so the sweep is byte-identical under any `--jobs`.
     let grid: Vec<(usize, usize)> = (0..RATES.len())
         .flat_map(|ri| (0..repeats).map(move |rep| (ri, rep)))
         .collect();
@@ -56,13 +41,13 @@ pub fn run(opts: &Options) -> ExperimentOutput {
         .iter()
         .copied()
         .map(|(ri, rep)| {
-            let rate = RATES[ri];
+            let seed = 0x5EED_0000 + (ri * repeats + rep) as u64;
             run_faulted_mark(
                 &spec,
                 LayoutKind::Bidirectional,
                 GcUnitConfig::default(),
                 MemKind::ddr3_default(),
-                fault_config(rate, ri * repeats + rep),
+                FaultConfig::uniform(seed, RATES[ri]),
             )
         })
         .collect();

@@ -6,13 +6,15 @@
 //!   coordinated omission: GC pauses create stragglers two orders of
 //!   magnitude above the median.
 
+use tracegc_cpu::{Cpu, CpuConfig};
 use tracegc_heap::LayoutKind;
+use tracegc_workloads::generate::generate_heap;
 use tracegc_workloads::queries::{QueryLatencySim, QueryLatencySpec};
 use tracegc_workloads::spec::{by_name, DACAPO};
 
 use super::{ExperimentOutput, Options};
 use crate::metrics::MetricsDoc;
-use crate::runner::{run_cpu_gc, MemKind};
+use crate::runner::MemKind;
 use crate::table::Table;
 
 /// Fig. 1a: % CPU time in GC pauses.
@@ -23,13 +25,10 @@ pub fn run_1a(opts: &Options) -> ExperimentOutput {
     );
     let results = DACAPO.into_iter().map(|spec| {
         let spec = spec.scaled(opts.scale);
-        let run = run_cpu_gc(&spec, LayoutKind::Bidirectional, MemKind::ddr3_default());
-        (
-            spec.name,
-            run.mark,
-            run.sweep,
-            spec.mutator_cycles_per_pause,
-        )
+        let heap = &mut generate_heap(&spec, LayoutKind::Bidirectional).heap;
+        let mut mem = MemKind::ddr3_default().fresh();
+        let (mark, sweep) = Cpu::new(CpuConfig::default(), heap).run_gc(heap, &mut mem);
+        (spec.name, mark, sweep, spec.mutator_cycles_per_pause)
     });
     let mut metrics = MetricsDoc::new("fig1a");
     for (name, mark, sweep, mutator_cycles) in results {
@@ -68,8 +67,10 @@ pub fn run_1b(opts: &Options) -> ExperimentOutput {
     let spec = by_name("lusearch")
         .expect("lusearch exists")
         .scaled(opts.scale);
-    let run = run_cpu_gc(&spec, LayoutKind::Bidirectional, MemKind::ddr3_default());
-    let pause_us = (run.mark.cycles + run.sweep.cycles) / 1000; // 1 GHz: cycles->ns->us
+    let heap = &mut generate_heap(&spec, LayoutKind::Bidirectional).heap;
+    let mut mem = MemKind::ddr3_default().fresh();
+    let (mark, sweep) = Cpu::new(CpuConfig::default(), heap).run_gc(heap, &mut mem);
+    let pause_us = (mark.cycles + sweep.cycles) / 1000; // 1 GHz: cycles->ns->us
 
     let sim = QueryLatencySim::new(QueryLatencySpec::default());
     let (mut with_gc, near) = sim.run(&[pause_us]);
@@ -97,8 +98,8 @@ pub fn run_1b(opts: &Options) -> ExperimentOutput {
 
     let affected = near.iter().filter(|&&b| b).count();
     let mut metrics = MetricsDoc::new("fig1b");
-    metrics.phase("lusearch.cpu_mark", run.mark.cycles, 1, run.mark.stalls);
-    metrics.phase("lusearch.cpu_sweep", run.sweep.cycles, 1, run.sweep.stalls);
+    metrics.phase("lusearch.cpu_mark", mark.cycles, 1, mark.stalls);
+    metrics.phase("lusearch.cpu_sweep", sweep.cycles, 1, sweep.stalls);
     metrics.counter("queries_affected", affected as u64);
     metrics.counter("queries_recorded", near.len() as u64);
     metrics.gauge("pause_ms", pause_us as f64 / 1000.0);

@@ -11,13 +11,12 @@
 use tracegc_heap::LayoutKind;
 use tracegc_hwgc::{CacheTopology, GcUnitConfig};
 use tracegc_mem::Source;
+use tracegc_workloads::generate::generate_heap;
 use tracegc_workloads::spec::DACAPO;
-
-use tracegc_sim::StallAccounting;
 
 use super::{ExperimentOutput, Options};
 use crate::metrics::MetricsDoc;
-use crate::runner::{run_unit_gc_faulted, MemKind};
+use crate::runner::{run_unit_gc, MemKind};
 use crate::table::Table;
 
 const FIG18_SOURCES: [Source; 4] = [
@@ -53,101 +52,74 @@ pub fn run(opts: &Options) -> ExperimentOutput {
     );
     let m = |v: u64| format!("{:.3}", v as f64 / 1e6);
     // Every (benchmark, topology) pair is an independent grid point.
-    let grid: Vec<(tracegc_workloads::spec::BenchSpec, bool)> = DACAPO
+    let grid: Vec<(tracegc_workloads::spec::BenchSpec, CacheTopology)> = DACAPO
         .iter()
-        .flat_map(|&spec| [(spec, true), (spec, false)])
+        .flat_map(|&spec| {
+            [
+                (spec, CacheTopology::Shared),
+                (spec, CacheTopology::Partitioned),
+            ]
+        })
         .collect();
     let rows: Vec<_> = grid
         .into_iter()
-        .map(|(spec, shared_topology)| {
+        .map(|(spec, topology)| {
             // The TLB-pressure effect needs a heap well beyond the TLB
             // reach, as in the paper's 200 MB configuration, so fig18 always
             // runs at full workload scale.
             let spec = spec.scaled(opts.scale.max(1.0));
-            let phase_of = |run: &crate::runner::UnitRun,
-                            topo: &str|
-             -> Vec<(String, u64, u64, StallAccounting)> {
-                vec![
-                    (
-                        format!("{}.{topo}.unit_mark", spec.name),
-                        run.report.mark.cycles(),
-                        1,
-                        run.report.mark.stalls,
-                    ),
-                    (
-                        format!("{}.{topo}.unit_sweep", spec.name),
-                        run.report.sweep.cycles(),
-                        run.report.sweep.lanes,
-                        run.report.sweep.stalls,
-                    ),
-                ]
-            };
-            if shared_topology {
+            let run = run_unit_gc(
+                &mut generate_heap(&spec, LayoutKind::Bidirectional).heap,
+                GcUnitConfig {
+                    topology,
+                    ..GcUnitConfig::default()
+                },
+                MemKind::ddr3_default(),
+                opts.fault,
+            );
+            let count = |s: Source| match topology {
                 // Shared topology: count accesses at the shared cache.
-                let run = run_unit_gc_faulted(
-                    &spec,
-                    LayoutKind::Bidirectional,
-                    GcUnitConfig {
-                        topology: CacheTopology::Shared,
-                        ..GcUnitConfig::default()
-                    },
-                    MemKind::ddr3_default(),
-                    false,
-                    opts.fault,
-                );
-                let stats = run
+                CacheTopology::Shared => run
                     .unit
                     .traversal()
                     .shared_cache_stats()
                     .expect("shared topology has a shared cache")
-                    .clone();
-                let total: u64 = FIG18_SOURCES.iter().map(|&s| stats.accesses(s)).sum();
-                let row = vec![
-                    spec.name.into(),
-                    m(stats.accesses(Source::MarkQueue)),
-                    m(stats.accesses(Source::Tracer)),
-                    m(stats.accesses(Source::Ptw)),
-                    m(stats.accesses(Source::Marker)),
-                    format!(
-                        "{:.0}%",
-                        100.0 * stats.accesses(Source::Ptw) as f64 / total.max(1) as f64
-                    ),
-                ];
-                (
-                    row,
-                    phase_of(&run, "shared"),
-                    run.fault_stats,
-                    run.fallback.is_some(),
-                )
-            } else {
+                    .accesses(s),
                 // Partitioned topology: count requests at the memory
                 // controller.
-                let run = run_unit_gc_faulted(
-                    &spec,
-                    LayoutKind::Bidirectional,
-                    GcUnitConfig::default(),
-                    MemKind::ddr3_default(),
-                    false,
-                    opts.fault,
-                );
-                let snap = &run.snapshot;
-                let total: u64 = FIG18_SOURCES.iter().map(|&s| snap.requests(s)).sum();
-                let work = snap.requests(Source::Marker) + snap.requests(Source::Tracer);
-                let row = vec![
-                    spec.name.into(),
-                    m(snap.requests(Source::MarkQueue)),
-                    m(snap.requests(Source::Tracer)),
-                    m(snap.requests(Source::Ptw)),
-                    m(snap.requests(Source::Marker)),
-                    format!("{:.0}%", 100.0 * work as f64 / total.max(1) as f64),
-                ];
+                CacheTopology::Partitioned => run.snapshot.requests(s),
+            };
+            // The share column: the PTW's of the shared cache, the
+            // marker's and tracer's of memory.
+            let (share, topo) = match topology {
+                CacheTopology::Shared => (count(Source::Ptw), "shared"),
+                CacheTopology::Partitioned => {
+                    (count(Source::Marker) + count(Source::Tracer), "part")
+                }
+            };
+            let total: u64 = FIG18_SOURCES.iter().map(|&s| count(s)).sum();
+            let mut row = vec![spec.name.to_string()];
+            row.extend(FIG18_SOURCES.iter().map(|&s| m(count(s))));
+            row.push(format!(
+                "{:.0}%",
+                100.0 * share as f64 / total.max(1) as f64
+            ));
+            let (mark, sweep) = (&run.report.mark, &run.report.sweep);
+            let phases = vec![
                 (
-                    row,
-                    phase_of(&run, "part"),
-                    run.fault_stats,
-                    run.fallback.is_some(),
-                )
-            }
+                    format!("{}.{topo}.unit_mark", spec.name),
+                    mark.cycles(),
+                    1,
+                    mark.stalls,
+                ),
+                (
+                    format!("{}.{topo}.unit_sweep", spec.name),
+                    sweep.cycles(),
+                    sweep.lanes,
+                    sweep.stalls,
+                ),
+            ];
+            (row, phases, run.fault_stats, run.fallback.is_some())
         })
         .collect();
     let mut metrics = MetricsDoc::new("fig18");

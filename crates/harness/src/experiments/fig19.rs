@@ -8,11 +8,12 @@
 
 use tracegc_heap::LayoutKind;
 use tracegc_hwgc::GcUnitConfig;
+use tracegc_workloads::generate::generate_heap;
 use tracegc_workloads::spec::by_name;
 
 use super::{ExperimentOutput, Options};
 use crate::metrics::MetricsDoc;
-use crate::runner::{run_unit_gc_faulted, MemKind};
+use crate::runner::{run_unit_gc, MemKind};
 use crate::table::{ms, Table};
 
 /// Mark-queue capacities matching the paper's x-axis (total KB
@@ -47,6 +48,7 @@ const VARIANTS: [Variant; 3] = [
 /// Sweeps the mark-queue size for each variant on avrora.
 pub fn run(opts: &Options) -> ExperimentOutput {
     let spec = by_name("avrora").expect("avrora exists").scaled(opts.scale);
+    let heap = generate_heap(&spec, LayoutKind::Bidirectional).heap;
     let mut table = Table::new(
         "Fig 19: mark-queue size sweep (avrora)",
         &[
@@ -76,14 +78,7 @@ pub fn run(opts: &Options) -> ExperimentOutput {
             compress: v.compress,
             ..GcUnitConfig::default()
         };
-        let run = run_unit_gc_faulted(
-            &spec,
-            LayoutKind::Bidirectional,
-            cfg,
-            MemKind::ddr3_default(),
-            false,
-            opts.fault,
-        );
+        let run = run_unit_gc(&mut heap.clone(), cfg, MemKind::ddr3_default(), opts.fault);
         let q = run.report.mark.markq;
         let spill_reqs = q.spill_writes + q.spill_reads;
         let total_reqs = run.snapshot.total_requests;

@@ -15,11 +15,12 @@ use std::collections::HashMap;
 
 use tracegc_heap::{Heap, LayoutKind};
 use tracegc_hwgc::GcUnitConfig;
+use tracegc_workloads::generate::generate_heap;
 use tracegc_workloads::spec::by_name;
 
 use super::{ExperimentOutput, Options};
 use crate::metrics::MetricsDoc;
-use crate::runner::{run_unit_gc_faulted, MemKind};
+use crate::runner::{run_unit_gc, MemKind};
 use crate::table::Table;
 
 const CACHE_SIZES: [usize; 5] = [0, 64, 105, 128, 256];
@@ -41,22 +42,17 @@ pub fn run(opts: &Options) -> ExperimentOutput {
     let spec = by_name("luindex")
         .expect("luindex exists")
         .scaled(opts.scale);
+    // Every run below collects a copy of this one heap.
+    let fresh = generate_heap(&spec, LayoutKind::Bidirectional).heap;
 
     // Fig. 21a: object-access-frequency distribution from one mark pass.
-    let mut run = run_unit_gc_faulted(
-        &spec,
-        LayoutKind::Bidirectional,
-        GcUnitConfig {
-            trace: opts.trace,
-            ..GcUnitConfig::default()
-        },
-        MemKind::ddr3_default(),
-        false,
-        opts.fault,
-    );
-    let mut freq: Vec<u32> = mark_access_counts(&run.workload.heap)
-        .into_values()
-        .collect();
+    let mut heap = fresh.clone();
+    let cfg = GcUnitConfig {
+        trace: opts.trace,
+        ..GcUnitConfig::default()
+    };
+    let mut run = run_unit_gc(&mut heap, cfg, MemKind::ddr3_default(), opts.fault);
+    let mut freq: Vec<u32> = mark_access_counts(&heap).into_values().collect();
     freq.sort_unstable_by(|a, b| b.cmp(a));
     let total_accesses: u64 = freq.iter().map(|&c| c as u64).sum();
     let top56: u64 = freq.iter().take(56).map(|&c| c as u64).sum();
@@ -89,14 +85,7 @@ pub fn run(opts: &Options) -> ExperimentOutput {
             markbit_cache: size,
             ..GcUnitConfig::default()
         };
-        let run = run_unit_gc_faulted(
-            &spec,
-            LayoutKind::Bidirectional,
-            cfg,
-            MemKind::ddr3_default(),
-            false,
-            opts.fault,
-        );
+        let run = run_unit_gc(&mut fresh.clone(), cfg, MemKind::ddr3_default(), opts.fault);
         let mark = &run.report.mark;
         let attempts = mark.objects_marked + mark.already_marked + mark.filtered;
         let reqs = mark.objects_marked + mark.already_marked; // AMOs that reached memory

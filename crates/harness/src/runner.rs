@@ -13,7 +13,7 @@
 use tracegc_cpu::{Cpu, CpuConfig};
 use tracegc_heap::verify::check_marks_match_reachability;
 use tracegc_heap::{Heap, LayoutKind};
-use tracegc_hwgc::{GcUnit, GcUnitConfig, Trap, TraversalUnit};
+use tracegc_hwgc::{GcReport, GcUnit, GcUnitConfig, Trap, TraversalUnit};
 use tracegc_mem::ddr3::Ddr3Config;
 use tracegc_mem::pipe::PipeConfig;
 use tracegc_mem::{MemSystem, Source};
@@ -197,19 +197,18 @@ impl DualRun {
     pub fn run_pause(&mut self, mem_kind: MemKind) -> PauseResult {
         // CPU side.
         let mut cpu_mem = mem_kind.fresh();
-        let mut cpu = Cpu::new(CpuConfig::default(), &mut self.cpu_side.heap);
-        let cpu_mark = cpu.run_mark(&mut self.cpu_side.heap, &mut cpu_mem);
-        let cpu_sweep = cpu.run_sweep(&mut self.cpu_side.heap, &mut cpu_mem);
-        let cpu_snapshot = MemSnapshot::capture(&cpu_mem);
+        let (cpu_mark, cpu_sweep) = Cpu::new(CpuConfig::default(), &mut self.cpu_side.heap)
+            .run_gc(&mut self.cpu_side.heap, &mut cpu_mem);
 
         // Unit side.
-        let mut unit_mem = mem_kind.fresh();
-        let mut unit = GcUnit::new(self.unit_cfg, &mut self.unit_side.heap);
-        let report = unit
-            .try_run_gc_at(&mut self.unit_side.heap, &mut unit_mem, 0)
-            .expect("DualRun::run_pause: GcUnit::try_run_gc_at faulted on a clean heap");
-        let unit_snapshot = MemSnapshot::capture(&unit_mem);
-        let unit_trace = unit.take_trace();
+        let mut run = run_unit_gc(&mut self.unit_side.heap, self.unit_cfg, mem_kind, None);
+        if let Some(fb) = run.fallback {
+            panic!(
+                "DualRun::run_pause: GcUnit::try_run_gc_at faulted on a clean heap: {}",
+                fb.trap
+            );
+        }
+        let report = run.report;
 
         assert_eq!(
             cpu_mark.work_items, report.mark.objects_marked,
@@ -227,8 +226,8 @@ impl DualRun {
             unit_sweep_cycles: report.sweep.cycles(),
             objects_marked: report.mark.objects_marked,
             cells_freed: report.sweep.cells_freed,
-            cpu_mem: cpu_snapshot,
-            unit_mem: unit_snapshot,
+            cpu_mem: MemSnapshot::capture(&cpu_mem),
+            unit_mem: run.snapshot,
             unit_markq: report.mark.markq,
             unit_filtered: report.mark.filtered,
             unit_port_busy: report.mark.port_busy_cycles,
@@ -238,7 +237,7 @@ impl DualRun {
             unit_mark_stalls: report.mark.stalls,
             unit_sweep_stalls: report.sweep.stalls,
             unit_sweep_lanes: report.sweep.lanes,
-            unit_trace,
+            unit_trace: run.unit.take_trace(),
         }
     }
 
@@ -287,13 +286,11 @@ pub struct FallbackInfo {
 #[derive(Debug)]
 pub struct UnitRun {
     /// The collection report.
-    pub report: tracegc_hwgc::GcReport,
+    pub report: GcReport,
     /// Memory statistics.
     pub snapshot: MemSnapshot,
     /// The unit itself (access counts, cache stats).
     pub unit: GcUnit,
-    /// The workload after collection.
-    pub workload: WorkloadHeap,
     /// Merged fault-injector counters over all sites (all-zero for
     /// clean runs).
     pub fault_stats: FaultStats,
@@ -302,19 +299,8 @@ pub struct UnitRun {
     pub fallback: Option<FallbackInfo>,
 }
 
-/// Runs a single accelerator-only collection on a fresh workload.
-pub fn run_unit_gc(
-    spec: &BenchSpec,
-    layout: LayoutKind,
-    cfg: GcUnitConfig,
-    mem_kind: MemKind,
-) -> UnitRun {
-    run_unit_gc_faulted(spec, layout, cfg, mem_kind, false, None)
-}
-
-/// Like [`run_unit_gc`], optionally mapping the heap with 2 MiB
-/// superpages (the §VII `ablE` ablation) and injecting faults from
-/// `fault`.
+/// Runs one accelerator-only collection of `heap` on a fresh memory
+/// system, injecting faults from `fault`.
 ///
 /// The degradation protocol mirrors what the driver would do: a trapped
 /// mark leaves the unit frozen; the driver drains its architected state,
@@ -326,52 +312,25 @@ pub fn run_unit_gc(
 /// Panics if the mark errors *without* latching a trap — injected
 /// faults always trap, so that would be a simulator bug, not an
 /// injected fault.
-pub fn run_unit_gc_faulted(
-    spec: &BenchSpec,
-    layout: LayoutKind,
+pub fn run_unit_gc(
+    heap: &mut Heap,
     cfg: GcUnitConfig,
     mem_kind: MemKind,
-    superpages: bool,
     fault: Option<FaultConfig>,
 ) -> UnitRun {
-    let mut workload = tracegc_workloads::generate::generate_heap_opts(spec, layout, superpages);
-    let mut mem = mem_kind.fresh();
-    let mut unit = GcUnit::new(cfg, &mut workload.heap);
-
-    let plan = fault.filter(|f| f.is_active()).map(FaultPlan::new);
-    if let Some(plan) = &plan {
-        mem.set_fault_injector(plan.injector(FaultSite::Mem));
-        unit.install_fault_plan(plan);
-    }
-
+    let mut unit = GcUnit::new(cfg, heap);
+    let mut mem = faulted_mem(mem_kind, fault, unit.traversal_mut());
     let mut fault_stats = FaultStats::default();
-    let mut fallback = None;
-    let report = match unit.try_run_gc_at(&mut workload.heap, &mut mem, 0) {
-        Ok(report) => report,
+    let (report, fallback) = match unit.try_run_gc_at(heap, &mut mem, 0) {
+        Ok(report) => (report, None),
         Err(e) => {
-            let trap = unit
-                .traversal()
-                .trap()
-                .unwrap_or_else(|| panic!("mark failed without a trap: {e}"));
-            let mark = unit.traversal().result_at(0, trap.at);
-            let (info, _) = fall_back_to_software(
-                trap,
-                unit.traversal_mut(),
-                &mut workload.heap,
-                &mut mem,
-                &mut fault_stats,
-            );
-            check_marks_match_reachability(&workload.heap)
-                .expect("software fallback must complete the mark exactly");
-            let marked_total = workload.heap.marked_set().len() as u64;
-            let sweep = unit.sweep_after_fallback(
-                &mut workload.heap,
-                &mut mem,
-                trap.at + info.cycles,
-                marked_total,
-            );
-            fallback = Some(info);
-            tracegc_hwgc::GcReport { mark, sweep }
+            let (info, _) = recover(e, unit.traversal_mut(), heap, &mut mem, &mut fault_stats)
+                .unwrap_or_else(|e| panic!("mark failed without a trap: {e}"));
+            let mark = unit.traversal().result_at(0, info.trap.at);
+            let marked_total = heap.marked_set().len() as u64;
+            let sweep =
+                unit.sweep_after_fallback(heap, &mut mem, info.trap.at + info.cycles, marked_total);
+            (GcReport { mark, sweep }, Some(info))
         }
     };
     merge_fault_stats(&mut fault_stats, &mut mem, unit.traversal());
@@ -380,27 +339,45 @@ pub fn run_unit_gc_faulted(
         report,
         snapshot: MemSnapshot::capture(&mem),
         unit,
-        workload,
         fault_stats,
         fallback,
     }
 }
 
-/// The driver's trap-recovery protocol, shared by every faulted run:
-/// drains the frozen unit's architected state (the mark bitmap is
-/// already in the heap; pending reference words come out of the
-/// queues), clears any unrecoverable fault the trap left latched in
-/// the memory system, detaches its injector (folding the counters into
-/// `stats`) so recovery runs on recovered memory, and finishes the mark
-/// with the software collector from the trap cycle. Returns the
-/// fallback record and the collector's cycle attribution.
-fn fall_back_to_software(
-    trap: Trap,
+/// A fresh memory system for a run under `fault`: an active plan's
+/// injectors go to the memory system and to `unit`'s marker datapath
+/// and page-table walker.
+fn faulted_mem(
+    mem_kind: MemKind,
+    fault: Option<FaultConfig>,
+    unit: &mut TraversalUnit,
+) -> MemSystem {
+    let mut mem = mem_kind.fresh();
+    if let Some(plan) = fault.filter(|f| f.is_active()).map(FaultPlan::new) {
+        mem.set_fault_injector(plan.injector(FaultSite::Mem));
+        unit.install_fault_plan(&plan);
+    }
+    mem
+}
+
+/// The driver's trap-recovery tail, shared by both drivers. It reads
+/// the trap register and drains the frozen unit's architected state
+/// (the mark bitmap is already in the heap; pending reference words
+/// come out of the queues). It clears any unrecoverable fault the trap
+/// left latched in the memory system and detaches its injector
+/// (folding the counters into `stats`), so recovery runs on recovered
+/// memory. It finishes the mark with the software collector from the
+/// trap cycle and checks the mark set against reachability. Returns
+/// the fallback record and the collector's cycle attribution, or `e`
+/// itself when the unit latched no trap.
+fn recover(
+    e: SimError,
     unit: &mut TraversalUnit,
     heap: &mut Heap,
     mem: &mut MemSystem,
     stats: &mut FaultStats,
-) -> (FallbackInfo, StallAccounting) {
+) -> Result<(FallbackInfo, StallAccounting), SimError> {
+    let trap = unit.trap().ok_or(e)?;
     let pending = unit.drain_architected_state(heap);
     let _ = mem.take_fault();
     if let Some(inj) = mem.take_fault_injector() {
@@ -409,12 +386,13 @@ fn fall_back_to_software(
     let mut cpu = Cpu::new(CpuConfig::default(), heap);
     cpu.advance_to(trap.at);
     let fb = cpu.resume_mark_from(heap, mem, &pending);
+    check_marks_match_reachability(heap).expect("software fallback must complete the mark exactly");
     let info = FallbackInfo {
         trap,
         drained: pending.len(),
         cycles: fb.cycles,
     };
-    (info, fb.stalls)
+    Ok((info, fb.stalls))
 }
 
 /// Folds the injector counters still attached after a run — the memory
@@ -517,35 +495,25 @@ fn faulted_mark(
     mem_kind: MemKind,
     fault: Option<FaultConfig>,
 ) -> FaultedMarkRun {
-    let mut mem = mem_kind.fresh();
     let mut unit = TraversalUnit::new(cfg, heap);
-
-    let plan = fault.filter(|f| f.is_active()).map(FaultPlan::new);
-    if let Some(plan) = &plan {
-        mem.set_fault_injector(plan.injector(FaultSite::Mem));
-        unit.install_fault_plan(plan);
-    }
-
+    let mut mem = faulted_mem(mem_kind, fault, &mut unit);
     let mut stats = FaultStats::default();
     let mut fallback_stalls = StallAccounting::default();
     let (outcome, unit_cycles, fallback_cycles) = match unit.try_run_mark(heap, &mut mem, 0) {
-        Ok(res) => (MarkOutcome::Clean, res.cycles(), 0),
-        Err(e) => match unit.trap() {
-            Some(trap) => {
-                let (info, stalls) =
-                    fall_back_to_software(trap, &mut unit, heap, &mut mem, &mut stats);
+        Ok(res) => {
+            check_marks_match_reachability(heap)
+                .expect("fault-injected mark must agree with reachability");
+            (MarkOutcome::Clean, res.cycles(), 0)
+        }
+        Err(e) => match recover(e, &mut unit, heap, &mut mem, &mut stats) {
+            Ok((info, stalls)) => {
                 fallback_stalls = stalls;
-                (MarkOutcome::Fallback(info), trap.at, info.cycles)
+                (MarkOutcome::Fallback(info), info.trap.at, info.cycles)
             }
-            None => (MarkOutcome::Failed(e), 0, 0),
+            Err(e) => (MarkOutcome::Failed(e), 0, 0),
         },
     };
     merge_fault_stats(&mut stats, &mut mem, &unit);
-
-    if !matches!(outcome, MarkOutcome::Failed(_)) {
-        check_marks_match_reachability(heap)
-            .expect("fault-injected mark must agree with reachability");
-    }
 
     FaultedMarkRun {
         outcome,
@@ -558,41 +526,13 @@ fn faulted_mark(
     }
 }
 
-/// Result of a CPU-only collection.
-#[derive(Debug)]
-pub struct CpuRun {
-    /// Mark-phase result.
-    pub mark: tracegc_cpu::PhaseResult,
-    /// Sweep-phase result.
-    pub sweep: tracegc_cpu::PhaseResult,
-    /// Memory statistics.
-    pub snapshot: MemSnapshot,
-    /// The workload after collection.
-    pub workload: WorkloadHeap,
-}
-
-/// Runs a single software-collector-only collection on a fresh workload.
-pub fn run_cpu_gc(spec: &BenchSpec, layout: LayoutKind, mem_kind: MemKind) -> CpuRun {
-    let mut workload = generate_heap(spec, layout);
-    let mut mem = mem_kind.fresh();
-    let mut cpu = Cpu::new(CpuConfig::default(), &mut workload.heap);
-    let mark = cpu.run_mark(&mut workload.heap, &mut mem);
-    let sweep = cpu.run_sweep(&mut workload.heap, &mut mem);
-    CpuRun {
-        mark,
-        sweep,
-        snapshot: MemSnapshot::capture(&mem),
-        workload,
-    }
-}
-
 /// Result of a unit collection over a *streamed* workload — heaps too
 /// large to keep an all-objects vector for, so the run carries the
 /// generator's bookkeeping instead of the workload itself.
 #[derive(Debug)]
 pub struct StreamRun {
     /// The collection report.
-    pub report: tracegc_hwgc::GcReport,
+    pub report: GcReport,
     /// Memory statistics.
     pub snapshot: MemSnapshot,
     /// Objects reachable from the roots at generation time.
@@ -618,19 +558,21 @@ pub fn run_unit_gc_stream(
     mem_kind: MemKind,
 ) -> StreamRun {
     let mut streamed = tracegc_workloads::generate_streamed(spec, layout);
-    let mut mem = mem_kind.fresh();
-    let mut unit = GcUnit::new(cfg, &mut streamed.heap);
-    let report = unit
-        .try_run_gc_at(&mut streamed.heap, &mut mem, 0)
-        .expect("run_unit_gc_stream: GcUnit::try_run_gc_at faulted on a clean heap");
+    let run = run_unit_gc(&mut streamed.heap, cfg, mem_kind, None);
+    if let Some(fb) = run.fallback {
+        panic!(
+            "run_unit_gc_stream: GcUnit::try_run_gc_at faulted on a clean heap: {}",
+            fb.trap
+        );
+    }
     assert_eq!(
-        report.mark.objects_marked, streamed.live_objects as u64,
+        run.report.mark.objects_marked, streamed.live_objects as u64,
         "unit marked a different live set than the streamed generator built ({})",
         spec.name
     );
     StreamRun {
-        report,
-        snapshot: MemSnapshot::capture(&mem),
+        report: run.report,
+        snapshot: run.snapshot,
         live_objects: streamed.live_objects as u64,
         gen_stats: streamed.stats,
         resident_bytes: streamed.heap.phys.resident_bytes(),
@@ -755,43 +697,54 @@ mod tests {
             corrupt_ref_rate: 0.05,
             ..Default::default()
         };
-        let run = run_unit_gc_faulted(
-            &quick_spec(),
-            LayoutKind::Bidirectional,
-            GcUnitConfig::default(),
-            MemKind::ddr3_default(),
-            false,
-            Some(fault),
-        );
+        let fresh = generate_heap(&quick_spec(), LayoutKind::Bidirectional).heap;
+        let mut heap = fresh.clone();
+        let cfg = GcUnitConfig::default();
+        let run = run_unit_gc(&mut heap, cfg, MemKind::ddr3_default(), Some(fault));
         let fb = run.fallback.expect("a 5% corruption rate must trap");
         assert!(fb.cycles > 0, "fallback must cost cycles");
         assert!(run.fault_stats.corrupted_refs > 0);
         // The clean reference run frees the same cells: degradation
         // changes timing, never the collected set.
-        let clean = run_unit_gc(
-            &quick_spec(),
-            LayoutKind::Bidirectional,
-            GcUnitConfig::default(),
-            MemKind::ddr3_default(),
-        );
+        let clean = run_unit_gc(&mut fresh.clone(), cfg, MemKind::ddr3_default(), None);
         assert_eq!(run.report.sweep.cells_freed, clean.report.sweep.cells_freed);
-        assert!(
-            run.workload.heap.marked_set().is_empty(),
-            "sweep clears marks"
-        );
-        tracegc_heap::verify::check_free_lists(&run.workload.heap).unwrap();
+        assert!(heap.marked_set().is_empty(), "sweep clears marks");
+        tracegc_heap::verify::check_free_lists(&heap).unwrap();
     }
 
     #[test]
     fn clean_unit_gc_reports_zero_fault_stats() {
-        let run = run_unit_gc(
-            &quick_spec(),
-            LayoutKind::Bidirectional,
-            GcUnitConfig::default(),
-            MemKind::ddr3_default(),
-        );
+        let heap = &mut generate_heap(&quick_spec(), LayoutKind::Bidirectional).heap;
+        let run = run_unit_gc(heap, GcUnitConfig::default(), MemKind::ddr3_default(), None);
         assert_eq!(run.fault_stats, FaultStats::default());
         assert!(run.fallback.is_none());
+    }
+
+    #[test]
+    fn full_and_mark_only_drivers_take_the_same_mark() {
+        // One trapping plan on two copies of one heap: the full
+        // collection's mark and the mark-only pass trap, drain and fall
+        // back identically.
+        let fault = FaultConfig {
+            seed: 7,
+            corrupt_ref_rate: 0.05,
+            ..Default::default()
+        };
+        let (cfg, mem) = (GcUnitConfig::default(), MemKind::ddr3_default());
+        for layout in [LayoutKind::Bidirectional, LayoutKind::Conventional] {
+            let heap = generate_heap(&quick_spec(), layout).heap;
+            let full = run_unit_gc(&mut heap.clone(), cfg, mem, Some(fault));
+            let mark = faulted_mark(&mut heap.clone(), cfg, mem, Some(fault));
+            let fb = full.fallback.expect("a 5% corruption rate must trap");
+            let MarkOutcome::Fallback(mark_fb) = mark.outcome else {
+                panic!("{layout:?}: the mark-only pass did not fall back");
+            };
+            assert_eq!(fb.trap, mark_fb.trap, "{layout:?}");
+            assert_eq!(fb.drained, mark_fb.drained, "{layout:?}");
+            assert_eq!(fb.cycles, mark.fallback_cycles, "{layout:?}");
+            assert_eq!(full.report.mark.cycles(), mark.unit_cycles, "{layout:?}");
+            assert_eq!(full.fault_stats, mark.stats, "{layout:?}");
+        }
     }
 
     #[test]

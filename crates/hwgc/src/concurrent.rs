@@ -21,7 +21,6 @@ use tracegc_sim::sched::{Policy, Scheduler};
 use tracegc_sim::{Cycle, SimError};
 
 use crate::engine::{MarkEngine, MutatorEngine};
-use crate::trap::Trap;
 use crate::traversal::{TraversalResult, TraversalUnit};
 
 /// Mutator behaviour while the collector runs.
@@ -106,19 +105,10 @@ pub fn try_run_concurrent_mark(
         )?;
         report.end
     };
-    // A trap freezes the unit but ends the schedule normally (the
-    // frozen engine reports done); surface it, plus any fault the
-    // memory system latched on the final access.
-    if let Some(e) = mem.take_fault() {
-        return Err(Trap::from_sim_error(&e).into());
-    }
-    if let Some(t) = unit.trap() {
-        return Err(t.into());
-    }
-
+    let traversal = unit.finish_pass(mem, start, end)?;
     let stats = mutator.barrier_stats();
     Ok(ConcurrentReport {
-        traversal: unit.result_at(start, end),
+        traversal,
         mutator_ops: mutator.ops(),
         write_barriers: stats.writes,
         allocated_during_gc: mutator.allocated(),

@@ -17,7 +17,6 @@ use tracegc_sim::sched::{Engine, Policy, Scheduler};
 use tracegc_sim::{Cycle, SimError};
 
 use crate::engine::MarkEngine;
-use crate::trap::Trap;
 use crate::traversal::{TraversalResult, TraversalUnit};
 
 /// One process's collection context: its heap and its view of the unit
@@ -63,7 +62,9 @@ impl MultiProcessReport {
 ///
 /// The first trap in any context (contexts are polled in order)
 /// surfaces as a [`SimError`], with that context's unit frozen in its
-/// architected state; a context set that can never advance trips the
+/// architected state. A fault the memory system latched on the pass's
+/// final access is folded into the first context's trap register (the
+/// first cause wins). A context set that can never advance trips the
 /// scheduler's no-progress watchdog as [`SimError::Deadlock`], with a
 /// per-engine stall-reason and ledger dump.
 ///
@@ -96,20 +97,11 @@ pub fn try_run_multiprocess_mark(
             .try_run(&mut dyns, &mut ctx, start)?
             .ends
     };
-    // A trap freezes its unit but ends the schedule normally; surface
-    // the first one, plus any fault the memory system latched on the
-    // final access of the pass.
-    if let Some(e) = mem.take_fault() {
-        return Err(Trap::from_sim_error(&e).into());
-    }
-    if let Some(t) = procs.iter().find_map(|p| p.unit.trap()) {
-        return Err(t.into());
-    }
     let per_process = procs
-        .iter()
+        .iter_mut()
         .zip(&ends)
-        .map(|(p, &end)| p.unit.result_at(start, end))
-        .collect();
+        .map(|(p, &end)| p.unit.finish_pass(mem, start, end))
+        .collect::<Result<_, _>>()?;
     Ok(MultiProcessReport {
         per_process,
         end: *ends.iter().max().expect("non-empty"),

@@ -84,18 +84,20 @@ impl Trap {
         Self { kind, va, at }
     }
 
-    /// Converts a fault latched by the memory system into a trap. Only
-    /// [`SimError::MemTimeout`] and [`SimError::EccUncorrectable`] are
-    /// latched there; the remaining arms are defensive mappings.
-    pub fn from_sim_error(e: &SimError) -> Self {
+    /// Converts a fault latched by the memory system into a trap.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any other error: the memory system latches only
+    /// [`SimError::MemTimeout`] and [`SimError::EccUncorrectable`].
+    pub(crate) fn from_sim_error(e: &SimError) -> Self {
         match e {
             SimError::EccUncorrectable { at, addr } => {
                 Trap::new(TrapKind::EccUncorrectable, *addr, *at)
             }
             SimError::MemTimeout { at, addr, .. } => Trap::new(TrapKind::MemTimeout, *addr, *at),
-            SimError::PageFault { at, va } => Trap::new(TrapKind::PageFault, *va, *at),
-            SimError::Deadlock { at, .. } | SimError::Trap { at, .. } => {
-                Trap::new(TrapKind::MemTimeout, 0, *at)
+            SimError::Deadlock { .. } | SimError::Trap { .. } => {
+                unreachable!("the memory system latches only MemTimeout and EccUncorrectable: {e}")
             }
         }
     }

@@ -579,15 +579,29 @@ impl TraversalUnit {
                 Scheduler::new(Policy::Lockstep).try_run(&mut [&mut engine], &mut ctx, start)?;
             report.end
         };
-        // A fault latched by the memory system on the pass's final
-        // access is only observable after the scheduler returns.
+        self.finish_pass(mem, start, end)
+    }
+
+    /// Ends a pass the scheduler ran from `start` to `end`, for every
+    /// mark driver. A trap freezes the unit but ends the schedule
+    /// normally, and a fault the memory system latched on the pass's
+    /// final access is only observable after the scheduler returns:
+    /// fold that fault into the trap register (the first cause wins),
+    /// then report the latched trap or the pass's result. A driver's
+    /// `Err` is therefore always this unit's [`TraversalUnit::trap`].
+    pub(crate) fn finish_pass(
+        &mut self,
+        mem: &mut MemSystem,
+        start: Cycle,
+        end: Cycle,
+    ) -> Result<TraversalResult, SimError> {
         if let Some(e) = mem.take_fault() {
             self.raise_trap(Trap::from_sim_error(&e));
         }
-        if let Some(t) = self.trap {
-            return Err(t.into());
+        match self.trap {
+            Some(t) => Err(t.into()),
+            None => Ok(self.result_at(start, end)),
         }
-        Ok(self.result_at(start, end))
     }
 
     /// Charges `n` cycles of forward progress to this pass's ledger

@@ -4,7 +4,7 @@
 
 use tracegc_heap::Heap;
 use tracegc_mem::MemSystem;
-use tracegc_sim::{Cycle, FaultPlan, SimError, TraceEvent};
+use tracegc_sim::{Cycle, SimError, TraceEvent};
 
 use crate::config::GcUnitConfig;
 use crate::mmio::{MmioRegs, Reg};
@@ -70,18 +70,11 @@ impl GcUnit {
         &self.traversal
     }
 
-    /// The traversal unit, mutably (the driver's trap-recovery path:
-    /// reading the trap register and draining architected state).
+    /// The traversal unit, mutably (the driver attaches fault injectors
+    /// to it, and its trap-recovery path reads the trap register and
+    /// drains architected state).
     pub fn traversal_mut(&mut self) -> &mut TraversalUnit {
         &mut self.traversal
-    }
-
-    /// Attaches fault injectors from `plan` to the traversal unit's
-    /// marker datapath and page-table walker (the memory system takes
-    /// its own injector via
-    /// [`MemSystem::set_fault_injector`](tracegc_mem::MemSystem)).
-    pub fn install_fault_plan(&mut self, plan: &FaultPlan) {
-        self.traversal.install_fault_plan(plan);
     }
 
     /// Drains both sub-units' event rings (populated when the config's

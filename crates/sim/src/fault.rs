@@ -124,6 +124,21 @@ impl FaultConfig {
         }
     }
 
+    /// Every fault class at `rate` (what the experiments CLI's
+    /// `--fault-rate` selects), every other parameter at its default.
+    pub fn uniform(seed: u64, rate: f64) -> Self {
+        Self {
+            seed,
+            bit_flip_rate: rate,
+            drop_rate: rate,
+            delay_rate: rate,
+            corrupt_ref_rate: rate,
+            corrupt_header_rate: rate,
+            pte_fault_rate: rate,
+            ..Self::default()
+        }
+    }
+
     /// True when any fault class can fire.
     pub fn is_active(&self) -> bool {
         self.bit_flip_rate > 0.0
@@ -402,13 +417,6 @@ pub enum SimError {
         /// Physical address of the read.
         addr: u64,
     },
-    /// A page walk found no valid translation.
-    PageFault {
-        /// Cycle of the faulting access.
-        at: Cycle,
-        /// The virtual address that failed to translate.
-        va: u64,
-    },
     /// The traversal unit trapped; `description` carries the trap
     /// taxonomy entry and faulting address.
     Trap {
@@ -426,7 +434,6 @@ impl SimError {
             SimError::Deadlock { at, .. }
             | SimError::MemTimeout { at, .. }
             | SimError::EccUncorrectable { at, .. }
-            | SimError::PageFault { at, .. }
             | SimError::Trap { at, .. } => *at,
         }
     }
@@ -446,9 +453,6 @@ impl std::fmt::Display for SimError {
                 f,
                 "uncorrectable ECC error on read of {addr:#x} at cycle {at}"
             ),
-            SimError::PageFault { at, va } => {
-                write!(f, "page fault at virtual address {va:#x} at cycle {at}")
-            }
             SimError::Trap { at, description } => {
                 write!(f, "traversal trap at cycle {at}: {description}")
             }
@@ -586,7 +590,5 @@ mod tests {
         };
         assert!(d.to_string().starts_with("scheduler deadlock at cycle 5"));
         assert_eq!(d.at(), 5);
-        let p = SimError::PageFault { at: 1, va: 0x123 };
-        assert!(p.to_string().contains("0x123"));
     }
 }

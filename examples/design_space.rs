@@ -11,16 +11,13 @@ use tracegc::hwgc::{CacheTopology, GcUnitConfig};
 use tracegc::model::area::gc_unit_area;
 use tracegc::runner::{run_unit_gc, MemKind};
 use tracegc::sim::cycles_to_ms;
+use tracegc::workloads::generate::generate_heap;
 use tracegc::workloads::spec::by_name;
 
 fn measure(label: &str, cfg: GcUnitConfig) {
     let spec = by_name("avrora").expect("avrora exists").scaled(0.15);
-    let run = run_unit_gc(
-        &spec,
-        LayoutKind::Bidirectional,
-        cfg,
-        MemKind::ddr3_default(),
-    );
+    let heap = &mut generate_heap(&spec, LayoutKind::Bidirectional).heap;
+    let run = run_unit_gc(heap, cfg, MemKind::ddr3_default(), None);
     let area = gc_unit_area(&cfg);
     println!(
         "{label:<26} mark {:>6.3} ms  sweep {:>6.3} ms  spills {:>5}  area {:>5.3} mm^2",

@@ -7,11 +7,14 @@
 use tracegc::experiments::{run, Options, ALL};
 use tracegc::heap::verify::check_free_lists;
 use tracegc::heap::LayoutKind;
-use tracegc::hwgc::{GcUnitConfig, TrapKind};
-use tracegc::runner::{
-    run_faulted_mark, run_unit_gc, run_unit_gc_faulted, FaultedMarkRun, MarkOutcome, MemKind,
+use tracegc::hwgc::{
+    try_run_concurrent_mark, try_run_multiprocess_mark, GcUnitConfig, MutatorConfig,
+    ProcessContext, TrapKind, TraversalUnit,
 };
-use tracegc::sim::FaultConfig;
+use tracegc::mem::MemSystem;
+use tracegc::runner::{run_faulted_mark, run_unit_gc, FaultedMarkRun, MarkOutcome, MemKind};
+use tracegc::sim::{FaultConfig, FaultPlan, FaultSite, SimError};
+use tracegc::workloads::generate::generate_heap;
 use tracegc::workloads::spec::{by_name, BenchSpec};
 
 fn spec() -> BenchSpec {
@@ -201,32 +204,24 @@ fn fallback_completed_collection_sweeps_like_a_clean_one() {
     // The full GC path: trap, software fallback, then the unit's sweep.
     // Heap invariants must hold and the freed set must match a clean
     // collection exactly.
-    let run = run_unit_gc_faulted(
-        &spec(),
-        LayoutKind::Bidirectional,
-        GcUnitConfig::default(),
-        MemKind::ddr3_default(),
-        false,
-        Some(FaultConfig {
-            seed: 21,
-            corrupt_ref_rate: 0.02,
-            ..FaultConfig::default()
-        }),
-    );
+    let fresh = generate_heap(&spec(), LayoutKind::Bidirectional).heap;
+    let (cfg, mem) = (GcUnitConfig::default(), MemKind::ddr3_default());
+    let mut heap = fresh.clone();
+    let fault = FaultConfig {
+        seed: 21,
+        corrupt_ref_rate: 0.02,
+        ..FaultConfig::default()
+    };
+    let run = run_unit_gc(&mut heap, cfg, mem, Some(fault));
     assert!(run.fallback.is_some(), "this seed/rate must trap");
-    let clean = run_unit_gc(
-        &spec(),
-        LayoutKind::Bidirectional,
-        GcUnitConfig::default(),
-        MemKind::ddr3_default(),
-    );
+    let clean = run_unit_gc(&mut fresh.clone(), cfg, mem, None);
     assert_eq!(run.report.sweep.cells_freed, clean.report.sweep.cells_freed);
     assert_eq!(
         run.report.sweep.live_objects,
         clean.report.sweep.live_objects
     );
-    check_free_lists(&run.workload.heap).unwrap();
-    assert!(run.workload.heap.marked_set().is_empty());
+    check_free_lists(&heap).unwrap();
+    assert!(heap.marked_set().is_empty());
     // The MMIO completion registers reflect the recovered totals.
     assert_eq!(
         run.unit.regs().read(tracegc::hwgc::mmio::Reg::FreedCount),
@@ -264,6 +259,60 @@ fn zero_rate_plan_is_byte_invisible_in_every_experiment() {
             a.metrics.to_json(),
             b.metrics.to_json(),
             "{id} sidecar differs under a zero-rate plan"
+        );
+    }
+}
+
+#[test]
+fn concurrent_and_multiprocess_errors_are_latched_traps() {
+    // The runner's recovery reads the trap register, so the error a
+    // mark driver returns must be a trap some unit latched. At these
+    // rates a step often issues a request whose fault the memory system
+    // latches and then traps on a corrupted word; the latched fault
+    // comes second and must not replace the trap.
+    let heap = generate_heap(&spec(), LayoutKind::Bidirectional).heap;
+    let plan = |seed| {
+        FaultPlan::new(FaultConfig {
+            seed,
+            bit_flip_rate: 0.5,
+            ecc_uncorrectable_weight: 0.5,
+            drop_rate: 0.5,
+            max_retries: 0,
+            corrupt_ref_rate: 0.5,
+            corrupt_header_rate: 0.5,
+            pte_fault_rate: 0.5,
+            ..FaultConfig::default()
+        })
+    };
+    let context = |seed| {
+        let mut heap = heap.clone();
+        let mut unit = TraversalUnit::new(GcUnitConfig::default(), &mut heap);
+        unit.install_fault_plan(&plan(seed));
+        ProcessContext { unit, heap }
+    };
+    let mem = |seed| {
+        let mut mem = MemSystem::ddr3(Default::default());
+        mem.set_fault_injector(plan(seed).injector(FaultSite::Mem));
+        mem
+    };
+    let is_trap_of =
+        |e: &SimError, unit: &TraversalUnit| unit.trap().map(SimError::from) == Some(e.clone());
+    for seed in 0..32 {
+        let ProcessContext { mut unit, mut heap } = context(seed);
+        let mutator = MutatorConfig::default();
+        let e = try_run_concurrent_mark(&mut unit, &mut heap, &mut mem(seed), mutator, 0)
+            .expect_err("these rates always trap");
+        assert!(
+            is_trap_of(&e, &unit),
+            "concurrent, seed {seed}: {e} is not {:?}",
+            unit.trap()
+        );
+        let mut procs: Vec<_> = (0..3).map(|i| context(seed + 100 * i)).collect();
+        let e = try_run_multiprocess_mark(&mut procs, &mut mem(seed), 0)
+            .expect_err("these rates always trap");
+        assert!(
+            procs.iter().any(|p| is_trap_of(&e, &p.unit)),
+            "multiprocess, seed {seed}: {e} is no unit's trap"
         );
     }
 }

@@ -36,20 +36,6 @@ fn smoke_opts(fault: Option<FaultConfig>) -> Options {
     }
 }
 
-/// Every rate class active, like the CLI's `--fault-rate`.
-fn active_fault(rate: f64) -> FaultConfig {
-    FaultConfig {
-        seed: 0x5EED,
-        bit_flip_rate: rate,
-        drop_rate: rate,
-        delay_rate: rate,
-        corrupt_ref_rate: rate,
-        corrupt_header_rate: rate,
-        pte_fault_rate: rate,
-        ..FaultConfig::zero_rates(0x5EED)
-    }
-}
-
 #[test]
 fn fleet_is_byte_identical_across_pacings() {
     let opts = smoke_opts(None);
@@ -67,7 +53,7 @@ fn faulted_fleet_degrades_gracefully_and_stays_deterministic() {
     // the reachability oracle inside the runner (a mismatch becomes a
     // failed run), so `fallback_runs` without `failed_runs` *is* the
     // graceful-degradation property. The exit-code contract follows.
-    let opts = smoke_opts(Some(active_fault(1e-3)));
+    let opts = smoke_opts(Some(FaultConfig::uniform(0x5EED, 1e-3)));
     let done = run_fleet(&opts, Pacing::FastForward);
     let metrics = &done[0].output.metrics;
     assert!(

@@ -5,12 +5,19 @@
 use tracegc::heap::LayoutKind;
 use tracegc::hwgc::{GcUnitConfig, MarkQueueStats};
 use tracegc::mem::Source;
-use tracegc::runner::{run_unit_gc, DualRun, MemKind};
+use tracegc::runner::{run_unit_gc, DualRun, MemKind, UnitRun};
 use tracegc::vmem::TlbConfig;
+use tracegc::workloads::generate::generate_heap;
 use tracegc::workloads::spec::by_name;
 
 fn spec(name: &str) -> tracegc::workloads::spec::BenchSpec {
     by_name(name).expect("benchmark exists").scaled(0.03)
+}
+
+/// One clean unit-only collection of a fresh `name` heap.
+fn unit_gc(name: &str, cfg: GcUnitConfig, mem_kind: MemKind) -> UnitRun {
+    let heap = &mut generate_heap(&spec(name), LayoutKind::Bidirectional).heap;
+    run_unit_gc(heap, cfg, mem_kind, None)
 }
 
 #[test]
@@ -59,12 +66,7 @@ fn faster_memory_increases_the_units_advantage() {
 fn spilling_is_a_small_fraction_of_requests_at_baseline() {
     // Fig. 19's surprise: at the 1,024-entry baseline, spilling is ~2%
     // of memory requests.
-    let run = run_unit_gc(
-        &spec("avrora"),
-        LayoutKind::Bidirectional,
-        GcUnitConfig::default(),
-        MemKind::ddr3_default(),
-    );
+    let run = unit_gc("avrora", GcUnitConfig::default(), MemKind::ddr3_default());
     let q: MarkQueueStats = run.report.mark.markq;
     let spill = q.spill_writes + q.spill_reads;
     let frac = spill as f64 / run.snapshot.total_requests.max(1) as f64;
@@ -79,26 +81,16 @@ fn compression_halves_spill_bytes_end_to_end() {
         compress,
         ..GcUnitConfig::default()
     };
-    let full = run_unit_gc(
-        &spec("pmd"),
-        LayoutKind::Bidirectional,
-        small_q(false),
-        MemKind::ddr3_default(),
-    )
-    .report
-    .mark
-    .markq
-    .spill_bytes_written;
-    let compressed = run_unit_gc(
-        &spec("pmd"),
-        LayoutKind::Bidirectional,
-        small_q(true),
-        MemKind::ddr3_default(),
-    )
-    .report
-    .mark
-    .markq
-    .spill_bytes_written;
+    let full = unit_gc("pmd", small_q(false), MemKind::ddr3_default())
+        .report
+        .mark
+        .markq
+        .spill_bytes_written;
+    let compressed = unit_gc("pmd", small_q(true), MemKind::ddr3_default())
+        .report
+        .mark
+        .markq
+        .spill_bytes_written;
     assert!(full > 0);
     let ratio = compressed as f64 / full as f64;
     assert!((0.3..=0.7).contains(&ratio), "compression ratio {ratio}");
@@ -107,12 +99,7 @@ fn compression_halves_spill_bytes_end_to_end() {
 #[test]
 fn marker_and_tracer_dominate_partitioned_memory_traffic() {
     // Fig. 18b.
-    let run = run_unit_gc(
-        &spec("xalan"),
-        LayoutKind::Bidirectional,
-        GcUnitConfig::default(),
-        MemKind::ddr3_default(),
-    );
+    let run = unit_gc("xalan", GcUnitConfig::default(), MemKind::ddr3_default());
     let s = &run.snapshot;
     let work = s.requests(Source::Marker) + s.requests(Source::Tracer);
     let overhead = s.requests(Source::Ptw) + s.requests(Source::MarkQueue);
@@ -126,9 +113,8 @@ fn marker_and_tracer_dominate_partitioned_memory_traffic() {
 fn nonblocking_walker_helps_on_fast_memory() {
     // ablC: the paper's proposed future-work walker.
     let time = |walks| {
-        run_unit_gc(
-            &spec("xalan"),
-            LayoutKind::Bidirectional,
+        unit_gc(
+            "xalan",
             GcUnitConfig {
                 tlb: TlbConfig {
                     concurrent_walks: walks,

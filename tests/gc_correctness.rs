@@ -146,7 +146,7 @@ fn fallback_completed_collections_satisfy_post_gc_invariants() {
     // One collection per injected fault class: each traps, degrades to
     // the software-fallback mark, sweeps, and must leave the heap in
     // the same verified state as a clean collection.
-    use tracegc::runner::{run_unit_gc_faulted, MemKind};
+    use tracegc::runner::{run_unit_gc, MemKind};
     use tracegc::sim::FaultConfig;
 
     let spec = DACAPO[0].scaled(0.02);
@@ -188,16 +188,11 @@ fn fallback_completed_collections_satisfy_post_gc_invariants() {
         ),
     ];
     for (name, fault) in classes {
-        let run = run_unit_gc_faulted(
-            &spec,
-            LayoutKind::Bidirectional,
-            GcUnitConfig::default(),
-            MemKind::ddr3_default(),
-            false,
-            Some(fault),
-        );
+        let heap = &mut generate_heap(&spec, LayoutKind::Bidirectional).heap;
+        let cfg = GcUnitConfig::default();
+        let run = run_unit_gc(heap, cfg, MemKind::ddr3_default(), Some(fault));
         assert!(run.fallback.is_some(), "{name}: expected a fallback");
-        post_gc_invariants(&run.workload.heap);
+        post_gc_invariants(heap);
     }
 }
 

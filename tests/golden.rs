@@ -34,7 +34,8 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use tracegc::experiments::{self, run_ids, CompletedExperiment, Options};
+use tracegc::experiments::{self, exit_code_for, run_ids, CompletedExperiment, Options};
+use tracegc::sim::{with_pacing, FaultConfig, Pacing};
 
 /// The smoke fingerprint point: tiny but large enough that every
 /// experiment exercises its full pipeline.
@@ -217,4 +218,46 @@ fn regenerate_goldens() {
         }
     }
     std::fs::write(dir.join("MANIFEST.txt"), manifest).unwrap();
+}
+
+/// Fault-injected full collections (trap, software fallback, then the
+/// unit's sweep) have goldens of their own in `tests/golden_faulted/`,
+/// outside the manifest: the CLI's `--fault-rate 1e-3 --fault-seed 7`
+/// at the smoke point, which degrades 27 collections. Both pacings
+/// must reproduce every file there byte for byte. Regenerate after an
+/// intentional model change with
+///
+/// ```text
+/// experiments --scale 0.015 --pauses 1 --jobs 1 --fault-rate 1e-3 --fault-seed 7 \
+///     --out tests/golden_faulted fig19 fig21 ablA ablB ablC
+/// ```
+#[test]
+fn faulted_collections_match_their_goldens() {
+    let opts = Options {
+        fault: Some(FaultConfig::uniform(7, 1e-3)),
+        ..golden_opts()
+    };
+    let dir = golden_dir().join("../golden_faulted");
+    let on_disk: BTreeMap<String, String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_str().unwrap().to_string();
+            (name, std::fs::read_to_string(&path).unwrap())
+        })
+        .collect();
+    for pacing in [Pacing::FastForward, Pacing::Lockstep] {
+        let ids = ["fig19", "fig21", "ablA", "ablB", "ablC"];
+        let done = with_pacing(pacing, || run_ids(&ids, &opts)).expect("known ids");
+        assert_eq!(exit_code_for(&done), 2, "{pacing:?}: these runs degrade");
+        let produced: BTreeMap<String, String> = done.iter().flat_map(artifacts).collect();
+        let names = |files: &BTreeMap<String, String>| files.keys().cloned().collect::<Vec<_>>();
+        assert_eq!(names(&produced), names(&on_disk), "{pacing:?}");
+        for (name, actual) in &produced {
+            assert_eq!(
+                actual, &on_disk[name],
+                "{pacing:?}: {name} drifted from its golden"
+            );
+        }
+    }
 }
