@@ -49,12 +49,16 @@ echo "==> pacing and event-contract walls at full size (release)"
 cargo test --release --offline -p tracegc --test engine_equivalence --test engine_contract
 
 echo "==> functional fast-path walls at full size (release)"
-# The heap's shadow translation against the page-table walk, and its
-# bitmap oracles and scans against the set-based references, over the
-# full seed pool (`cargo test` above runs a trimmed one). Release builds
-# skip the per-access debug assertion that the shadow equals the walk,
-# so these walls are what check the shadow there.
+# The heap's shadow translation against the page-table walk, its run
+# mapping against mapping one page at a time, and its bitmap oracles and
+# page-reader scans against the set-based references; the memory
+# crate's flat caches against the per-set reference and its page views
+# against word reads. Both over the full seed pool (`cargo test` above
+# runs a trimmed one). Release builds skip the per-access debug
+# assertion that the shadow equals the walk, so these walls are what
+# check the shadow there.
 cargo test --release --offline -p tracegc-heap --lib walls
+cargo test --release --offline -p tracegc-mem
 
 echo "==> gcbench (the repo benchmark) builds and its tests pass"
 # gcbench/ is a workspace of its own that imports the crates' public

@@ -6,17 +6,12 @@ use tracegc_heap::layout::{
     bidi, conv, decode_cell_start, encode_free_cell_start, CellStart, Header, LayoutKind,
     HEADER_MARK_BIT, WORD,
 };
+use tracegc_heap::space::{MARK_STACK_BASE, MARK_STACK_BYTES};
 use tracegc_heap::{BlockInfo, Heap, ObjRef};
 use tracegc_mem::cache::L2Backing;
 use tracegc_mem::{Cache, CacheConfig, MemSystem, Source};
 use tracegc_sim::{Cycle, StallAccounting, StallReason};
 use tracegc_vmem::{Requester, TlbConfig, Translator};
-
-/// Virtual base of the software collector's mark stack (scratch space the
-/// runtime maps before the first GC).
-const MARK_STACK_BASE: u64 = 0x3800_0000;
-/// Reserved mark-stack capacity in bytes.
-const MARK_STACK_BYTES: u64 = 32 << 20;
 
 /// Core and software-loop parameters for the CPU collector.
 #[derive(Debug, Clone, Copy)]

@@ -3,6 +3,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
+use tracegc_mem::phys::PAGE_WORDS;
 use tracegc_mem::PhysMem;
 use tracegc_vmem::pagetable::MEGAPAGE_SIZE;
 use tracegc_vmem::{AddressSpace, FrameAlloc, PAGE_SIZE};
@@ -113,7 +114,7 @@ const PAGES_PER_MEGAPAGE: u64 = MEGAPAGE_SIZE / PAGE_SIZE;
 /// page within the region. A region is mapped from its base up (each
 /// space grows by bump allocation), so the table is dense up to the
 /// highest page mapped so far.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct ShadowRegion {
     first_page: u64,
     pages: u64,
@@ -153,7 +154,7 @@ impl ShadowRegion {
 /// frames, so the shadow and the walk agree on every VA, and a VA
 /// outside every region is unmapped; debug builds assert it on every
 /// translation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Shadow {
     /// Mark-sweep, LOS, immortal and hwgc, the hottest first. A fixed
     /// array, so that the lookup of a heap VA is four unrolled compares:
@@ -208,22 +209,62 @@ impl Shadow {
             .map(|frame| frame + va % PAGE_SIZE)
     }
 
-    /// Records that `page` now maps to `frame`.
+    /// The first region that holds `page`, and the page's index in it.
     ///
     /// # Panics
     ///
     /// Panics if no region holds `page`.
-    fn record(&mut self, page: u64, frame: u64) {
-        let (region, i) = self
-            .spaces
+    fn region(&self, page: u64) -> (&ShadowRegion, usize) {
+        self.spaces
+            .iter()
+            .chain(&self.scratch)
+            .find_map(|r| r.index(page).map(|i| (r, i)))
+            .unwrap_or_else(|| panic!("page {page:#x} lies outside every shadow region"))
+    }
+
+    /// [`Shadow::region`], mutably.
+    fn region_mut(&mut self, page: u64) -> (&mut ShadowRegion, usize) {
+        self.spaces
             .iter_mut()
             .chain(&mut self.scratch)
             .find_map(|r| r.index(page).map(|i| (r, i)))
-            .unwrap_or_else(|| panic!("page {page:#x} lies outside every shadow region"));
-        if region.frames.len() <= i {
-            region.frames.resize(i + 1, UNMAPPED);
+            .unwrap_or_else(|| panic!("page {page:#x} lies outside every shadow region"))
+    }
+
+    /// The first run of unmapped pages in `[page, end)`, a range inside
+    /// one 2 MiB span, as its first page and length; `None` when every
+    /// page is mapped. A region holds whole spans, so one lookup answers
+    /// for the range.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no region holds `page`.
+    fn unmapped_run(&self, page: u64, end: u64) -> Option<(u64, u64)> {
+        let (region, i) = self.region(page);
+        let mapped = |j: usize| region.frames.get(j).is_some_and(|&f| f != UNMAPPED);
+        let end = i + (end - page) as usize;
+        let start = (i..end).find(|&j| !mapped(j))?;
+        let stop = (start..end).find(|&j| mapped(j)).unwrap_or(end);
+        Some((region.first_page + start as u64, (stop - start) as u64))
+    }
+
+    /// Records that the `n` pages from `page`, inside one 2 MiB span, now
+    /// map to `first` and then to consecutive frames from `rest`: one
+    /// region lookup and at most one resize.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no region holds `page`.
+    fn record_run(&mut self, page: u64, n: u64, first: u64, rest: u64) {
+        let (region, i) = self.region_mut(page);
+        let end = i + n as usize;
+        if region.frames.len() < end {
+            region.frames.resize(end, UNMAPPED);
         }
-        region.frames[i] = frame;
+        region.frames[i] = first;
+        for (k, frame) in region.frames[i + 1..end].iter_mut().enumerate() {
+            *frame = rest + k as u64 * PAGE_SIZE;
+        }
     }
 }
 
@@ -317,13 +358,79 @@ impl Reach {
     }
 }
 
-/// Where a walk over every object stands: the next cell of the
-/// mark-sweep blocks, then the next LOS object.
-#[derive(Debug, Default)]
-struct ObjectCursor {
+/// Reads a heap's words a 4 KiB page at a time: the translation and the
+/// chunk lookup are paid once per page, not once per word. A page whose
+/// chunk is untouched reads as zeros, as [`PhysMem::read_u64`] does.
+pub(crate) struct PageReader<'h> {
+    heap: &'h Heap,
+    /// VA of the page held; `u64::MAX` before the first read.
+    page_va: u64,
+    /// The page's words; `None` for an untouched chunk.
+    words: Option<&'h [u64; PAGE_WORDS]>,
+}
+
+impl PageReader<'_> {
+    /// The word at `va`, as [`Heap::read_va`] reads it.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`Heap::read_va`] does when `va` is unmapped, naming
+    /// `va` itself.
+    #[inline]
+    pub(crate) fn read(&mut self, va: u64) -> u64 {
+        let page_va = va & !(PAGE_SIZE - 1);
+        if page_va != self.page_va {
+            let pa = self.heap.va_to_pa(va);
+            self.words = self.heap.phys.page(pa - va % PAGE_SIZE);
+            self.page_va = page_va;
+        }
+        self.words
+            .map_or(0, |words| words[(va % PAGE_SIZE / WORD) as usize])
+    }
+}
+
+/// A walk over every object, reading through one [`PageReader`]: the
+/// live cells of the mark-sweep blocks in order, then the LOS objects.
+struct ObjectCursor<'h> {
+    words: PageReader<'h>,
     block: usize,
     cell: u64,
     los: usize,
+}
+
+impl<'h> ObjectCursor<'h> {
+    fn new(heap: &'h Heap) -> Self {
+        Self {
+            words: heap.page_reader(),
+            block: 0,
+            cell: 0,
+            los: 0,
+        }
+    }
+
+    /// The next object in the order of [`Heap::iter_objects`].
+    #[inline]
+    fn next_object(&mut self) -> Option<ObjRef> {
+        let heap = self.words.heap;
+        while let Some(block) = heap.blocks.get(self.block) {
+            while self.cell < block.ncells {
+                let cell = block.base_va + self.cell * block.cell_bytes;
+                self.cell += 1;
+                if let CellStart::Live { nrefs, .. } = decode_cell_start(self.words.read(cell)) {
+                    let header = match heap.cfg.layout {
+                        LayoutKind::Bidirectional => bidi::header_of_cell(cell, nrefs),
+                        LayoutKind::Conventional => conv::header_of_cell(cell),
+                    };
+                    return Some(ObjRef::new(header));
+                }
+            }
+            self.block += 1;
+            self.cell = 0;
+        }
+        let los = heap.los_objects.get(self.los)?;
+        self.los += 1;
+        Some(los.obj)
+    }
 }
 
 /// The simulated JVM heap.
@@ -446,7 +553,10 @@ impl Heap {
 
     /// Maps every unmapped page of `[va, va + len)`, which must lie in
     /// a shadow region; in 2 MiB mode, every unmapped superpage it
-    /// touches.
+    /// touches. In 4 KiB mode it maps runs of unmapped pages, each ending
+    /// at a 2 MiB span boundary or at a mapped page, one
+    /// [`AddressSpace::map_run`] each; frames are drawn as one page at a
+    /// time would draw them.
     fn ensure_mapped(&mut self, va: u64, len: u64) {
         if self.cfg.superpages {
             let first = va / MEGAPAGE_SIZE;
@@ -461,22 +571,25 @@ impl Heap {
                         mp * MEGAPAGE_SIZE,
                         frame,
                     );
-                    for i in 0..PAGES_PER_MEGAPAGE {
-                        self.shadow.record(base_page + i, frame + i * PAGE_SIZE);
-                    }
+                    self.shadow
+                        .record_run(base_page, PAGES_PER_MEGAPAGE, frame, frame + PAGE_SIZE);
                 }
             }
             return;
         }
-        let first = va / PAGE_SIZE;
-        let last = (va + len - 1) / PAGE_SIZE;
-        for page in first..=last {
-            if self.shadow.frame(page).is_none() {
-                let frame = self.falloc.alloc();
+        let mut page = va / PAGE_SIZE;
+        let end = (va + len - 1) / PAGE_SIZE + 1;
+        while page < end {
+            let span_end = ((page / PAGES_PER_MEGAPAGE + 1) * PAGES_PER_MEGAPAGE).min(end);
+            let Some((run, pages)) = self.shadow.unmapped_run(page, span_end) else {
+                page = span_end;
+                continue;
+            };
+            let (first, rest) =
                 self.aspace
-                    .map_page(&mut self.phys, &mut self.falloc, page * PAGE_SIZE, frame);
-                self.shadow.record(page, frame);
-            }
+                    .map_run(&mut self.phys, &mut self.falloc, run * PAGE_SIZE, pages);
+            self.shadow.record_run(run, pages, first, rest);
+            page = run + pages;
         }
     }
 
@@ -520,21 +633,26 @@ impl Heap {
         self.phys.read_u64(self.va_to_pa(va))
     }
 
+    /// A reader of this heap's words a page at a time.
+    pub(crate) fn page_reader(&self) -> PageReader<'_> {
+        PageReader {
+            heap: self,
+            page_va: u64::MAX,
+            words: None,
+        }
+    }
+
     /// Writes the word at virtual address `va`.
     pub fn write_va(&mut self, va: u64, value: u64) {
         let pa = self.va_to_pa(va);
         self.phys.write_u64(pa, value);
     }
 
-    /// Allocates a contiguous physical region (e.g. the driver's 4 MiB
-    /// spill region, §V-E) and returns its physical base address.
+    /// Allocates a contiguous physical region of whole pages (e.g. the
+    /// driver's 4 MiB spill region, §V-E) and returns its physical base
+    /// address.
     pub fn alloc_phys_region(&mut self, bytes: u64) -> u64 {
-        let pages = bytes.div_ceil(PAGE_SIZE);
-        let base = self.falloc.alloc();
-        for _ in 1..pages {
-            self.falloc.alloc();
-        }
-        base
+        self.falloc.alloc_region(bytes, PAGE_SIZE)
     }
 
     // ------------------------------------------------------------------
@@ -856,6 +974,7 @@ impl Heap {
     /// [`Heap::reachable_from_roots`] does.
     pub(crate) fn reach(&self) -> Reach {
         let mut reach = Reach::new(self);
+        let mut words = self.page_reader();
         let mut stack = Vec::new();
         for &root in &self.roots {
             if reach.insert(root) {
@@ -863,9 +982,9 @@ impl Heap {
             }
         }
         while let Some(obj) = stack.pop() {
-            let nrefs = self.nrefs(obj);
+            let nrefs = Header::from_raw(words.read(obj.addr())).nrefs();
             let tib = match self.cfg.layout {
-                LayoutKind::Conventional if nrefs > 0 => self.read_va(conv::tib_slot(obj)),
+                LayoutKind::Conventional if nrefs > 0 => words.read(conv::tib_slot(obj)),
                 _ => 0,
             };
             for i in 0..nrefs {
@@ -876,7 +995,7 @@ impl Heap {
                         conv::field_slot(obj, offset)
                     }
                 };
-                let raw = self.read_va(slot);
+                let raw = words.read(slot);
                 if raw != 0 {
                     let target = ObjRef::new(raw);
                     if reach.insert(target) {
@@ -891,55 +1010,28 @@ impl Heap {
     /// The set of objects whose mark bit is currently set (linear scan of
     /// all blocks plus the LOS).
     pub fn marked_set(&self) -> BTreeSet<ObjRef> {
-        self.objects().filter(|&obj| self.is_marked(obj)).collect()
+        self.objects_with_headers()
+            .filter(|(_, header)| header.is_marked())
+            .map(|(obj, _)| obj)
+            .collect()
     }
 
-    /// The objects of [`Heap::iter_objects`], in the same order, without
-    /// collecting them.
-    pub(crate) fn objects(&self) -> impl Iterator<Item = ObjRef> + '_ {
-        let mut at = ObjectCursor::default();
-        std::iter::from_fn(move || self.next_object(&mut at))
-    }
-
-    /// The object after `at` in the order of [`Heap::iter_objects`].
-    #[inline]
-    fn next_object(&self, at: &mut ObjectCursor) -> Option<ObjRef> {
-        while let Some(block) = self.blocks.get(at.block) {
-            while at.cell < block.ncells {
-                let cell = block.base_va + at.cell * block.cell_bytes;
-                at.cell += 1;
-                if let CellStart::Live { nrefs, .. } = decode_cell_start(self.read_va(cell)) {
-                    let header = match self.cfg.layout {
-                        LayoutKind::Bidirectional => bidi::header_of_cell(cell, nrefs),
-                        LayoutKind::Conventional => conv::header_of_cell(cell),
-                    };
-                    return Some(ObjRef::new(header));
-                }
-            }
-            at.block += 1;
-            at.cell = 0;
-        }
-        let los = self.los_objects.get(at.los)?;
-        at.los += 1;
-        Some(los.obj)
+    /// The objects of [`Heap::iter_objects`], in the same order, each
+    /// with its header, through one page reader and without collecting
+    /// them.
+    pub(crate) fn objects_with_headers(&self) -> impl Iterator<Item = (ObjRef, Header)> + '_ {
+        let mut at = ObjectCursor::new(self);
+        std::iter::from_fn(move || {
+            let obj = at.next_object()?;
+            Some((obj, Header::from_raw(at.words.read(obj.addr()))))
+        })
     }
 
     /// Iterates over every live-cell object in the mark-sweep space and
     /// the LOS, in address order — exactly what a linear sweep sees.
     pub fn iter_objects(&self) -> Vec<ObjRef> {
-        self.objects().collect()
-    }
-
-    /// Clears every mark bit (start of a GC pass).
-    pub fn clear_marks(&mut self) {
-        let mut at = ObjectCursor::default();
-        while let Some(obj) = self.next_object(&mut at) {
-            let pa = self.va_to_pa(obj.addr());
-            let raw = self.phys.read_u64(pa);
-            if raw & HEADER_MARK_BIT != 0 {
-                self.phys.write_u64(pa, raw & !HEADER_MARK_BIT);
-            }
-        }
+        let mut at = ObjectCursor::new(self);
+        std::iter::from_fn(|| at.next_object()).collect()
     }
 
     /// Updates a block's free-list metadata after a sweep agent rebuilt
@@ -1028,11 +1120,63 @@ impl Heap {
         out
     }
 
-    pub(crate) fn clear_marks_reference(&mut self) {
-        for obj in self.iter_objects_reference() {
-            let h = self.header(obj).without_mark();
-            self.write_va(obj.addr(), h.raw());
+    /// `ensure_mapped_region` as first written: one page, or one 2 MiB
+    /// superpage, at a time, each looked up in and recorded to the shadow
+    /// on its own.
+    pub(crate) fn ensure_mapped_region_per_page(&mut self, va: u64, len: u64) {
+        self.shadow.cover(va, len);
+        if self.cfg.superpages {
+            let first = va / MEGAPAGE_SIZE;
+            let last = (va + len - 1) / MEGAPAGE_SIZE;
+            for mp in first..=last {
+                let base_page = mp * PAGES_PER_MEGAPAGE;
+                if self.shadow.frame(base_page).is_none() {
+                    let frame = self.falloc.alloc_region(MEGAPAGE_SIZE, MEGAPAGE_SIZE);
+                    self.aspace.map_superpage(
+                        &mut self.phys,
+                        &mut self.falloc,
+                        mp * MEGAPAGE_SIZE,
+                        frame,
+                    );
+                    for i in 0..PAGES_PER_MEGAPAGE {
+                        self.shadow.record(base_page + i, frame + i * PAGE_SIZE);
+                    }
+                }
+            }
+            return;
         }
+        let first = va / PAGE_SIZE;
+        let last = (va + len - 1) / PAGE_SIZE;
+        for page in first..=last {
+            if self.shadow.frame(page).is_none() {
+                let frame = self.falloc.alloc();
+                self.aspace
+                    .map_page(&mut self.phys, &mut self.falloc, page * PAGE_SIZE, frame);
+                self.shadow.record(page, frame);
+            }
+        }
+    }
+
+    /// Whether the two heaps' shadows hold the same regions and frames.
+    pub(crate) fn same_shadow(&self, other: &Heap) -> bool {
+        self.shadow == other.shadow
+    }
+}
+
+#[cfg(test)]
+impl Shadow {
+    /// Records that `page` now maps to `frame`: the per-page reference's
+    /// step.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no region holds `page`.
+    fn record(&mut self, page: u64, frame: u64) {
+        let (region, i) = self.region_mut(page);
+        if region.frames.len() <= i {
+            region.frames.resize(i + 1, UNMAPPED);
+        }
+        region.frames[i] = frame;
     }
 }
 
@@ -1124,17 +1268,6 @@ mod tests {
         assert!(!h.mark(a));
         assert!(h.mark(a));
         assert!(h.is_marked(a));
-    }
-
-    #[test]
-    fn clear_marks_resets() {
-        let mut h = small_heap();
-        let a = h.alloc(0, 0, false).unwrap();
-        h.mark(a);
-        h.clear_marks();
-        assert!(!h.is_marked(a));
-        // nrefs survives mark churn.
-        assert_eq!(h.nrefs(a), 0);
     }
 
     #[test]
@@ -1286,6 +1419,36 @@ mod tests {
         assert_eq!(h.alloc(nrefs, 0, false), Err(AllocError::OutOfMemory));
         // A shape whose TIB exists still allocates.
         assert!(h.alloc(nrefs - 1, 0, false).is_ok());
+    }
+
+    #[test]
+    fn a_phys_region_draws_the_frames_of_one_page_at_a_time() {
+        // After 4 KiB mappings and after a superpage's aligned draw.
+        for superpages in [false, true] {
+            let mut h = Heap::new(HeapConfig {
+                phys_bytes: 64 << 20,
+                superpages,
+                ..HeapConfig::default()
+            });
+            h.alloc(1, 1, false).unwrap();
+            for bytes in [
+                1,
+                8,
+                PAGE_SIZE,
+                PAGE_SIZE + 8,
+                64 << 10,
+                4 << 20,
+                (4 << 20) + 1,
+            ] {
+                let mut looped = h.falloc.clone();
+                let want = looped.alloc();
+                for _ in 1..bytes.div_ceil(PAGE_SIZE) {
+                    looped.alloc();
+                }
+                assert_eq!(h.alloc_phys_region(bytes), want, "{bytes} bytes");
+                assert_eq!(h.falloc.allocated(), looped.allocated(), "{bytes} bytes");
+            }
+        }
     }
 
     #[test]

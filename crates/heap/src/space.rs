@@ -13,6 +13,12 @@
 //! * the **hwgc space** — the root-communication region the runtime
 //!   writes root references into and the unit's reader consumes (§IV-C).
 
+/// Virtual base of the software collector's mark stack: scratch space
+/// outside the four spaces, which the runtime maps before the first GC.
+pub const MARK_STACK_BASE: u64 = 0x3800_0000;
+/// Bytes the software collector reserves, and maps, for its mark stack.
+pub const MARK_STACK_BYTES: u64 = 32 << 20;
+
 /// Fixed layout of the simulated process's virtual address space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpaceMap {

@@ -99,6 +99,7 @@ pub fn software_sweep(heap: &mut Heap) -> SweepOutcome {
 ///
 /// Returns a description of the first inconsistency found.
 pub fn check_free_lists(heap: &Heap) -> Result<(), String> {
+    let mut words = heap.page_reader();
     // One bit per cell of the block being checked.
     let mut visited: Vec<u64> = Vec::new();
     for (bidx, block) in heap.blocks().iter().enumerate() {
@@ -127,7 +128,7 @@ pub fn check_free_lists(heap: &Heap) -> Result<(), String> {
             }
             visited[(i / 64) as usize] |= 1 << (i % 64);
             entries += 1;
-            match decode_cell_start(heap.read_va(cursor)) {
+            match decode_cell_start(words.read(cursor)) {
                 CellStart::Free { next } => cursor = next,
                 CellStart::Live { .. } => {
                     return Err(format!("block {bidx}: live cell {cursor:#x} on free list"))
@@ -143,7 +144,7 @@ pub fn check_free_lists(heap: &Heap) -> Result<(), String> {
         // Every free cell must be on the list.
         for i in 0..block.ncells {
             let cell = block.base_va + i * block.cell_bytes;
-            if let CellStart::Free { .. } = decode_cell_start(heap.read_va(cell)) {
+            if let CellStart::Free { .. } = decode_cell_start(words.read(cell)) {
                 if !on_list(&visited, i) {
                     return Err(format!(
                         "block {bidx}: free cell {cell:#x} missing from list"
@@ -175,9 +176,9 @@ pub fn check_free_lists(heap: &Heap) -> Result<(), String> {
 pub fn check_marks_match_reachability(heap: &Heap) -> Result<(), String> {
     let reach = heap.reach();
     let (mut agree, mut met) = (true, 0u64);
-    for obj in heap.objects() {
+    for (obj, header) in heap.objects_with_headers() {
         let reachable = reach.contains(obj);
-        agree &= heap.is_marked(obj) == reachable;
+        agree &= header.is_marked() == reachable;
         met += u64::from(reachable);
     }
     if agree && met == reach.count() {

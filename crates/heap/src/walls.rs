@@ -1,6 +1,7 @@
 //! Differential walls for the functional fast path: the shadow
-//! translation against the page-table walk, and the bitmap oracles and
-//! allocation-free scans against the set-based references they replaced.
+//! translation against the page-table walk, run mapping against mapping
+//! one page at a time, and the bitmap oracles and page-reader scans
+//! against the set-based references they replaced.
 //!
 //! `cargo test` runs a trimmed seed pool; release builds run the full
 //! pool (`cargo test --release -p tracegc-heap --lib walls`).
@@ -14,17 +15,11 @@ use tracegc_vmem::PAGE_SIZE;
 
 use crate::heap::{Heap, HeapConfig};
 use crate::layout::{decode_cell_start, CellStart, LayoutKind, ObjRef, WORD};
-use crate::space::SpaceMap;
+use crate::space::{SpaceMap, MARK_STACK_BASE, MARK_STACK_BYTES};
 use crate::verify::{self, reference, software_mark, software_sweep};
 
 /// Seeds per (layout, mapping) combination.
 const SEEDS: u64 = if cfg!(debug_assertions) { 3 } else { 24 };
-
-/// VA of the CPU collector's mark stack, the one region outside the four
-/// spaces that the heap maps.
-const MARK_STACK_BASE: u64 = 0x3800_0000;
-/// The part of the mark stack the shadow wall maps.
-const MARK_STACK_BYTES: u64 = 1 << 20;
 
 /// A seeded heap with small objects, LOS objects, garbage, swept free
 /// cells between live ones, and fresh allocations into those cells.
@@ -172,6 +167,79 @@ fn unmapped_va_in_a_space_panics_with_the_walks_message() {
     assert_eq!(got, Err(format!("unmapped virtual address {va:#x}")));
 }
 
+/// Seeded ranges for the run-mapping wall, in the order they are mapped:
+/// the whole mark stack twice, then ranges in every space and in a fresh
+/// scratch region, starting at any byte, some on either side of a 2 MiB
+/// boundary, many over pages already mapped.
+fn mapping_ranges(heap: &Heap, seed: u64) -> Vec<(u64, u64)> {
+    const SPAN: u64 = MEGAPAGE_SIZE;
+    let s = *heap.spaces();
+    let regions = [
+        (s.ms_base, s.ms_size),
+        (s.los_base, s.los_size),
+        (s.immortal_base, s.immortal_size),
+        (s.hwgc_base, s.hwgc_size),
+        (MARK_STACK_BASE + MARK_STACK_BYTES + 4 * SPAN, 8 * SPAN),
+    ];
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut out = vec![(MARK_STACK_BASE, MARK_STACK_BYTES); 2];
+    for _ in 0..16 {
+        let (base, size) = regions[rng.random_range(0..regions.len())];
+        let size = size.next_multiple_of(SPAN).min(8 * SPAN);
+        let start = if rng.random::<bool>() {
+            // Up to 8 pages before a 2 MiB boundary inside the region.
+            let boundary = rng.random_range(1..size / SPAN + 1) * SPAN;
+            boundary - rng.random_range(1..9) * PAGE_SIZE
+                + rng.random_range(0..PAGE_SIZE / WORD) * WORD
+        } else {
+            rng.random_range(0..size / WORD) * WORD
+        };
+        let len = match rng.random_range(0..3u32) {
+            0 => rng.random_range(1..2 * PAGE_SIZE),
+            1 => rng.random_range(1..24) * PAGE_SIZE,
+            _ => rng.random_range(1..3 * SPAN),
+        };
+        out.push((base + start, len.min(size - start)));
+    }
+    out
+}
+
+/// Mapping runs of pages draws the frames, writes the page tables and
+/// fills the shadow exactly as mapping one page (or superpage) at a time
+/// does, range by range.
+#[test]
+fn run_mapping_matches_the_per_page_reference() {
+    for (k, (name, heap)) in heaps().enumerate() {
+        let (mut fast, mut slow) = (heap.clone(), heap);
+        for (i, (va, len)) in mapping_ranges(&fast, 0x4A90_0000 + k as u64)
+            .into_iter()
+            .enumerate()
+        {
+            let at = format!("{name}: range {i} at {va:#x}, {len} bytes");
+            let frames = fast.frames_allocated();
+            fast.ensure_mapped_region(va, len);
+            slow.ensure_mapped_region_per_page(va, len);
+            if i == 1 {
+                assert_eq!(fast.frames_allocated(), frames, "{at}: remapped");
+            }
+            assert_eq!(fast.frames_allocated(), slow.frames_allocated(), "{at}");
+            assert!(fast.same_shadow(&slow), "{at}: shadow");
+            assert_eq!(
+                fast.phys.allocated_chunks(),
+                slow.phys.allocated_chunks(),
+                "{at}"
+            );
+            for pa in (0..fast.phys.size_bytes()).step_by(PAGE_SIZE as usize) {
+                assert_eq!(
+                    fast.phys.page(pa),
+                    slow.phys.page(pa),
+                    "{at}: frame {pa:#x}"
+                );
+            }
+        }
+    }
+}
+
 /// A reachable object and an unreachable one, when the heap has them.
 fn reachable_and_not(heap: &Heap) -> (Option<ObjRef>, Option<ObjRef>) {
     let live = heap.reachable_by_set();
@@ -311,61 +379,11 @@ fn free_list_mutations(heap: &Heap) -> Vec<(&'static str, Heap)> {
 
 #[test]
 fn oracles_match_the_set_references() {
-    let mut cases = 0;
-    let mut diverged = 0;
+    let (mut cases, mut diverged) = (0, 0);
     for (name, heap) in heaps() {
-        assert_eq!(heap.iter_objects(), heap.iter_objects_reference(), "{name}");
-        let mut marked = heap.clone();
-        software_mark(&mut marked);
-        for (what, h) in mark_mutations(&marked) {
-            let reach = outcome(|| h.reachable_by_set());
-            assert_eq!(
-                outcome(|| h.reachable_from_roots()),
-                reach,
-                "{name}: {what}"
-            );
-            assert_eq!(
-                outcome(|| h.reachable_count()),
-                reach.clone().map(|r| r.len()),
-                "{name}: {what}"
-            );
-            assert_eq!(
-                outcome(|| h.marked_set()),
-                outcome(|| h.marked_set_reference()),
-                "{name}: {what}"
-            );
-            let check = outcome(|| reference::check_marks_match_reachability(&h));
-            assert_eq!(
-                outcome(|| verify::check_marks_match_reachability(&h)),
-                check,
-                "{name}: {what}"
-            );
-            if what != "as marked" {
-                diverged += usize::from(!matches!(check, Ok(Ok(()))));
-            }
-            let (mut fast, mut slow) = (h.clone(), h.clone());
-            let cleared = outcome(move || {
-                fast.clear_marks();
-                fast
-            });
-            let cleared_ref = outcome(move || {
-                slow.clear_marks_reference();
-                slow
-            });
-            match (cleared, cleared_ref) {
-                (Ok(a), Ok(b)) => assert_eq!(words(&a), words(&b), "{name}: {what}"),
-                (a, b) => assert_eq!(a.err(), b.err(), "{name}: {what}"),
-            }
-            cases += 1;
-        }
-        let mut swept = marked;
-        software_sweep(&mut swept);
-        for (what, h) in free_list_mutations(&swept) {
-            let want = reference::check_free_lists(&h);
-            assert_eq!(verify::check_free_lists(&h), want, "{name}: {what}");
-            assert_eq!(want.is_ok(), what == "as swept", "{name}: {what}: {want:?}");
-            cases += 1;
-        }
+        let (c, d) = compare_with_the_references(&name, &heap);
+        cases += c;
+        diverged += d;
     }
     assert!(
         cases > 0 && diverged > 0,
@@ -373,16 +391,108 @@ fn oracles_match_the_set_references() {
     );
 }
 
-/// Every word of the mark-sweep and LOS extents, through the heap.
-fn words(heap: &Heap) -> Vec<u64> {
-    let mut out = Vec::new();
-    for b in heap.blocks() {
-        out.extend((0..b.ncells * b.cell_bytes / WORD).map(|i| heap.read_va(b.base_va + i * WORD)));
+/// Runs every oracle and scan of `heap` against its reference: as built,
+/// marked under single mutations, and swept under single free-list
+/// corruptions. Returns the cases compared and how many mutations the
+/// reference found divergent.
+fn compare_with_the_references(name: &str, heap: &Heap) -> (usize, usize) {
+    let mut cases = 0;
+    let mut diverged = 0;
+    assert_eq!(heap.iter_objects(), heap.iter_objects_reference(), "{name}");
+    let mut marked = heap.clone();
+    software_mark(&mut marked);
+    for (what, h) in mark_mutations(&marked) {
+        let reach = outcome(|| h.reachable_by_set());
+        assert_eq!(
+            outcome(|| h.reachable_from_roots()),
+            reach,
+            "{name}: {what}"
+        );
+        assert_eq!(
+            outcome(|| h.reachable_count()),
+            reach.clone().map(|r| r.len()),
+            "{name}: {what}"
+        );
+        assert_eq!(
+            outcome(|| h.marked_set()),
+            outcome(|| h.marked_set_reference()),
+            "{name}: {what}"
+        );
+        let check = outcome(|| reference::check_marks_match_reachability(&h));
+        assert_eq!(
+            outcome(|| verify::check_marks_match_reachability(&h)),
+            check,
+            "{name}: {what}"
+        );
+        if what != "as marked" {
+            diverged += usize::from(!matches!(check, Ok(Ok(()))));
+        }
+        cases += 1;
     }
-    let los_bytes: u64 = heap.los_objects().iter().map(|l| l.pages * PAGE_SIZE).sum();
-    let los_base = heap.spaces().los_base;
-    out.extend((0..los_bytes / WORD).map(|i| heap.read_va(los_base + i * WORD)));
-    out
+    let mut swept = marked;
+    software_sweep(&mut swept);
+    for (what, h) in free_list_mutations(&swept) {
+        let want = reference::check_free_lists(&h);
+        assert_eq!(verify::check_free_lists(&h), want, "{name}: {what}");
+        assert_eq!(want.is_ok(), what == "as swept", "{name}: {what}: {want:?}");
+        cases += 1;
+    }
+    (cases, diverged)
+}
+
+/// Heaps whose live cells of 48, 96, 192 and 384 bytes straddle 4 KiB
+/// pages, so the page reader switches pages inside one object (in the
+/// bidirectional layout, often between its cell start and its header).
+#[test]
+fn cells_straddling_pages_read_like_words() {
+    for layout in [LayoutKind::Bidirectional, LayoutKind::Conventional] {
+        for superpages in [false, true] {
+            let name = format!("{layout:?} superpages={superpages}");
+            let mut rng = StdRng::seed_from_u64(0x57AD_D1E5);
+            let mut heap = Heap::new(HeapConfig {
+                phys_bytes: 64 << 20,
+                layout,
+                superpages,
+                ..HeapConfig::default()
+            });
+            let overhead = heap.cell_bytes_needed(0, 0) / WORD;
+            let mut objs = Vec::new();
+            for class in [48u64, 96, 192, 384] {
+                let words = class / WORD - overhead;
+                let n = 2 * (64 << 10) / class;
+                for i in 0..n {
+                    let nrefs = (words - i % 3) as u32;
+                    let obj = heap.alloc(nrefs, (words - nrefs as u64) as u32, false);
+                    objs.push(obj.unwrap());
+                }
+            }
+            // Every class has a live cell whose first and last words lie
+            // on different pages.
+            let mut split = BTreeSet::new();
+            for b in heap.blocks() {
+                for cell in (0..b.ncells).map(|c| b.base_va + c * b.cell_bytes) {
+                    let live = matches!(
+                        decode_cell_start(heap.read_va(cell)),
+                        CellStart::Live { .. }
+                    );
+                    if live && cell / PAGE_SIZE != (cell + b.cell_bytes - WORD) / PAGE_SIZE {
+                        split.insert(b.cell_bytes);
+                    }
+                }
+            }
+            assert_eq!(split, [48, 96, 192, 384].into(), "{name}");
+            for &obj in &objs {
+                for slot in 0..heap.nrefs(obj) {
+                    if rng.random_range(0..8u32) == 0 {
+                        let target = objs[rng.random_range(0..objs.len())];
+                        heap.set_ref(obj, slot, Some(target));
+                    }
+                }
+            }
+            heap.set_roots(&[objs[0], objs[objs.len() / 2]]);
+            compare_with_the_references(&name, &heap);
+        }
+    }
 }
 
 /// The "marked non-object" case: every object's mark is right, but the

@@ -79,7 +79,7 @@ impl CacheConfig {
 }
 
 /// Per-cache statistics, split by requesting [`Source`] for Fig. 18a.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Hits per source.
     pub hits_by_source: [u64; Source::ALL.len()],
@@ -142,13 +142,11 @@ impl Backing for MemBacking<'_> {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    last_use: u64,
-}
+/// Tag-word bit: the way holds a line.
+const VALID: u64 = 1;
+/// Tag-word bit: the line is dirty. Line addresses are 64-byte aligned,
+/// so this bit and [`VALID`] are free in a tag word.
+const DIRTY: u64 = 2;
 
 #[derive(Debug, Clone, Copy)]
 struct Mshr {
@@ -158,6 +156,11 @@ struct Mshr {
 
 /// A set-associative, write-allocate, write-back cache with a bounded
 /// MSHR file.
+///
+/// The tag store is two flat arrays with `ways` entries per set: the tag
+/// words (the line address, with the valid and dirty bits in its low
+/// bits; 0 is an empty way) and the last-use stamps the LRU victim choice
+/// reads.
 ///
 /// # Examples
 ///
@@ -175,8 +178,9 @@ struct Mshr {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Line>>,
-    num_sets: u64,
+    tags: Vec<u64>,
+    stamps: Vec<u64>,
+    set_mask: u64,
     mshrs: Vec<Mshr>,
     use_counter: u64,
     stats: CacheStats,
@@ -203,8 +207,9 @@ impl Cache {
             "set count must be a power of two"
         );
         Self {
-            sets: vec![vec![Line::default(); cfg.ways]; num_sets as usize],
-            num_sets,
+            tags: vec![0; line_capacity as usize],
+            stamps: vec![0; line_capacity as usize],
+            set_mask: num_sets - 1,
             cfg,
             mshrs: Vec::new(),
             use_counter: 0,
@@ -222,9 +227,11 @@ impl Cache {
         &self.stats
     }
 
+    /// The indices of the ways of `line_addr`'s set.
     #[inline]
-    fn set_index(&self, line_addr: u64) -> usize {
-        ((line_addr / LINE_BYTES) & (self.num_sets - 1)) as usize
+    fn set_ways(&self, line_addr: u64) -> std::ops::Range<usize> {
+        let set = ((line_addr / LINE_BYTES) & self.set_mask) as usize;
+        set * self.cfg.ways..(set + 1) * self.cfg.ways
     }
 
     fn prune_mshrs(&mut self, now: Cycle) {
@@ -242,18 +249,20 @@ impl Cache {
         backing: &mut dyn Backing,
     ) -> Cycle {
         let line_addr = addr & !(LINE_BYTES - 1);
-        let set_idx = self.set_index(line_addr);
+        let ways = self.set_ways(line_addr);
         self.use_counter += 1;
         let stamp = self.use_counter;
 
         // Hit path.
-        if let Some(way) = self.sets[set_idx]
+        if let Some(way) = self.tags[ways.clone()]
             .iter()
-            .position(|l| l.valid && l.tag == line_addr)
+            .position(|&t| t & !DIRTY == line_addr | VALID)
         {
-            let line = &mut self.sets[set_idx][way];
-            line.last_use = stamp;
-            line.dirty |= write;
+            let i = ways.start + way;
+            self.stamps[i] = stamp;
+            if write {
+                self.tags[i] |= DIRTY;
+            }
             self.stats.hits_by_source[source.index()] += 1;
             return now + self.cfg.hit_latency;
         }
@@ -261,20 +270,11 @@ impl Cache {
         self.stats.misses_by_source[source.index()] += 1;
         self.prune_mshrs(now);
 
-        // Secondary miss: a fill for this line is already in flight.
+        // Secondary miss: a fill for this line is already in flight. The
+        // line is not in its set (the access would have hit), so there
+        // is no resident copy for a write to dirty.
         if let Some(m) = self.mshrs.iter().find(|m| m.line_addr == line_addr) {
-            let ready = m.completion.max(now) + self.cfg.hit_latency;
-            // The line will be installed by the primary miss; just record
-            // the write intent.
-            if write {
-                if let Some(way) = self.sets[set_idx]
-                    .iter()
-                    .position(|l| l.valid && l.tag == line_addr)
-                {
-                    self.sets[set_idx][way].dirty = true;
-                }
-            }
-            return ready;
+            return m.completion.max(now) + self.cfg.hit_latency;
         }
 
         // Structural stall: all MSHRs busy.
@@ -291,28 +291,27 @@ impl Cache {
         }
 
         // Victim selection: invalid way first, else LRU.
-        let set = &mut self.sets[set_idx];
-        let way = set.iter().position(|l| !l.valid).unwrap_or_else(|| {
-            set.iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.last_use)
-                .map(|(i, _)| i)
-                .expect("non-empty set")
-        });
-        if set[way].valid && set[way].dirty {
-            let victim = set[way].tag;
+        let way = self.tags[ways.clone()]
+            .iter()
+            .position(|&t| t & VALID == 0)
+            .unwrap_or_else(|| {
+                self.stamps[ways.clone()]
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|&(_, &s)| s)
+                    .map(|(i, _)| i)
+                    .expect("non-empty set")
+            });
+        let i = ways.start + way;
+        let victim = self.tags[i];
+        if victim & (VALID | DIRTY) == VALID | DIRTY {
             self.stats.writebacks += 1;
-            backing.writeback(victim, now);
+            backing.writeback(victim & !(VALID | DIRTY), now);
         }
 
         let fill_done = backing.fill(line_addr, now);
-        let set = &mut self.sets[set_idx];
-        set[way] = Line {
-            tag: line_addr,
-            valid: true,
-            dirty: write,
-            last_use: stamp,
-        };
+        self.tags[i] = line_addr | VALID | if write { DIRTY } else { 0 };
+        self.stamps[i] = stamp;
         self.mshrs.push(Mshr {
             line_addr,
             completion: fill_done,
@@ -323,11 +322,8 @@ impl Cache {
     /// Invalidates every line without writing anything back. Used between
     /// independent experiment runs.
     pub fn invalidate_all(&mut self) {
-        for set in &mut self.sets {
-            for line in set {
-                *line = Line::default();
-            }
-        }
+        self.tags.fill(0);
+        self.stamps.fill(0);
         self.mshrs.clear();
     }
 }
@@ -382,6 +378,180 @@ impl Backing for L2Backing<'_> {
         // Write-back allocates in L2 (write-allocate policy).
         self.l2
             .access(line_addr, true, at, self.source, &mut backing);
+    }
+}
+
+/// The cache as first written, one `Vec` of lines per set, kept as the
+/// reference the flat tag arrays are tested against (`walls.rs`).
+#[cfg(test)]
+pub(crate) mod reference {
+    use tracegc_sim::Cycle;
+
+    use super::{Backing, CacheConfig, CacheStats, Mshr, LINE_BYTES};
+    use crate::req::Source;
+
+    #[derive(Debug, Clone, Copy, Default)]
+    struct Line {
+        tag: u64,
+        valid: bool,
+        dirty: bool,
+        last_use: u64,
+    }
+
+    /// The cache as first written.
+    #[derive(Debug, Clone)]
+    pub(crate) struct Cache {
+        cfg: CacheConfig,
+        sets: Vec<Vec<Line>>,
+        num_sets: u64,
+        mshrs: Vec<Mshr>,
+        use_counter: u64,
+        stats: CacheStats,
+    }
+
+    impl Cache {
+        /// Builds a cache from its configuration.
+        ///
+        /// # Panics
+        ///
+        /// Panics if the geometry is degenerate (zero ways/MSHRs, capacity not
+        /// a multiple of `ways * 64`, or a non-power-of-two set count).
+        pub(crate) fn new(cfg: CacheConfig) -> Self {
+            assert!(cfg.ways > 0, "cache must have at least one way");
+            assert!(cfg.mshrs > 0, "cache must have at least one MSHR");
+            let line_capacity = cfg.size_bytes / LINE_BYTES;
+            assert!(
+                line_capacity.is_multiple_of(cfg.ways as u64),
+                "capacity must divide evenly into ways"
+            );
+            let num_sets = line_capacity / cfg.ways as u64;
+            assert!(
+                num_sets.is_power_of_two(),
+                "set count must be a power of two"
+            );
+            Self {
+                sets: vec![vec![Line::default(); cfg.ways]; num_sets as usize],
+                num_sets,
+                cfg,
+                mshrs: Vec::new(),
+                use_counter: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        /// Accumulated statistics.
+        pub(crate) fn stats(&self) -> &CacheStats {
+            &self.stats
+        }
+
+        #[inline]
+        fn set_index(&self, line_addr: u64) -> usize {
+            ((line_addr / LINE_BYTES) & (self.num_sets - 1)) as usize
+        }
+
+        fn prune_mshrs(&mut self, now: Cycle) {
+            self.mshrs.retain(|m| m.completion > now);
+        }
+
+        /// Performs an access at `now`; returns the cycle the data is
+        /// available to the requester. Misses are filled from `backing`.
+        pub(crate) fn access(
+            &mut self,
+            addr: u64,
+            write: bool,
+            now: Cycle,
+            source: Source,
+            backing: &mut dyn Backing,
+        ) -> Cycle {
+            let line_addr = addr & !(LINE_BYTES - 1);
+            let set_idx = self.set_index(line_addr);
+            self.use_counter += 1;
+            let stamp = self.use_counter;
+
+            // Hit path.
+            if let Some(way) = self.sets[set_idx]
+                .iter()
+                .position(|l| l.valid && l.tag == line_addr)
+            {
+                let line = &mut self.sets[set_idx][way];
+                line.last_use = stamp;
+                line.dirty |= write;
+                self.stats.hits_by_source[source.index()] += 1;
+                return now + self.cfg.hit_latency;
+            }
+
+            self.stats.misses_by_source[source.index()] += 1;
+            self.prune_mshrs(now);
+
+            // Secondary miss: a fill for this line is already in flight.
+            if let Some(m) = self.mshrs.iter().find(|m| m.line_addr == line_addr) {
+                let ready = m.completion.max(now) + self.cfg.hit_latency;
+                // The line will be installed by the primary miss; just record
+                // the write intent.
+                if write {
+                    if let Some(way) = self.sets[set_idx]
+                        .iter()
+                        .position(|l| l.valid && l.tag == line_addr)
+                    {
+                        self.sets[set_idx][way].dirty = true;
+                    }
+                }
+                return ready;
+            }
+
+            // Structural stall: all MSHRs busy.
+            let mut now = now;
+            if self.mshrs.len() >= self.cfg.mshrs {
+                let earliest = self
+                    .mshrs
+                    .iter()
+                    .map(|m| m.completion)
+                    .min()
+                    .expect("mshr file non-empty");
+                now = now.max(earliest);
+                self.prune_mshrs(now);
+            }
+
+            // Victim selection: invalid way first, else LRU.
+            let set = &mut self.sets[set_idx];
+            let way = set.iter().position(|l| !l.valid).unwrap_or_else(|| {
+                set.iter()
+                    .enumerate()
+                    .min_by_key(|(_, l)| l.last_use)
+                    .map(|(i, _)| i)
+                    .expect("non-empty set")
+            });
+            if set[way].valid && set[way].dirty {
+                let victim = set[way].tag;
+                self.stats.writebacks += 1;
+                backing.writeback(victim, now);
+            }
+
+            let fill_done = backing.fill(line_addr, now);
+            let set = &mut self.sets[set_idx];
+            set[way] = Line {
+                tag: line_addr,
+                valid: true,
+                dirty: write,
+                last_use: stamp,
+            };
+            self.mshrs.push(Mshr {
+                line_addr,
+                completion: fill_done,
+            });
+            fill_done + self.cfg.hit_latency
+        }
+
+        /// Invalidates every line without writing anything back. Used between
+        /// independent experiment runs.
+        pub(crate) fn invalidate_all(&mut self) {
+            for set in &mut self.sets {
+                for line in set {
+                    *line = Line::default();
+                }
+            }
+            self.mshrs.clear();
+        }
     }
 }
 

@@ -36,6 +36,8 @@ pub mod phys;
 pub mod pipe;
 pub mod req;
 pub mod system;
+#[cfg(test)]
+mod walls;
 
 pub use cache::{Cache, CacheConfig, CacheStats};
 pub use phys::PhysMem;

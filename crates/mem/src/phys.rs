@@ -21,6 +21,10 @@
 pub const CHUNK_BYTES: u64 = 64 * 1024;
 const CHUNK_WORDS: u64 = CHUNK_BYTES / 8;
 
+/// Words in the 4 KiB page [`PhysMem::page`] views; a page never spans
+/// two chunks.
+pub const PAGE_WORDS: usize = 512;
+
 /// Byte-addressed simulated physical memory backed by 64-bit words.
 ///
 /// All accesses are 8-byte aligned 64-bit word operations — the paper's
@@ -120,6 +124,31 @@ impl PhysMem {
             Some(words) => words[(idx % CHUNK_WORDS) as usize],
             None => 0,
         }
+    }
+
+    /// The 4 KiB page at the page-aligned `paddr`, read-only: its words,
+    /// or `None` when its chunk is untouched and the page reads as zeros.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `paddr` is not page-aligned, or the page is out of range
+    /// or not whole.
+    #[inline]
+    pub fn page(&self, paddr: u64) -> Option<&[u64; PAGE_WORDS]> {
+        assert!(
+            paddr.is_multiple_of(PAGE_WORDS as u64 * 8),
+            "unaligned page at {paddr:#x}"
+        );
+        let idx = self.index(paddr);
+        let words = self.chunks[(idx / CHUNK_WORDS) as usize].as_deref()?;
+        let lo = (idx % CHUNK_WORDS) as usize;
+        let page = words.get(lo..lo + PAGE_WORDS);
+        Some(page.and_then(|w| w.try_into().ok()).unwrap_or_else(|| {
+            panic!(
+                "page at {paddr:#x} is not whole ({} bytes)",
+                self.size_bytes()
+            )
+        }))
     }
 
     /// Writes the word at byte address `paddr`. Writing zero into an
@@ -275,6 +304,26 @@ mod tests {
         mem.zero_range(0, CHUNK_BYTES * 2);
         assert_eq!(mem.read_u64(CHUNK_BYTES - 8), 0);
         assert_eq!(mem.read_u64(CHUNK_BYTES), 0);
+    }
+
+    #[test]
+    fn page_views_read_like_words() {
+        let mut mem = PhysMem::new(CHUNK_BYTES * 2);
+        mem.write_u64(CHUNK_BYTES + 4096 + 8, 5);
+        assert_eq!(mem.page(0), None);
+        let page = mem.page(CHUNK_BYTES + 4096).expect("touched chunk");
+        assert_eq!((page[0], page[1]), (0, 5));
+        // An untouched page of a touched chunk is all zeros.
+        assert_eq!(mem.page(CHUNK_BYTES), Some(&[0; PAGE_WORDS]));
+        assert_eq!(mem.allocated_chunks(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "not whole")]
+    fn a_short_tail_page_has_no_view() {
+        let mut mem = PhysMem::new(4096 + 16);
+        mem.write_u64(4096, 1);
+        let _ = mem.page(4096);
     }
 
     #[test]

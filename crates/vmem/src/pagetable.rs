@@ -182,6 +182,68 @@ impl AddressSpace {
     ///
     /// Panics if the page is already mapped to a different frame.
     pub fn map_page(&self, mem: &mut PhysMem, falloc: &mut FrameAlloc, va: u64, pa: u64) {
+        let leaf_pa = self.last_level_table(mem, falloc, va) + Self::vpn(va, LEVELS - 1) * 8;
+        let new_pte = Self::leaf_pte(pa);
+        let existing = mem.read_u64(leaf_pa);
+        assert!(
+            existing & PTE_VALID == 0 || existing == new_pte,
+            "page {va:#x} already mapped elsewhere"
+        );
+        mem.write_u64(leaf_pa, new_pte);
+    }
+
+    /// Maps the `pages` unmapped 4 KiB pages from `va`, which must lie
+    /// under one last-level table (one 2 MiB span), and returns the first
+    /// page's frame and the frame of the second, from which the rest
+    /// follow consecutively.
+    ///
+    /// Frames are drawn from `falloc` in the order `pages` calls of
+    /// [`AddressSpace::map_page`], each with a fresh frame, would draw
+    /// them: the first page's frame, then any table frames its walk
+    /// creates, then one frame per remaining page. The walk is made
+    /// once, and the leaf PTEs are written directly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `va` is not page-aligned, `pages` is zero, or the run
+    /// leaves its 2 MiB span.
+    pub fn map_run(
+        &self,
+        mem: &mut PhysMem,
+        falloc: &mut FrameAlloc,
+        va: u64,
+        pages: u64,
+    ) -> (u64, u64) {
+        assert!(va.is_multiple_of(PAGE_SIZE), "run must be page-aligned");
+        let first_index = Self::vpn(va, LEVELS - 1);
+        assert!(
+            pages > 0 && first_index + pages <= ENTRIES,
+            "a run of {pages} pages at {va:#x} leaves its last-level table"
+        );
+        let first = falloc.alloc();
+        let table = self.last_level_table(mem, falloc, va);
+        let rest = falloc.alloc_region((pages - 1) * PAGE_SIZE, PAGE_SIZE);
+        for i in 0..pages {
+            let leaf_pa = table + (first_index + i) * 8;
+            debug_assert_eq!(
+                mem.read_u64(leaf_pa) & PTE_VALID,
+                0,
+                "page {:#x} already mapped",
+                va + i * PAGE_SIZE
+            );
+            let frame = if i == 0 {
+                first
+            } else {
+                rest + (i - 1) * PAGE_SIZE
+            };
+            mem.write_u64(leaf_pa, Self::leaf_pte(frame));
+        }
+        (first, rest)
+    }
+
+    /// The last-level table that holds `va`'s leaf PTE, creating the
+    /// tables on the way to it (frames from `falloc`, zeroed).
+    fn last_level_table(&self, mem: &mut PhysMem, falloc: &mut FrameAlloc, va: u64) -> u64 {
         let mut node = self.root_pa;
         for level in 0..LEVELS - 1 {
             let pte_pa = node + Self::vpn(va, level) * 8;
@@ -196,15 +258,12 @@ impl AddressSpace {
                 node = (pte >> PTE_PPN_SHIFT) * PAGE_SIZE;
             }
         }
-        let leaf_pa = node + Self::vpn(va, LEVELS - 1) * 8;
-        let ppn = pa / PAGE_SIZE;
-        let new_pte = (ppn << PTE_PPN_SHIFT) | PTE_VALID | PTE_LEAF;
-        let existing = mem.read_u64(leaf_pa);
-        assert!(
-            existing & PTE_VALID == 0 || existing == new_pte,
-            "page {va:#x} already mapped elsewhere"
-        );
-        mem.write_u64(leaf_pa, new_pte);
+        node
+    }
+
+    /// The leaf PTE mapping a page to the frame containing `pa`.
+    fn leaf_pte(pa: u64) -> u64 {
+        ((pa / PAGE_SIZE) << PTE_PPN_SHIFT) | PTE_VALID | PTE_LEAF
     }
 
     /// Maps `len` bytes starting at `va` to consecutive frames from
@@ -253,7 +312,7 @@ impl AddressSpace {
             (root_pte >> PTE_PPN_SHIFT) * PAGE_SIZE
         };
         let leaf_pa = mid + Self::vpn(va, 1) * 8;
-        let new_pte = ((pa / PAGE_SIZE) << PTE_PPN_SHIFT) | PTE_VALID | PTE_LEAF;
+        let new_pte = Self::leaf_pte(pa);
         let existing = mem.read_u64(leaf_pa);
         assert!(
             existing & PTE_VALID == 0 || existing == new_pte,
@@ -395,6 +454,47 @@ mod tests {
             falloc.allocated() + falloc.remaining(),
             0x3F_F000 / PAGE_SIZE
         );
+    }
+
+    #[test]
+    fn a_run_maps_like_one_page_at_a_time() {
+        let (mut mem, mut falloc, aspace) = setup();
+        let (mut ref_mem, mut ref_falloc, ref_aspace) = setup();
+        // A run that creates both tables, one whose leaf table exists,
+        // one that creates only a leaf table, single pages, and a run
+        // ending at a span's last page.
+        let runs = [
+            (0x4000_0000, 300),
+            (0x4000_0000 + 300 * PAGE_SIZE, 212),
+            (0x4020_0000 + 5 * PAGE_SIZE, 1),
+            (0x4020_0000, 5),
+            (0x405F_F000, 1),
+            (0x60_0000_0000 + 17 * PAGE_SIZE, 495),
+        ];
+        for (va, pages) in runs {
+            let (first, rest) = aspace.map_run(&mut mem, &mut falloc, va, pages);
+            let mut frames = Vec::new();
+            for i in 0..pages {
+                let frame = ref_falloc.alloc();
+                ref_aspace.map_page(&mut ref_mem, &mut ref_falloc, va + i * PAGE_SIZE, frame);
+                frames.push(frame);
+            }
+            assert_eq!(falloc.allocated(), ref_falloc.allocated(), "{va:#x}");
+            assert_eq!(frames[0], first, "{va:#x}");
+            for (i, &frame) in frames.iter().enumerate().skip(1) {
+                assert_eq!(frame, rest + (i as u64 - 1) * PAGE_SIZE, "{va:#x} page {i}");
+            }
+            for pa in (0..mem.size_bytes()).step_by(PAGE_SIZE as usize) {
+                assert_eq!(mem.page(pa), ref_mem.page(pa), "{va:#x}: frame {pa:#x}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "leaves its last-level table")]
+    fn a_run_may_not_cross_a_span() {
+        let (mut mem, mut falloc, aspace) = setup();
+        aspace.map_run(&mut mem, &mut falloc, 0x401F_F000, 2);
     }
 
     #[test]
