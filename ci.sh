@@ -92,7 +92,8 @@ check_digest shared-ddr3 1592593325 24a50019936bf423
 check_digest fault-fleet 1592593325 6e14a0c885f138b9
 
 echo "==> golden wall, fig18 and ablE (release)"
-# tests/golden.rs::golden_wall_full is #[ignore]d because these two
+# tests/golden.rs::golden_wall_full and its faulted twin
+# faulted_large_heaps_match_their_goldens are #[ignore]d because these two
 # experiments force their own large workload scales (minutes under the
 # debug profile). They are the only golden experiments that put a large
 # heap through the DDR3 model, so CI byte-checks them here, together

@@ -132,13 +132,17 @@ impl CalibReport {
     /// two evaluations of the same inputs are byte-identical.
     pub fn to_json(&self) -> String {
         let opt = |v: Option<f64>| match v {
-            Some(v) => num(v),
+            Some(v) => json::number(v),
             None => "null".to_string(),
         };
         let mut s = String::with_capacity(4096);
         s.push_str("{\n");
         let _ = writeln!(s, "  \"schema\": {},", json::escape(CALIB_SCHEMA));
-        let _ = writeln!(s, "  \"calibrated_scale\": {},", num(CALIBRATED_SCALE));
+        let _ = writeln!(
+            s,
+            "  \"calibrated_scale\": {},",
+            json::number(CALIBRATED_SCALE)
+        );
         let _ = write!(s, "  \"figures\": [");
         for (i, f) in self.figures.iter().enumerate() {
             if i > 0 {
@@ -159,7 +163,7 @@ impl CalibReport {
                 json::escape(c.figure),
                 json::escape(c.description),
                 opt(c.paper),
-                num(c.lo),
+                json::number(c.lo),
                 opt(c.hi),
                 opt(c.measured),
                 json::escape(c.status.name()),
@@ -187,15 +191,6 @@ impl CalibReport {
         );
         s.push_str("  }\n}\n");
         s
-    }
-}
-
-/// Formats a float as JSON (same convention as the metrics sidecars).
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "0.0".to_string()
     }
 }
 

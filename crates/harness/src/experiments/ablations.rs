@@ -13,7 +13,7 @@
 use tracegc_cpu::{Cpu, CpuConfig, PhaseResult};
 use tracegc_heap::{Heap, LayoutKind, ObjRef};
 use tracegc_hwgc::barrier::{BarrierCosts, BarrierModel, ForwardingState};
-use tracegc_hwgc::GcUnitConfig;
+use tracegc_hwgc::{GcUnitConfig, TraversalResult};
 use tracegc_mem::ddr3::{Ddr3Config, Scheduler};
 use tracegc_vmem::TlbConfig;
 use tracegc_workloads::generate::{generate_heap, generate_heap_opts};
@@ -27,6 +27,17 @@ use crate::table::{ms, ratio, Table};
 /// The software collector's mark of `heap` on a fresh `mem_kind` memory.
 fn cpu_mark(heap: &mut Heap, mem_kind: MemKind) -> PhaseResult {
     Cpu::new(CpuConfig::default(), heap).run_mark(heap, &mut mem_kind.fresh())
+}
+
+/// One row of the ablC/ablE walker tables: mark time, walks and walker
+/// wait of one unit mark.
+fn walker_row(name: &str, mark: &TraversalResult) -> Vec<String> {
+    vec![
+        name.into(),
+        ms(mark.cycles()),
+        format!("{}", mark.translator.walks),
+        format!("{}", mark.translator.walker_wait_cycles / 1000),
+    ]
 }
 
 /// `ablA`: FR-FCFS vs FIFO, 16 vs 8 outstanding reads.
@@ -56,27 +67,18 @@ pub fn run_memsched(opts: &Options) -> ExperimentOutput {
         &["config", "unit-mark-ms", "cpu-mark-ms"],
     );
     let heap = generate_heap(&spec, LayoutKind::Bidirectional).heap;
-    let rows = variants.into_iter().map(|(name, cfg)| {
+    let mut metrics = MetricsDoc::new("ablA");
+    for (name, cfg) in variants {
         let mem = MemKind::Ddr3(cfg);
         let unit = run_unit_gc(&mut heap.clone(), GcUnitConfig::default(), mem, opts.fault);
         let cpu = cpu_mark(&mut heap.clone(), mem);
-        let row = vec![name.into(), ms(unit.report.mark.cycles()), ms(cpu.cycles)];
-        (
-            row,
-            (name, unit.report.mark.cycles(), unit.report.mark.stalls),
-            (name, cpu.cycles, cpu.stalls),
-            (unit.fault_stats, unit.fallback.is_some()),
-        )
-    });
-    let mut metrics = MetricsDoc::new("ablA");
-    for (row, (name, ucycles, ustalls), (_, ccycles, cstalls), (stats, fell_back)) in rows {
-        table.row(row);
-        metrics.phase(&format!("{name}.unit_mark"), ucycles, 1, ustalls);
-        metrics.phase(&format!("{name}.cpu_mark"), ccycles, 1, cstalls);
-        super::note_unit_faults(&mut metrics, &stats, fell_back);
+        let mark = &unit.report.mark;
+        table.row(vec![name.into(), ms(mark.cycles()), ms(cpu.cycles)]);
+        metrics.phase(&format!("{name}.unit_mark"), mark.cycles(), 1, mark.stalls);
+        metrics.phase(&format!("{name}.cpu_mark"), cpu.cycles, 1, cpu.stalls);
+        super::note_unit_faults(&mut metrics, &unit);
     }
     ExperimentOutput {
-        id: "ablA",
         title: "Ablation A: memory access scheduler",
         tables: vec![table],
         metrics,
@@ -97,44 +99,30 @@ pub fn run_layout(opts: &Options) -> ExperimentOutput {
         &["layout", "unit-mark-ms", "unit-mem-reqs", "cpu-mark-ms"],
     );
     let mut unit_times = Vec::new();
-    let layouts = vec![
+    let mut metrics = MetricsDoc::new("ablB");
+    for (name, layout) in [
         ("bidirectional", LayoutKind::Bidirectional),
         ("conventional-tib", LayoutKind::Conventional),
-    ];
-    let results = layouts.into_iter().map(|(name, layout)| {
+    ] {
         let mut heap = generate_heap(&spec, layout).heap;
         let mem = MemKind::ddr3_default();
         let unit = run_unit_gc(&mut heap.clone(), GcUnitConfig::default(), mem, opts.fault);
         let cpu = cpu_mark(&mut heap, mem);
-        (
-            name,
-            unit.report.mark.cycles(),
-            unit.snapshot.total_requests,
-            cpu.cycles,
-            unit.report.mark.stalls,
-            cpu.stalls,
-            (unit.fault_stats, unit.fallback.is_some()),
-        )
-    });
-    let mut metrics = MetricsDoc::new("ablB");
-    for (name, unit_mark, unit_reqs, cpu_mark, unit_stalls, cpu_stalls, (stats, fell_back)) in
-        results
-    {
-        unit_times.push(unit_mark);
-        metrics.phase(&format!("{name}.unit_mark"), unit_mark, 1, unit_stalls);
-        metrics.phase(&format!("{name}.cpu_mark"), cpu_mark, 1, cpu_stalls);
-        super::note_unit_faults(&mut metrics, &stats, fell_back);
+        let mark = &unit.report.mark;
+        unit_times.push(mark.cycles());
+        metrics.phase(&format!("{name}.unit_mark"), mark.cycles(), 1, mark.stalls);
+        metrics.phase(&format!("{name}.cpu_mark"), cpu.cycles, 1, cpu.stalls);
+        super::note_unit_faults(&mut metrics, &unit);
         table.row(vec![
             name.into(),
-            ms(unit_mark),
-            format!("{unit_reqs}"),
-            ms(cpu_mark),
+            ms(mark.cycles()),
+            format!("{}", unit.snapshot.total_requests),
+            ms(cpu.cycles),
         ]);
     }
     let slowdown = unit_times[1] as f64 / unit_times[0] as f64;
     metrics.gauge("conventional_slowdown", slowdown);
     ExperimentOutput {
-        id: "ablB",
         title: "Ablation B: bidirectional object layout",
         tables: vec![table],
         metrics,
@@ -165,7 +153,8 @@ pub fn run_tlb(opts: &Options) -> ExperimentOutput {
         ("hit-under-miss, 4 walks", false, 4),
     ];
     let heap = generate_heap(&spec, LayoutKind::Bidirectional).heap;
-    let results = variants.into_iter().map(|(name, blocking, walks)| {
+    let mut metrics = MetricsDoc::new("ablC");
+    for (name, blocking, walks) in variants {
         let cfg = GcUnitConfig {
             tlb: TlbConfig {
                 blocking_requesters: blocking,
@@ -175,28 +164,13 @@ pub fn run_tlb(opts: &Options) -> ExperimentOutput {
             ..GcUnitConfig::default()
         };
         let unit = run_unit_gc(&mut heap.clone(), cfg, MemKind::pipe_8gbps(), opts.fault);
-        (
-            name,
-            unit.report.mark.cycles(),
-            unit.report.mark.translator,
-            unit.report.mark.stalls,
-            (unit.fault_stats, unit.fallback.is_some()),
-        )
-    });
-    let mut metrics = MetricsDoc::new("ablC");
-    for (name, cycles, translator, stalls, (stats, fell_back)) in results {
-        times.push(cycles);
-        metrics.phase(&format!("{name}.unit_mark"), cycles, 1, stalls);
-        super::note_unit_faults(&mut metrics, &stats, fell_back);
-        table.row(vec![
-            name.into(),
-            ms(cycles),
-            format!("{}", translator.walks),
-            format!("{}", translator.walker_wait_cycles / 1000),
-        ]);
+        let mark = &unit.report.mark;
+        times.push(mark.cycles());
+        metrics.phase(&format!("{name}.unit_mark"), mark.cycles(), 1, mark.stalls);
+        super::note_unit_faults(&mut metrics, &unit);
+        table.row(walker_row(name, mark));
     }
     ExperimentOutput {
-        id: "ablC",
         title: "Ablation C: non-blocking TLB/PTW (paper's future work)",
         tables: vec![table],
         metrics,
@@ -264,7 +238,6 @@ pub fn run_barriers(opts: &Options) -> ExperimentOutput {
     );
     metrics.gauge("trap_per_read", trap as f64 / reads.max(1) as f64);
     ExperimentOutput {
-        id: "ablD",
         title: "Ablation D: concurrent-GC barrier cost",
         tables: vec![table],
         metrics,
@@ -295,36 +268,26 @@ pub fn run_superpages(opts: &Options) -> ExperimentOutput {
         &["pages", "unit-mark-ms", "walks", "walker-wait-kcycles"],
     );
     let mut times = Vec::new();
-    let variants = vec![("4KiB", false), ("2MiB-superpages", true)];
-    let results = variants.into_iter().map(|(name, superpages)| {
+    let mut metrics = MetricsDoc::new("ablE");
+    for (name, superpages) in [("4KiB", false), ("2MiB-superpages", true)] {
         let run = run_unit_gc(
             &mut generate_heap_opts(&spec, LayoutKind::Bidirectional, superpages).heap,
             GcUnitConfig::default(),
             MemKind::ddr3_default(),
             opts.fault,
         );
-        (
-            name,
-            run.report.mark.cycles(),
-            run.report.mark.translator,
-            run.report.mark.stalls,
-            (run.fault_stats, run.fallback.is_some()),
-        )
-    });
-    let mut metrics = MetricsDoc::new("ablE");
-    for (name, cycles, translator, stalls, (stats, fell_back)) in results {
-        times.push(cycles);
-        metrics.phase(&format!("xalan.{name}.unit_mark"), cycles, 1, stalls);
-        super::note_unit_faults(&mut metrics, &stats, fell_back);
-        table.row(vec![
-            name.into(),
-            ms(cycles),
-            format!("{}", translator.walks),
-            format!("{}", translator.walker_wait_cycles / 1000),
-        ]);
+        let mark = &run.report.mark;
+        times.push(mark.cycles());
+        metrics.phase(
+            &format!("xalan.{name}.unit_mark"),
+            mark.cycles(),
+            1,
+            mark.stalls,
+        );
+        super::note_unit_faults(&mut metrics, &run);
+        table.row(walker_row(name, mark));
     }
     ExperimentOutput {
-        id: "ablE",
         title: "Ablation E: superpages (paper SVII)",
         tables: vec![table],
         metrics,
@@ -350,19 +313,19 @@ pub fn run_throttle(opts: &Options) -> ExperimentOutput {
             "mutator-p-high-latency",
         ],
     );
-    let rows = [0u64, 4, 16].into_iter().map(|interval| {
-        let mut workload =
-            tracegc_workloads::generate::generate_heap(&spec, LayoutKind::Bidirectional);
-        let mut mem = MemKind::ddr3_default().fresh();
+    let heap = generate_heap(&spec, LayoutKind::Bidirectional).heap;
+    let mut metrics = MetricsDoc::new("ablF");
+    for interval in [0u64, 4, 16] {
+        let heap = &mut heap.clone();
         let cfg = GcUnitConfig {
             min_issue_interval: interval,
             ..GcUnitConfig::default()
         };
-        let mut unit = tracegc_hwgc::TraversalUnit::new(cfg, &mut workload.heap);
+        let mut unit = tracegc_hwgc::TraversalUnit::new(cfg, heap);
         // One background 64-byte read every 40 cycles ~ a busy mutator.
         unit.set_background_traffic(40);
         let result = unit
-            .try_run_mark(&mut workload.heap, &mut mem, 0)
+            .try_run_mark(heap, &mut MemKind::ddr3_default().fresh(), 0)
             .expect("ablations: TraversalUnit::try_run_mark faulted on a clean heap");
         let lats = unit.background_latencies();
         let mean = lats.iter().sum::<u64>() as f64 / lats.len().max(1) as f64;
@@ -372,7 +335,7 @@ pub fn run_throttle(opts: &Options) -> ExperimentOutput {
             .get(sorted.len().saturating_sub(1).min(sorted.len() * 95 / 100))
             .copied()
             .unwrap_or(0);
-        let row = vec![
+        table.row(vec![
             if interval == 0 {
                 "unthrottled".into()
             } else {
@@ -381,16 +344,15 @@ pub fn run_throttle(opts: &Options) -> ExperimentOutput {
             ms(result.cycles()),
             format!("{mean:.1}"),
             format!("{p95}"),
-        ];
-        (row, interval, result.cycles(), result.stalls)
-    });
-    let mut metrics = MetricsDoc::new("ablF");
-    for (row, interval, cycles, stalls) in rows {
-        table.row(row);
-        metrics.phase(&format!("throttle{interval}.unit_mark"), cycles, 1, stalls);
+        ]);
+        metrics.phase(
+            &format!("throttle{interval}.unit_mark"),
+            result.cycles(),
+            1,
+            result.stalls,
+        );
     }
     ExperimentOutput {
-        id: "ablF",
         title: "Ablation F: bandwidth throttling (paper SVII)",
         tables: vec![table],
         metrics,
@@ -413,35 +375,31 @@ pub fn run_ooo(opts: &Options) -> ExperimentOutput {
         "ablG: CPU baseline out-of-order window (avrora mark phase)",
         &["ooo-window", "cpu-mark-ms", "speedup-vs-inorder"],
     );
-    let windows = vec![1usize, 2, 4, 8];
-    let cycles: Vec<_> = windows
-        .iter()
-        .copied()
-        .map(|window| {
-            let mut workload =
-                tracegc_workloads::generate::generate_heap(&spec, LayoutKind::Bidirectional);
-            let mut mem = MemKind::ddr3_default().fresh();
-            let cfg = tracegc_cpu::CpuConfig {
-                ooo_window: window,
-                ..tracegc_cpu::CpuConfig::default()
-            };
-            let mut cpu = tracegc_cpu::Cpu::new(cfg, &mut workload.heap);
-            let mark = cpu.run_mark(&mut workload.heap, &mut mem);
-            (mark.cycles, mark.stalls)
-        })
-        .collect();
-    let base = cycles[0].0;
+    let heap = generate_heap(&spec, LayoutKind::Bidirectional).heap;
     let mut metrics = MetricsDoc::new("ablG");
-    for (window, (mark_cycles, stalls)) in windows.into_iter().zip(cycles) {
-        metrics.phase(&format!("ooo{window}.cpu_mark"), mark_cycles, 1, stalls);
+    // The in-order window's mark time, the speedup column's base.
+    let mut base = None;
+    for window in [1usize, 2, 4, 8] {
+        let heap = &mut heap.clone();
+        let cfg = CpuConfig {
+            ooo_window: window,
+            ..CpuConfig::default()
+        };
+        let mark = Cpu::new(cfg, heap).run_mark(heap, &mut MemKind::ddr3_default().fresh());
+        let base = *base.get_or_insert(mark.cycles);
+        metrics.phase(
+            &format!("ooo{window}.cpu_mark"),
+            mark.cycles,
+            1,
+            mark.stalls,
+        );
         table.row(vec![
             format!("{window}"),
-            ms(mark_cycles),
-            ratio(base as f64 / mark_cycles.max(1) as f64),
+            ms(mark.cycles),
+            ratio(base as f64 / mark.cycles.max(1) as f64),
         ]);
     }
     ExperimentOutput {
-        id: "ablG",
         title: "Ablation G: out-of-order CPU baseline (paper SVI-A)",
         tables: vec![table],
         metrics,
@@ -485,7 +443,6 @@ pub fn run_refload(opts: &Options) -> ExperimentOutput {
         ]);
     }
     ExperimentOutput {
-        id: "ablH",
         title: "Ablation H: REFLOAD barrier instruction (paper SIV-E)",
         tables: vec![table],
         metrics,

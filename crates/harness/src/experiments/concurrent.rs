@@ -4,9 +4,11 @@
 
 use tracegc_heap::LayoutKind;
 use tracegc_hwgc::concurrent::{try_run_concurrent_mark, MutatorConfig};
+use tracegc_hwgc::multiproc::{try_run_multiprocess_mark, ProcessContext};
 use tracegc_hwgc::{GcUnitConfig, TraversalUnit};
+use tracegc_sim::sched::Policy;
 use tracegc_workloads::generate::generate_heap;
-use tracegc_workloads::spec::by_name;
+use tracegc_workloads::spec::{by_name, BenchSpec};
 
 use super::{ExperimentOutput, Options};
 use crate::metrics::MetricsDoc;
@@ -31,77 +33,61 @@ pub fn run(opts: &Options) -> ExperimentOutput {
             "barrier-kcycles",
         ],
     );
-    // Grid points: the stop-the-world baseline (None) and each mutator
-    // intensity (Some(..)); every one rebuilds the heap from the seed.
-    let modes: Vec<Option<(&str, u64, f64)>> = vec![
-        None,
-        Some(("concurrent/light", 200, 0.1)),
-        Some(("concurrent/medium", 60, 0.2)),
-        Some(("concurrent/heavy", 25, 0.4)),
-    ];
-    let rows = modes.into_iter().map(|mode| {
-        let mut workload = generate_heap(&spec, LayoutKind::Bidirectional);
-        let mut mem = MemKind::ddr3_default().fresh();
-        let mut unit = TraversalUnit::new(GcUnitConfig::default(), &mut workload.heap);
-        match mode {
-            // Stop-the-world baseline.
-            None => {
-                let stw = unit
-                    .try_run_mark(&mut workload.heap, &mut mem, 0)
-                    .expect("concurrent: TraversalUnit::try_run_mark faulted on a clean heap");
-                let row = vec![
-                    "stop-the-world".into(),
-                    ms(stw.cycles()),
-                    "0".into(),
-                    "0".into(),
-                    "0".into(),
-                    "0".into(),
-                ];
-                (row, ("stw".to_string(), stw.cycles(), stw.stalls), 0, 0)
-            }
-            Some((label, cycles_per_op, write_fraction)) => {
-                let report = try_run_concurrent_mark(
-                    &mut unit,
-                    &mut workload.heap,
-                    &mut mem,
-                    MutatorConfig {
-                        cycles_per_op,
-                        write_fraction,
-                        ..MutatorConfig::default()
-                    },
-                    0,
-                )
-                .expect("concurrent: try_run_concurrent_mark faulted on a clean heap");
-                let row = vec![
-                    label.into(),
-                    ms(report.traversal.cycles()),
-                    format!("{}", report.mutator_ops),
-                    format!("{}", report.write_barriers),
-                    format!("{}", report.allocated_during_gc),
-                    format!("{}", report.mutator_barrier_cycles / 1000),
-                ];
-                let key = label.replace("concurrent/", "conc_");
-                (
-                    row,
-                    (key, report.traversal.cycles(), report.traversal.stalls),
-                    report.mutator_ops,
-                    report.write_barriers,
-                )
-            }
-        }
-    });
-    // Every row — STW and concurrent alike — now runs the unit under the
-    // scheduler, which charges the per-pass ledger cycle-for-cycle, so
-    // each mode gets an exact phase entry.
+    // The stop-the-world baseline, then each mutator intensity, each on
+    // a copy of one heap. Every mode runs the unit under the scheduler,
+    // which charges the per-pass ledger cycle-for-cycle, so each gets an
+    // exact phase entry.
+    let heap = generate_heap(&spec, LayoutKind::Bidirectional).heap;
     let mut metrics = MetricsDoc::new("conc");
-    for (row, (key, cycles, stalls), mutator_ops, write_barriers) in rows {
-        table.row(row);
-        metrics.phase(&format!("lusearch.{key}.unit_mark"), cycles, 1, stalls);
-        metrics.counter("mutator_ops", mutator_ops);
-        metrics.counter("write_barriers", write_barriers);
+    let stw = {
+        let heap = &mut heap.clone();
+        TraversalUnit::new(GcUnitConfig::default(), heap)
+            .try_run_mark(heap, &mut MemKind::ddr3_default().fresh(), 0)
+            .expect("concurrent: TraversalUnit::try_run_mark faulted on a clean heap")
+    };
+    // No mutator runs: no ops, barriers, allocations or barrier cycles.
+    let mut row = vec!["stop-the-world".into(), ms(stw.cycles())];
+    row.extend(["0"; 4].map(String::from));
+    table.row(row);
+    metrics.phase("lusearch.stw.unit_mark", stw.cycles(), 1, stw.stalls);
+    for (label, cycles_per_op, write_fraction) in [
+        ("concurrent/light", 200, 0.1),
+        ("concurrent/medium", 60, 0.2),
+        ("concurrent/heavy", 25, 0.4),
+    ] {
+        let heap = &mut heap.clone();
+        let report = try_run_concurrent_mark(
+            &mut TraversalUnit::new(GcUnitConfig::default(), heap),
+            heap,
+            &mut MemKind::ddr3_default().fresh(),
+            MutatorConfig {
+                cycles_per_op,
+                write_fraction,
+                ..MutatorConfig::default()
+            },
+            0,
+        )
+        .expect("concurrent: try_run_concurrent_mark faulted on a clean heap");
+        let mark = &report.traversal;
+        table.row(vec![
+            label.into(),
+            ms(mark.cycles()),
+            format!("{}", report.mutator_ops),
+            format!("{}", report.write_barriers),
+            format!("{}", report.allocated_during_gc),
+            format!("{}", report.mutator_barrier_cycles / 1000),
+        ]);
+        let key = label.replace("concurrent/", "conc_");
+        metrics.phase(
+            &format!("lusearch.{key}.unit_mark"),
+            mark.cycles(),
+            1,
+            mark.stalls,
+        );
+        metrics.counter("mutator_ops", report.mutator_ops);
+        metrics.counter("write_barriers", report.write_barriers);
     }
     ExperimentOutput {
-        id: "conc",
         title: "Concurrent collection (paper SIV-D)",
         tables: vec![table],
         metrics,
@@ -119,44 +105,29 @@ pub fn run(opts: &Options) -> ExperimentOutput {
 /// `multi`: one unit collecting several processes simultaneously
 /// (§VII "Supporting multiple applications").
 pub fn run_multi(opts: &Options) -> ExperimentOutput {
-    use tracegc_hwgc::multiproc::{try_run_multiprocess_mark, ProcessContext};
-
     let spec = by_name("avrora").expect("avrora exists").scaled(opts.scale);
-    let make_context = |seed_offset: u64| {
-        let mut s = spec;
-        s.seed ^= seed_offset;
-        let mut workload = generate_heap(&s, LayoutKind::Bidirectional);
-        let unit = TraversalUnit::new(GcUnitConfig::default(), &mut workload.heap);
-        ProcessContext {
-            unit,
-            heap: workload.heap,
-        }
-    };
-
     let mut table = Table::new(
         "multi: one unit collecting N processes (avrora-sized heaps)",
         &["processes", "wall-ms", "vs-serial", "mean-per-process-ms"],
     );
-    let counts = vec![1usize, 2, 4];
-    let results: Vec<_> = counts
-        .iter()
-        .copied()
-        .map(|n| {
-            let mut procs: Vec<ProcessContext> = (0..n as u64).map(make_context).collect();
-            let mut mem = MemKind::ddr3_default().fresh();
-            let report = try_run_multiprocess_mark(&mut procs, &mut mem, 0)
-                .expect("multi: try_run_multiprocess_mark faulted on clean heaps");
-            let mean: u64 = report.per_process.iter().map(|r| r.cycles()).sum::<u64>() / n as u64;
-            (report.total_cycles(0), mean, report.per_process)
-        })
-        .collect();
-    let solo_wall = results[0].0;
     // The round-robin scheduler charges each process's ledger on every
     // cycle it is live (its own bottleneck when served, PortBusy when
     // the datapath serves a sibling), so per-process phases are exact.
     let mut metrics = MetricsDoc::new("multi");
-    for (n, (wall, mean, per_process)) in counts.into_iter().zip(results) {
-        for (i, r) in per_process.iter().enumerate() {
+    let mut solo_wall = None;
+    for n in [1usize, 2, 4] {
+        let mut procs: Vec<_> = (0..n as u64).map(|i| process(spec, i)).collect();
+        let report = try_run_multiprocess_mark(
+            &mut procs,
+            &mut MemKind::ddr3_default().fresh(),
+            Policy::RoundRobin,
+            0,
+        )
+        .expect("multi: try_run_multiprocess_mark faulted on clean heaps");
+        let wall = report.total_cycles(0);
+        let solo_wall = *solo_wall.get_or_insert(wall);
+        let mean = report.per_process.iter().map(|r| r.cycles()).sum::<u64>() / n as u64;
+        for (i, r) in report.per_process.iter().enumerate() {
             metrics.phase(&format!("{n}proc.p{i}.mark"), r.cycles(), 1, r.stalls);
         }
         metrics.gauge(&format!("wall_ms_{n}proc"), wall as f64 / 1e6);
@@ -169,7 +140,6 @@ pub fn run_multi(opts: &Options) -> ExperimentOutput {
         ]);
     }
     ExperimentOutput {
-        id: "multi",
         title: "Multi-process collection (paper SVII)",
         tables: vec![table],
         metrics,
@@ -182,4 +152,13 @@ pub fn run_multi(opts: &Options) -> ExperimentOutput {
                 .into(),
         ],
     }
+}
+
+/// One process to collect: `spec`'s heap, generated with `seed_mix`
+/// XORed into the seed, and a traversal unit of its own.
+pub(crate) fn process(mut spec: BenchSpec, seed_mix: u64) -> ProcessContext {
+    spec.seed ^= seed_mix;
+    let mut heap = generate_heap(&spec, LayoutKind::Bidirectional).heap;
+    let unit = TraversalUnit::new(GcUnitConfig::default(), &mut heap);
+    ProcessContext { unit, heap }
 }

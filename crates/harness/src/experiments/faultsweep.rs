@@ -29,40 +29,24 @@ pub fn run(opts: &Options) -> ExperimentOutput {
     let spec = by_name("avrora").expect("avrora exists").scaled(opts.scale);
     let repeats = opts.pauses.max(1);
 
-    // The full (rate, repeat) grid, flattened so the seed and the
-    // output order both derive from the grid index alone: every fault
-    // class runs at the point's rate, and worker order never touches
-    // the seed, so the sweep is byte-identical under any `--jobs`.
-    let grid: Vec<(usize, usize)> = (0..RATES.len())
-        .flat_map(|ri| (0..repeats).map(move |rep| (ri, rep)))
-        .collect();
-
-    let runs: Vec<_> = grid
-        .iter()
-        .copied()
-        .map(|(ri, rep)| {
-            let seed = 0x5EED_0000 + (ri * repeats + rep) as u64;
-            run_faulted_mark(
-                &spec,
-                LayoutKind::Bidirectional,
-                GcUnitConfig::default(),
-                MemKind::ddr3_default(),
-                FaultConfig::uniform(seed, RATES[ri]),
-            )
-        })
-        .collect();
-
-    // Clean baseline: mean total mark cycles at rate 0 (all its runs
-    // are identical — zero rates inject nothing).
-    let baseline: f64 = {
-        let zero: Vec<&_> = grid
-            .iter()
-            .zip(&runs)
-            .filter(|((ri, _), _)| *ri == 0)
-            .map(|(_, r)| r)
-            .collect();
-        zero.iter().map(|r| r.total_cycles() as f64).sum::<f64>() / zero.len().max(1) as f64
+    // One mark pass per (rate, repeat) grid point. The seed derives
+    // from the point's index in rate-major order alone, and every fault
+    // class runs at the point's rate.
+    let mark = |ri: usize, rep: usize| {
+        run_faulted_mark(
+            &spec,
+            LayoutKind::Bidirectional,
+            GcUnitConfig::default(),
+            MemKind::ddr3_default(),
+            FaultConfig::uniform(0x5EED_0000 + (ri * repeats + rep) as u64, RATES[ri]),
+        )
     };
+    // Clean baseline: mean total mark cycles at rate 0 (all its runs
+    // are identical — zero rates inject nothing). Its runs are recorded
+    // with the rest below.
+    let zero: Vec<_> = (0..repeats).map(|rep| mark(0, rep)).collect();
+    let baseline = zero.iter().map(|r| r.total_cycles() as f64).sum::<f64>() / repeats as f64;
+    let mut zero = zero.into_iter();
 
     let mut table = Table::new(
         "faultsweep: mark outcome and overhead vs per-access fault rate (avrora)",
@@ -79,40 +63,44 @@ pub fn run(opts: &Options) -> ExperimentOutput {
     );
     let mut metrics = MetricsDoc::new("faultsweep");
     let (mut clean, mut fell_back, mut failed) = (0u64, 0u64, 0u64);
-    for ((ri, rep), r) in grid.iter().zip(&runs) {
-        let outcome = match &r.outcome {
-            MarkOutcome::Clean => {
-                clean += 1;
-                "clean".to_string()
-            }
-            MarkOutcome::Fallback(fb) => {
-                fell_back += 1;
-                format!("fallback:{:?}", fb.trap.kind)
-            }
-            MarkOutcome::Failed(e) => {
-                failed += 1;
-                format!("failed:{e}")
-            }
-        };
-        table.row(vec![
-            format!("{:e}", RATES[*ri]),
-            format!("{rep}"),
-            outcome,
-            format!("{}", r.unit_cycles),
-            format!("{}", r.fallback_cycles),
-            format!("{:.2}x", r.total_cycles() as f64 / baseline.max(1.0)),
-            format!("{}", r.stats.retries),
-            format!("{}", r.stats.total()),
-        ]);
-        metrics.note_faults(&r.stats);
-    }
     // One attributed phase per execution path, aggregated over the whole
     // grid: the ledgers sum to exactly the cycles each path consumed, so
     // the busy+stalls == cycles invariant holds by construction.
     let (mut unit_stalls, mut fb_stalls) = (StallAccounting::default(), StallAccounting::default());
-    for r in &runs {
-        unit_stalls.merge(&r.unit_stalls);
-        fb_stalls.merge(&r.fallback_stalls);
+    for (ri, rate) in RATES.into_iter().enumerate() {
+        for rep in 0..repeats {
+            let r = match ri {
+                0 => zero.next().expect("one rate-0 run per repeat"),
+                _ => mark(ri, rep),
+            };
+            let outcome = match &r.outcome {
+                MarkOutcome::Clean => {
+                    clean += 1;
+                    "clean".to_string()
+                }
+                MarkOutcome::Fallback(fb) => {
+                    fell_back += 1;
+                    format!("fallback:{:?}", fb.trap.kind)
+                }
+                MarkOutcome::Failed(e) => {
+                    failed += 1;
+                    format!("failed:{e}")
+                }
+            };
+            table.row(vec![
+                format!("{rate:e}"),
+                format!("{rep}"),
+                outcome,
+                format!("{}", r.unit_cycles),
+                format!("{}", r.fallback_cycles),
+                format!("{:.2}x", r.total_cycles() as f64 / baseline.max(1.0)),
+                format!("{}", r.stats.retries),
+                format!("{}", r.stats.total()),
+            ]);
+            metrics.note_faults(&r.stats);
+            unit_stalls.merge(&r.unit_stalls);
+            fb_stalls.merge(&r.fallback_stalls);
+        }
     }
     metrics.phase("unit_mark", unit_stalls.total(), 1, unit_stalls);
     if fb_stalls.total() > 0 {
@@ -130,10 +118,10 @@ pub fn run(opts: &Options) -> ExperimentOutput {
             metrics.fault(name, v);
         }
     }
-    metrics.counter("grid_points", grid.len() as u64);
+    let grid_points = RATES.len() * repeats;
+    metrics.counter("grid_points", grid_points as u64);
 
     ExperimentOutput {
-        id: "faultsweep",
         title: "Fault sweep: graceful degradation under injected faults",
         tables: vec![table],
         metrics,
@@ -142,7 +130,7 @@ pub fn run(opts: &Options) -> ExperimentOutput {
             format!(
                 "{} grid points: {clean} clean, {fell_back} fell back to the \
                  software mark, {failed} failed.",
-                grid.len()
+                grid_points
             ),
             "Every completed run's mark set was differentially checked against \
              reachability; overhead is relative to the rate-0 baseline."

@@ -23,17 +23,15 @@ pub fn run_1a(opts: &Options) -> ExperimentOutput {
         "Fig 1a: CPU time spent in GC pauses",
         &["bench", "gc-ms/pause", "mutator-ms/pause", "gc-%"],
     );
-    let results = DACAPO.into_iter().map(|spec| {
+    let mut metrics = MetricsDoc::new("fig1a");
+    for spec in DACAPO {
         let spec = spec.scaled(opts.scale);
+        let name = spec.name;
         let heap = &mut generate_heap(&spec, LayoutKind::Bidirectional).heap;
         let mut mem = MemKind::ddr3_default().fresh();
         let (mark, sweep) = Cpu::new(CpuConfig::default(), heap).run_gc(heap, &mut mem);
-        (spec.name, mark, sweep, spec.mutator_cycles_per_pause)
-    });
-    let mut metrics = MetricsDoc::new("fig1a");
-    for (name, mark, sweep, mutator_cycles) in results {
         let gc = (mark.cycles + sweep.cycles) as f64;
-        let mutator = mutator_cycles as f64;
+        let mutator = spec.mutator_cycles_per_pause as f64;
         let pct = 100.0 * gc / (gc + mutator);
         metrics.phase(&format!("{name}.cpu_mark"), mark.cycles, 1, mark.stalls);
         metrics.phase(&format!("{name}.cpu_sweep"), sweep.cycles, 1, sweep.stalls);
@@ -45,7 +43,6 @@ pub fn run_1a(opts: &Options) -> ExperimentOutput {
         ]);
     }
     ExperimentOutput {
-        id: "fig1a",
         title: "Fig 1a: GC pause time fraction",
         tables: vec![table],
         metrics,
@@ -104,7 +101,6 @@ pub fn run_1b(opts: &Options) -> ExperimentOutput {
     metrics.counter("queries_recorded", near.len() as u64);
     metrics.gauge("pause_ms", pause_us as f64 / 1000.0);
     ExperimentOutput {
-        id: "fig1b",
         title: "Fig 1b: query latency CDF under GC",
         tables: vec![table, cdf],
         metrics,

@@ -31,17 +31,12 @@ pub fn run(opts: &Options) -> ExperimentOutput {
     let mut mark_speedups = Vec::new();
     let mut sweep_speedups = Vec::new();
     let mut total_speedups = Vec::new();
-    let results = DACAPO.into_iter().map(|spec| {
-        let spec = spec.scaled(opts.scale);
-        let pauses = spec.pauses.min(opts.pauses);
-        let mut run = DualRun::new(&spec, LayoutKind::Bidirectional, GcUnitConfig::default());
-        (
-            spec.name,
-            run.run_pauses(MemKind::ddr3_default(), pauses, 0.15),
-        )
-    });
     let mut metrics = MetricsDoc::new("fig15");
-    for (name, pauses) in results {
+    for spec in DACAPO {
+        let spec = spec.scaled(opts.scale);
+        let name = spec.name;
+        let mut run = DualRun::new(&spec, LayoutKind::Bidirectional, GcUnitConfig::default());
+        let pauses = run.run_pauses(MemKind::ddr3_default(), spec.pauses.min(opts.pauses), 0.15);
         let avg = |f: &dyn Fn(&crate::runner::PauseResult) -> u64| {
             pauses.iter().map(f).sum::<u64>() / pauses.len() as u64
         };
@@ -85,7 +80,6 @@ pub fn run(opts: &Options) -> ExperimentOutput {
     metrics.gauge("sweep_speedup_geomean", geomean(&sweep_speedups));
     metrics.gauge("total_speedup_geomean", geomean(&total_speedups));
     ExperimentOutput {
-        id: "fig15",
         title: "Fig 15: GC performance (DDR3)",
         tables: vec![table],
         metrics,

@@ -91,7 +91,6 @@ pub fn run(opts: &Options) -> ExperimentOutput {
     metrics.gauge("unit_peak_gbps", unit_peak);
 
     ExperimentOutput {
-        id: "fig16",
         title: "Fig 16: memory bandwidth over time",
         tables: vec![summary, series],
         metrics,

@@ -37,13 +37,12 @@ pub fn run(opts: &Options) -> ExperimentOutput {
         ],
     );
     let mut mark_speedups = Vec::new();
-    let results = DACAPO.into_iter().map(|spec| {
-        let spec = spec.scaled(opts.scale);
-        let mut run = DualRun::new(&spec, LayoutKind::Bidirectional, GcUnitConfig::default());
-        (spec.name, run.run_pause(MemKind::pipe_8gbps()))
-    });
     let mut metrics = MetricsDoc::new("fig17");
-    for (name, p) in results {
+    for spec in DACAPO {
+        let spec = spec.scaled(opts.scale);
+        let name = spec.name;
+        let p = DualRun::new(&spec, LayoutKind::Bidirectional, GcUnitConfig::default())
+            .run_pause(MemKind::pipe_8gbps());
         metrics.pause_phases(name, &p);
         mark_speedups.push(p.mark_speedup());
         table.row(vec![
@@ -76,7 +75,6 @@ pub fn run(opts: &Options) -> ExperimentOutput {
     ]);
     metrics.gauge("mark_speedup_geomean", geomean(&mark_speedups));
     ExperimentOutput {
-        id: "fig17",
         title: "Fig 17: potential performance (latency-bandwidth pipe)",
         tables: vec![table, issue],
         metrics,

@@ -51,25 +51,20 @@ pub fn run(opts: &Options) -> ExperimentOutput {
         ],
     );
     let m = |v: u64| format!("{:.3}", v as f64 / 1e6);
-    // Every (benchmark, topology) pair is an independent grid point.
-    let grid: Vec<(tracegc_workloads::spec::BenchSpec, CacheTopology)> = DACAPO
-        .iter()
-        .flat_map(|&spec| {
-            [
-                (spec, CacheTopology::Shared),
-                (spec, CacheTopology::Partitioned),
-            ]
-        })
-        .collect();
-    let rows: Vec<_> = grid
-        .into_iter()
-        .map(|(spec, topology)| {
-            // The TLB-pressure effect needs a heap well beyond the TLB
-            // reach, as in the paper's 200 MB configuration, so fig18 always
-            // runs at full workload scale.
-            let spec = spec.scaled(opts.scale.max(1.0));
+    let mut metrics = MetricsDoc::new("fig18");
+    for spec in DACAPO {
+        // The TLB-pressure effect needs a heap well beyond the TLB
+        // reach, as in the paper's 200 MB configuration, so fig18 always
+        // runs at full workload scale. Both topologies collect a copy
+        // of one heap.
+        let spec = spec.scaled(opts.scale.max(1.0));
+        let heap = generate_heap(&spec, LayoutKind::Bidirectional).heap;
+        for (topology, table) in [
+            (CacheTopology::Shared, &mut shared),
+            (CacheTopology::Partitioned, &mut partitioned),
+        ] {
             let run = run_unit_gc(
-                &mut generate_heap(&spec, LayoutKind::Bidirectional).heap,
+                &mut heap.clone(),
                 GcUnitConfig {
                     topology,
                     ..GcUnitConfig::default()
@@ -104,37 +99,24 @@ pub fn run(opts: &Options) -> ExperimentOutput {
                 "{:.0}%",
                 100.0 * share as f64 / total.max(1) as f64
             ));
+            table.row(row);
             let (mark, sweep) = (&run.report.mark, &run.report.sweep);
-            let phases = vec![
-                (
-                    format!("{}.{topo}.unit_mark", spec.name),
-                    mark.cycles(),
-                    1,
-                    mark.stalls,
-                ),
-                (
-                    format!("{}.{topo}.unit_sweep", spec.name),
-                    sweep.cycles(),
-                    sweep.lanes,
-                    sweep.stalls,
-                ),
-            ];
-            (row, phases, run.fault_stats, run.fallback.is_some())
-        })
-        .collect();
-    let mut metrics = MetricsDoc::new("fig18");
-    for pair in rows.chunks(2) {
-        shared.row(pair[0].0.clone());
-        partitioned.row(pair[1].0.clone());
-        for (_, phases, stats, fell_back) in pair {
-            for (name, cycles, lanes, stalls) in phases {
-                metrics.phase(name, *cycles, *lanes, *stalls);
-            }
-            super::note_unit_faults(&mut metrics, stats, *fell_back);
+            metrics.phase(
+                &format!("{}.{topo}.unit_mark", spec.name),
+                mark.cycles(),
+                1,
+                mark.stalls,
+            );
+            metrics.phase(
+                &format!("{}.{topo}.unit_sweep", spec.name),
+                sweep.cycles(),
+                sweep.lanes,
+                sweep.stalls,
+            );
+            super::note_unit_faults(&mut metrics, &run);
         }
     }
     ExperimentOutput {
-        id: "fig18",
         title: "Fig 18: cache partitioning",
         tables: vec![shared, partitioned],
         metrics,

@@ -61,63 +61,50 @@ pub fn run(opts: &Options) -> ExperimentOutput {
             "mark-ms",
         ],
     );
-    // The 4x3 size-by-variant grid.
-    let grid: Vec<(u64, Variant)> = SIZES_KB
-        .iter()
-        .flat_map(|&kb| VARIANTS.map(|v| (kb, v)))
-        .collect();
-    let rows = grid.into_iter().map(|(kb, v)| {
-        let side = 32usize;
-        let entry = if v.compress { 4 } else { 8 };
-        let total_entries = (kb * 1024 / entry) as usize;
-        let main = total_entries.saturating_sub(2 * side).max(16);
-        let cfg = GcUnitConfig {
-            markq_entries: main,
-            markq_side: side,
-            tracer_queue: v.tracer_queue,
-            compress: v.compress,
-            ..GcUnitConfig::default()
-        };
-        let run = run_unit_gc(&mut heap.clone(), cfg, MemKind::ddr3_default(), opts.fault);
-        let q = run.report.mark.markq;
-        let spill_reqs = q.spill_writes + q.spill_reads;
-        let total_reqs = run.snapshot.total_requests;
-        let row = vec![
-            format!("{kb}"),
-            v.label.into(),
-            format!("{}", q.spill_writes),
-            format!("{}", q.spill_reads),
-            format!(
-                "{:.1}%",
-                100.0 * spill_reqs as f64 / total_reqs.max(1) as f64
-            ),
-            format!("{}", q.peak_spilled),
-            ms(run.report.mark.cycles()),
-        ];
-        let phase = (
-            format!("avrora.{kb}kb.{}.unit_mark", v.label),
-            run.report.mark.cycles(),
-            run.report.mark.stalls,
-        );
-        (
-            row,
-            phase,
-            q.peak_occupancy,
-            run.fault_stats,
-            run.fallback.is_some(),
-        )
-    });
     let mut metrics = MetricsDoc::new("fig19");
     let mut peak_occupancy = 0u64;
-    for (row, (name, cycles, stalls), peak, stats, fell_back) in rows {
-        table.row(row);
-        metrics.phase(&name, cycles, 1, stalls);
-        peak_occupancy = peak_occupancy.max(peak);
-        super::note_unit_faults(&mut metrics, &stats, fell_back);
+    // The 4x3 size-by-variant sweep.
+    for kb in SIZES_KB {
+        for v in VARIANTS {
+            let side = 32usize;
+            let entry = if v.compress { 4 } else { 8 };
+            let total_entries = (kb * 1024 / entry) as usize;
+            let main = total_entries.saturating_sub(2 * side).max(16);
+            let cfg = GcUnitConfig {
+                markq_entries: main,
+                markq_side: side,
+                tracer_queue: v.tracer_queue,
+                compress: v.compress,
+                ..GcUnitConfig::default()
+            };
+            let run = run_unit_gc(&mut heap.clone(), cfg, MemKind::ddr3_default(), opts.fault);
+            let q = run.report.mark.markq;
+            let spill_reqs = q.spill_writes + q.spill_reads;
+            let total_reqs = run.snapshot.total_requests;
+            table.row(vec![
+                format!("{kb}"),
+                v.label.into(),
+                format!("{}", q.spill_writes),
+                format!("{}", q.spill_reads),
+                format!(
+                    "{:.1}%",
+                    100.0 * spill_reqs as f64 / total_reqs.max(1) as f64
+                ),
+                format!("{}", q.peak_spilled),
+                ms(run.report.mark.cycles()),
+            ]);
+            metrics.phase(
+                &format!("avrora.{kb}kb.{}.unit_mark", v.label),
+                run.report.mark.cycles(),
+                1,
+                run.report.mark.stalls,
+            );
+            peak_occupancy = peak_occupancy.max(q.peak_occupancy);
+            super::note_unit_faults(&mut metrics, &run);
+        }
     }
     metrics.counter("peak_markq_occupancy", peak_occupancy);
     ExperimentOutput {
-        id: "fig19",
         title: "Fig 19: mark-queue size trade-offs",
         tables: vec![table],
         metrics,

@@ -26,67 +26,47 @@ pub fn run(opts: &Options) -> ExperimentOutput {
         "Fig 20: sweep speedup vs software for N block sweepers",
         &["bench", "sw-ms", "1", "2", "3", "4", "5", "6", "7", "8"],
     );
-    // Grid points: per benchmark, the software baseline (None) plus one
-    // hardware sweep per sweeper count (Some(n)) — 6 x 9 independent
-    // simulations, each building its own heap from the spec's seed.
-    let grid: Vec<(tracegc_workloads::spec::BenchSpec, Option<usize>)> = DACAPO
-        .iter()
-        .flat_map(|&spec| {
-            std::iter::once((spec, None)).chain(SWEEPERS.iter().map(move |&n| (spec, Some(n))))
-        })
-        .collect();
-    let results: Vec<_> = grid
-        .into_iter()
-        .map(|(spec, sweepers)| {
-            let spec = spec.scaled(opts.scale);
-            let mut w = generate_heap(&spec, LayoutKind::Bidirectional);
-            software_mark(&mut w.heap);
-            let mut mem = MemKind::ddr3_default().fresh();
-            match sweepers {
-                // Software baseline: the CPU collector sweeping a marked heap.
-                None => {
-                    let mut cpu = Cpu::new(CpuConfig::default(), &mut w.heap);
-                    let sweep = cpu.run_sweep(&mut w.heap, &mut mem);
-                    (sweep.cycles, 1, sweep.stalls)
-                }
-                Some(n) => {
-                    let cfg = GcUnitConfig {
-                        sweepers: n,
-                        ..GcUnitConfig::default()
-                    };
-                    let mut unit = ReclamationUnit::new(cfg, &w.heap);
-                    let sweep = unit.run_sweep(&mut w.heap, &mut mem, 0);
-                    (sweep.cycles(), sweep.lanes, sweep.stalls)
-                }
-            }
-        })
-        .collect();
     let mut metrics = MetricsDoc::new("fig20");
-    for (spec, per_bench) in DACAPO.iter().zip(results.chunks(1 + SWEEPERS.len())) {
-        let (sw_cycles, sw_lanes, sw_stalls) = per_bench[0];
-        metrics.phase(
-            &format!("{}.sw_sweep", spec.name),
-            sw_cycles,
-            sw_lanes,
-            sw_stalls,
-        );
+    for spec in DACAPO {
+        // Per benchmark, one marked heap; the software baseline and
+        // each hardware sweeper count sweep a copy of it.
+        let spec = spec.scaled(opts.scale);
+        let mut marked = generate_heap(&spec, LayoutKind::Bidirectional).heap;
+        software_mark(&mut marked);
+        // Software baseline: the CPU collector sweeping the marked heap.
+        let heap = &mut marked.clone();
+        let sw = Cpu::new(CpuConfig::default(), heap)
+            .run_sweep(heap, &mut MemKind::ddr3_default().fresh());
+        metrics.phase(&format!("{}.sw_sweep", spec.name), sw.cycles, 1, sw.stalls);
         let mut row = vec![
             spec.name.to_string(),
-            format!("{:.2}", sw_cycles as f64 / 1e6),
+            format!("{:.2}", sw.cycles as f64 / 1e6),
         ];
-        for (&n, &(hw_cycles, lanes, stalls)) in SWEEPERS.iter().zip(&per_bench[1..]) {
+        for n in SWEEPERS {
+            let heap = &mut marked.clone();
+            let cfg = GcUnitConfig {
+                sweepers: n,
+                ..GcUnitConfig::default()
+            };
+            let hw = ReclamationUnit::new(cfg, heap).run_sweep(
+                heap,
+                &mut MemKind::ddr3_default().fresh(),
+                0,
+            );
             metrics.phase(
                 &format!("{}.hw{n}_sweep", spec.name),
-                hw_cycles,
-                lanes,
-                stalls,
+                hw.cycles(),
+                hw.lanes,
+                hw.stalls,
             );
-            row.push(format!("{:.2}", sw_cycles as f64 / hw_cycles.max(1) as f64));
+            row.push(format!(
+                "{:.2}",
+                sw.cycles as f64 / hw.cycles().max(1) as f64
+            ));
         }
         table.row(row);
     }
     ExperimentOutput {
-        id: "fig20",
         title: "Fig 20: block-sweeper scaling",
         tables: vec![table],
         metrics,

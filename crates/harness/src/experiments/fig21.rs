@@ -80,7 +80,16 @@ pub fn run(opts: &Options) -> ExperimentOutput {
             "mark-ms",
         ],
     );
-    let rows = CACHE_SIZES.into_iter().map(|size| {
+    let mut metrics = MetricsDoc::new("fig21");
+    metrics.phase(
+        "luindex.hist_run.unit_mark",
+        run.report.mark.cycles(),
+        1,
+        run.report.mark.stalls,
+    );
+    super::note_unit_faults(&mut metrics, &run);
+    metrics.counter("mark_accesses", total_accesses);
+    for size in CACHE_SIZES {
         let cfg = GcUnitConfig {
             markbit_cache: size,
             ..GcUnitConfig::default()
@@ -89,7 +98,7 @@ pub fn run(opts: &Options) -> ExperimentOutput {
         let mark = &run.report.mark;
         let attempts = mark.objects_marked + mark.already_marked + mark.filtered;
         let reqs = mark.objects_marked + mark.already_marked; // AMOs that reached memory
-        let row = vec![
+        sweep.row(vec![
             format!("{size}"),
             format!(
                 "{:.1}%",
@@ -97,32 +106,17 @@ pub fn run(opts: &Options) -> ExperimentOutput {
             ),
             format!("{:.3}", reqs as f64 / attempts.max(1) as f64),
             crate::table::ms(mark.cycles()),
-        ];
-        (
-            row,
+        ]);
+        metrics.phase(
+            &format!("luindex.cache{size}.unit_mark"),
             mark.cycles(),
+            1,
             mark.stalls,
-            run.fault_stats,
-            run.fallback.is_some(),
-        )
-    });
-    let mut metrics = MetricsDoc::new("fig21");
-    metrics.phase(
-        "luindex.hist_run.unit_mark",
-        run.report.mark.cycles(),
-        1,
-        run.report.mark.stalls,
-    );
-    super::note_unit_faults(&mut metrics, &run.fault_stats, run.fallback.is_some());
-    metrics.counter("mark_accesses", total_accesses);
-    for (&size, (row, cycles, stalls, stats, fell_back)) in CACHE_SIZES.iter().zip(rows) {
-        sweep.row(row);
-        metrics.phase(&format!("luindex.cache{size}.unit_mark"), cycles, 1, stalls);
-        super::note_unit_faults(&mut metrics, &stats, fell_back);
+        );
+        super::note_unit_faults(&mut metrics, &run);
     }
 
     ExperimentOutput {
-        id: "fig21",
         title: "Fig 21: mark-bit cache",
         tables: vec![hist, sweep],
         metrics,

@@ -41,7 +41,6 @@ pub fn run(_opts: &Options) -> ExperimentOutput {
     metrics.gauge("unit_core_ratio", ratio);
     metrics.gauge("sram_equiv_kb", sram_equiv_kb);
     ExperimentOutput {
-        id: "fig22",
         title: "Fig 22: area",
         tables: vec![totals, core_t, unit_t],
         metrics,

@@ -34,13 +34,12 @@ pub fn run(opts: &Options) -> ExperimentOutput {
     );
     let mut savings = Vec::new();
     let mut xalan_power: Option<(f64, f64, f64, f64)> = None;
-    let pauses = DACAPO.into_iter().map(|spec| {
-        let spec = spec.scaled(opts.scale);
-        let mut run = DualRun::new(&spec, LayoutKind::Bidirectional, GcUnitConfig::default());
-        (spec.name, run.run_pause(MemKind::ddr3_default()))
-    });
     let mut metrics = MetricsDoc::new("fig23");
-    for (name, p) in pauses {
+    for spec in DACAPO {
+        let spec = spec.scaled(opts.scale);
+        let name = spec.name;
+        let p = DualRun::new(&spec, LayoutKind::Bidirectional, GcUnitConfig::default())
+            .run_pause(MemKind::ddr3_default());
         metrics.pause_phases(name, &p);
         let cpu_cycles = p.cpu_mark_cycles + p.cpu_sweep_cycles;
         let unit_cycles = p.unit_mark_cycles + p.unit_sweep_cycles;
@@ -93,7 +92,6 @@ pub fn run(opts: &Options) -> ExperimentOutput {
     let mean_saving = savings.iter().sum::<f64>() / savings.len() as f64;
     metrics.gauge("mean_energy_saving_pct", mean_saving);
     ExperimentOutput {
-        id: "fig23",
         title: "Fig 23: power and energy",
         tables: vec![power, energy],
         metrics,

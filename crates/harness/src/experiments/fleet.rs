@@ -29,7 +29,7 @@
 
 use tracegc_heap::LayoutKind;
 use tracegc_hwgc::GcUnitConfig;
-use tracegc_sim::fleet::{run_fleet, FleetConfig, FleetPolicy, FleetStats, TenantProfile};
+use tracegc_sim::fleet::{run_fleet, FleetConfig, FleetPolicy, TenantProfile};
 use tracegc_sim::{Cycle, FaultConfig, StallAccounting};
 use tracegc_workloads::{StreamShape, StreamSpec};
 
@@ -197,11 +197,6 @@ pub fn run(opts: &Options) -> ExperimentOutput {
     let n_tenants = specs.len();
     let requests_per_tenant = opts.pauses.max(1);
 
-    // Phase 1: measure every tenant.
-    let measured: Vec<_> = (0..n_tenants)
-        .map(|i| measure_tenant(&specs[i], tenant_fault(opts.fault, i)))
-        .collect();
-
     let mut tenant_table = Table::new(
         "fleet tenants: measured per-tenant mark service",
         &[
@@ -218,7 +213,9 @@ pub fn run(opts: &Options) -> ExperimentOutput {
     let (mut degraded, mut failed) = (0u64, 0u64);
     let mut profiles = Vec::with_capacity(n_tenants);
     let (mut unit_stalls, mut fb_stalls) = (StallAccounting::default(), StallAccounting::default());
-    for (i, (spec, m)) in specs.iter().zip(&measured).enumerate() {
+    // Phase 1: measure every tenant.
+    for (i, spec) in specs.iter().enumerate() {
+        let m = measure_tenant(spec, tenant_fault(opts.fault, i));
         let outcome = match &m.faulted.outcome {
             MarkOutcome::Clean => "clean".to_string(),
             MarkOutcome::Fallback(fb) => {
@@ -274,29 +271,6 @@ pub fn run(opts: &Options) -> ExperimentOutput {
         .map(|p| p.service_cycles as f64)
         .sum::<f64>()
         / n_tenants.max(1) as f64;
-    let grid: Vec<(FleetPolicy, f64)> = POLICIES
-        .iter()
-        .flat_map(|&p| LOADS.map(move |rho| (p, rho)))
-        .collect();
-    let sweeps: Vec<FleetStats> = grid
-        .iter()
-        .copied()
-        .map(|(policy, rho)| {
-            let cfg = FleetConfig {
-                units: UNITS,
-                channels: CHANNELS,
-                policy,
-                requests_per_tenant,
-                mean_period: ((n_tenants as f64 * mean_service) / (rho * UNITS as f64)).max(1.0)
-                    as Cycle,
-                queue_cap: n_tenants,
-                seed: 0xF1EE_70AD,
-            };
-            let Ok(stats) = run_fleet(&cfg, &profiles);
-            stats
-        })
-        .collect();
-
     let mut sweep_table = Table::new(
         "fleet sweep: policy x offered load (queueing delay and sojourn in cycles)",
         &[
@@ -320,48 +294,62 @@ pub fn run(opts: &Options) -> ExperimentOutput {
     let tenant_pct =
         |n: u64| -> String { format!("{:.1}%", 100.0 * n as f64 / n_tenants.max(1) as f64) };
     let (mut completed_total, mut rejected_total) = (0u64, 0u64);
-    for ((policy, rho), stats) in grid.iter().zip(&sweeps) {
-        let mut qdelay: Vec<Cycle> = stats.completions.iter().map(|c| c.queue_delay()).collect();
-        let mut sojourn: Vec<Cycle> = stats.completions.iter().map(|c| c.sojourn()).collect();
-        qdelay.sort_unstable();
-        sojourn.sort_unstable();
-        let violations = stats
-            .completions
-            .iter()
-            .filter(|c| c.sojourn() > profiles[c.tenant].service_cycles.max(1) * SLO_FACTOR)
-            .count();
-        let util = stats.utilization(UNITS);
-        sweep_table.row(vec![
-            policy.name().into(),
-            format!("{rho:.2}"),
-            format!("{total_requests}"),
-            format!("{}", stats.completions.len()),
-            format!("{}", stats.rejected),
-            format!("{util:.3}"),
-            format!("{}", percentile(&qdelay, 50.0)),
-            format!("{}", percentile(&qdelay, 99.0)),
-            format!("{}", percentile(&sojourn, 50.0)),
-            format!("{}", percentile(&sojourn, 99.0)),
-            sojourn.last().map_or("0".into(), |m| format!("{m}")),
-            format!(
-                "{:.1}%",
-                100.0 * violations as f64 / stats.completions.len().max(1) as f64
-            ),
-            tenant_pct(degraded),
-            tenant_pct(failed),
-        ]);
-        let key = format!("{}_rho{}", policy.name(), (rho * 100.0) as u64);
-        metrics.gauge(&format!("{key}.utilization"), util);
-        metrics.gauge(
-            &format!("{key}.qdelay_p99"),
-            percentile(&qdelay, 99.0) as f64,
-        );
-        metrics.gauge(
-            &format!("{key}.slo_violation_rate"),
-            violations as f64 / stats.completions.len().max(1) as f64,
-        );
-        completed_total += stats.completions.len() as u64;
-        rejected_total += stats.rejected;
+    for policy in POLICIES {
+        for rho in LOADS {
+            let cfg = FleetConfig {
+                units: UNITS,
+                channels: CHANNELS,
+                policy,
+                requests_per_tenant,
+                mean_period: ((n_tenants as f64 * mean_service) / (rho * UNITS as f64)).max(1.0)
+                    as Cycle,
+                queue_cap: n_tenants,
+                seed: 0xF1EE_70AD,
+            };
+            let Ok(stats) = run_fleet(&cfg, &profiles);
+            let mut qdelay: Vec<Cycle> =
+                stats.completions.iter().map(|c| c.queue_delay()).collect();
+            let mut sojourn: Vec<Cycle> = stats.completions.iter().map(|c| c.sojourn()).collect();
+            qdelay.sort_unstable();
+            sojourn.sort_unstable();
+            let violations = stats
+                .completions
+                .iter()
+                .filter(|c| c.sojourn() > profiles[c.tenant].service_cycles.max(1) * SLO_FACTOR)
+                .count();
+            let util = stats.utilization(UNITS);
+            sweep_table.row(vec![
+                policy.name().into(),
+                format!("{rho:.2}"),
+                format!("{total_requests}"),
+                format!("{}", stats.completions.len()),
+                format!("{}", stats.rejected),
+                format!("{util:.3}"),
+                format!("{}", percentile(&qdelay, 50.0)),
+                format!("{}", percentile(&qdelay, 99.0)),
+                format!("{}", percentile(&sojourn, 50.0)),
+                format!("{}", percentile(&sojourn, 99.0)),
+                sojourn.last().map_or("0".into(), |m| format!("{m}")),
+                format!(
+                    "{:.1}%",
+                    100.0 * violations as f64 / stats.completions.len().max(1) as f64
+                ),
+                tenant_pct(degraded),
+                tenant_pct(failed),
+            ]);
+            let key = format!("{}_rho{}", policy.name(), (rho * 100.0) as u64);
+            metrics.gauge(&format!("{key}.utilization"), util);
+            metrics.gauge(
+                &format!("{key}.qdelay_p99"),
+                percentile(&qdelay, 99.0) as f64,
+            );
+            metrics.gauge(
+                &format!("{key}.slo_violation_rate"),
+                violations as f64 / stats.completions.len().max(1) as f64,
+            );
+            completed_total += stats.completions.len() as u64;
+            rejected_total += stats.rejected;
+        }
     }
     metrics.gauge(
         "degraded_tenant_fraction",
@@ -372,7 +360,7 @@ pub fn run(opts: &Options) -> ExperimentOutput {
         failed as f64 / n_tenants.max(1) as f64,
     );
     metrics.counter("tenants", n_tenants as u64);
-    metrics.counter("grid_points", grid.len() as u64);
+    metrics.counter("grid_points", (POLICIES.len() * LOADS.len()) as u64);
     metrics.counter("requests_completed", completed_total);
     metrics.counter("requests_rejected", rejected_total);
     // Run-outcome counters drive the CLI exit code: one tick per
@@ -385,7 +373,6 @@ pub fn run(opts: &Options) -> ExperimentOutput {
     }
 
     ExperimentOutput {
-        id: "fleet",
         title: "Fleet: multi-tenant GC serving with SLOs and admission control",
         tables: vec![tenant_table, sweep_table],
         metrics,

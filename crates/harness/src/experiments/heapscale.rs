@@ -38,14 +38,14 @@ const FOREST: StreamShape = StreamShape::Forest {
     garbage_factor: 0.5,
 };
 
-/// The sweep grid: (target live MB at scale 1.0, scale exponent,
+/// The swept workloads: (target live MB at scale 1.0, scale exponent,
 /// spec). Ordered by heap size; `paper200` is the paper's exact 200 MB
 /// configuration and `server-lru` is the ≥1 GB server-shape row CI's
 /// RSS gate watches. The server row's live target follows
 /// `scale^1.5` — full-size at `--scale 1.0` but super-linearly smaller
 /// at the smoke/golden tiers, so the debug-mode test wall doesn't pay
 /// for a 135k-object heap on every registry sweep.
-fn grid() -> Vec<(u64, f64, StreamSpec)> {
+fn workloads() -> [(u64, f64, StreamSpec); 7] {
     let spec = |name, mb, expo, shape| {
         (
             mb,
@@ -61,7 +61,7 @@ fn grid() -> Vec<(u64, f64, StreamSpec)> {
             },
         )
     };
-    vec![
+    [
         spec("dacapo-mix", 32, 1.0, FOREST),
         spec(
             "lru-churn",
@@ -146,7 +146,11 @@ pub fn run(opts: &Options) -> ExperimentOutput {
             "sweep-ms",
         ],
     );
-    let rows = grid().into_iter().map(|(mb, expo, spec)| {
+    let mut metrics = MetricsDoc::new("heapscale");
+    let mut live_total = 0u64;
+    let mut spill_total = 0u64;
+    let mut resident_total = 0u64;
+    for (mb, expo, spec) in workloads() {
         let spec = spec.scaled(opts.scale.powf(expo));
         let run = run_unit_gc_stream(
             &spec,
@@ -157,7 +161,7 @@ pub fn run(opts: &Options) -> ExperimentOutput {
         let mark = &run.report.mark;
         let attempts = mark.objects_marked + mark.already_marked + mark.filtered;
         let q = &mark.markq;
-        let row = vec![
+        table.row(vec![
             spec.name.into(),
             format!("{mb}"),
             format!("{}", run.live_objects),
@@ -176,25 +180,16 @@ pub fn run(opts: &Options) -> ExperimentOutput {
             ),
             ms(mark.cycles()),
             ms(run.report.sweep.cycles()),
-        ];
-        (row, run)
-    });
-    let mut metrics = MetricsDoc::new("heapscale");
-    let mut live_total = 0u64;
-    let mut spill_total = 0u64;
-    let mut resident_total = 0u64;
-    for ((_, _, spec), (row, run)) in grid().iter().zip(rows) {
-        table.row(row);
+        ]);
         record_row(&mut metrics, spec.name, &run);
         live_total += run.live_objects;
-        spill_total += run.report.mark.markq.spill_bytes_written;
+        spill_total += q.spill_bytes_written;
         resident_total += run.resident_bytes;
     }
     metrics.counter("live_objects", live_total);
     metrics.counter("spill_bytes_written", spill_total);
     metrics.counter("resident_bytes", resident_total);
     ExperimentOutput {
-        id: "heapscale",
         title: "heapscale: paper-scale and server-scale heaps",
         tables: vec![table],
         metrics,

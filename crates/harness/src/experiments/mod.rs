@@ -68,8 +68,6 @@ impl Default for Options {
 /// The output of one experiment: tables plus free-form notes.
 #[derive(Debug, Clone)]
 pub struct ExperimentOutput {
-    /// Experiment id (e.g. `fig15`).
-    pub id: &'static str,
     /// Human-readable title.
     pub title: &'static str,
     /// Result tables.
@@ -77,7 +75,7 @@ pub struct ExperimentOutput {
     /// Commentary (paper values, caveats).
     pub notes: Vec<String>,
     /// Machine-readable metrics (phases, counters, gauges) written to
-    /// the `<id>.metrics.json` sidecar.
+    /// the `<id>.metrics.json` sidecar; its `id` is the experiment id.
     pub metrics: MetricsDoc,
     /// Drained event-ring events (empty unless `Options::trace` and the
     /// experiment supports tracing).
@@ -124,7 +122,6 @@ pub fn run(id: &str, opts: &Options) -> Option<ExperimentOutput> {
     let mut out = run_inner(id, opts)?;
     out.metrics.gauge("scale", opts.scale);
     out.metrics.gauge("pauses", opts.pauses as f64);
-    debug_assert_eq!(out.metrics.id, out.id, "metrics doc id must match");
     Some(out)
 }
 
@@ -204,13 +201,9 @@ pub fn run_ids(ids: &[&str], opts: &Options) -> Result<Vec<CompletedExperiment>,
 /// degraded to software. Clean runs contribute nothing, keeping the
 /// faults section empty (and sidecars byte-identical to fault-free
 /// runs).
-pub(crate) fn note_unit_faults(
-    metrics: &mut MetricsDoc,
-    stats: &tracegc_sim::FaultStats,
-    fell_back: bool,
-) {
-    metrics.note_faults(stats);
-    if fell_back {
+pub(crate) fn note_unit_faults(metrics: &mut MetricsDoc, run: &crate::runner::UnitRun) {
+    metrics.note_faults(&run.fault_stats);
+    if run.fallback.is_some() {
         metrics.fault("fallback_runs", 1);
     }
 }
@@ -255,7 +248,6 @@ mod tests {
             }
             CompletedExperiment {
                 output: ExperimentOutput {
-                    id: "x",
                     title: "x",
                     tables: Vec::new(),
                     notes: Vec::new(),

@@ -3,14 +3,13 @@
 //! Where `multi` time-multiplexes one datapath across processes (§VII),
 //! this experiment instantiates N *full* units — the paper's "the area
 //! costs of our design are small enough that it could be replicated"
-//! direction — and lets the scheduler tick them in lockstep against a
-//! single shared memory system. Speedup over one unit is bounded by
-//! DRAM bandwidth, not by the units.
+//! direction. `try_run_multiprocess_mark` marks them under
+//! `Policy::Lockstep`, one datapath per unit, against a single shared
+//! memory system. Speedup over one unit is bounded by DRAM bandwidth,
+//! not by the units.
 
-use tracegc_heap::{Heap, LayoutKind, SocCtx};
-use tracegc_hwgc::{GcUnitConfig, MarkEngine, TraversalUnit};
-use tracegc_sim::sched::{Engine, Policy, Scheduler};
-use tracegc_workloads::generate::generate_heap;
+use tracegc_hwgc::multiproc::try_run_multiprocess_mark;
+use tracegc_sim::sched::Policy;
 use tracegc_workloads::spec::by_name;
 
 use super::{ExperimentOutput, Options};
@@ -28,58 +27,30 @@ pub fn run(opts: &Options) -> ExperimentOutput {
         "multiunit: N traversal units sharing one DDR3 (xalan-sized heaps)",
         &["units", "wall-ms", "vs-1-unit-serial", "mean-unit-ms"],
     );
-    let results: Vec<_> = UNITS
-        .into_iter()
-        .map(|n| {
-            // N independent processes: same generator, distinct seeds.
-            let mut workloads: Vec<_> = (0..n as u64)
-                .map(|i| {
-                    let mut s = spec;
-                    s.seed ^= i.wrapping_mul(0x9e37_79b9);
-                    generate_heap(&s, LayoutKind::Bidirectional)
-                })
-                .collect();
-            let mut units: Vec<TraversalUnit> = workloads
-                .iter_mut()
-                .map(|w| TraversalUnit::new(GcUnitConfig::default(), &mut w.heap))
-                .collect();
-            for (u, w) in units.iter_mut().zip(&workloads) {
-                u.begin(&w.heap, 0);
-            }
-            let mut mem = MemKind::ddr3_default().fresh();
-            let report = {
-                let heaps: Vec<&mut Heap> = workloads.iter_mut().map(|w| &mut w.heap).collect();
-                let mut engines: Vec<MarkEngine> = units
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(i, u)| MarkEngine::new(u, i))
-                    .collect();
-                let mut ctx = SocCtx::new(&mut mem, heaps);
-                let mut dyns: Vec<&mut dyn Engine<SocCtx>> = engines
-                    .iter_mut()
-                    .map(|e| e as &mut dyn Engine<SocCtx>)
-                    .collect();
-                Scheduler::new(Policy::Lockstep)
-                    .try_run(&mut dyns, &mut ctx, 0)
-                    .expect("multiunit: Scheduler::try_run over the shared DDR3 wedged")
-            };
-            let per_unit: Vec<_> = units
-                .iter()
-                .zip(&report.ends)
-                .map(|(u, &end)| u.result_at(0, end))
-                .collect();
-            (report.end, per_unit)
-        })
-        .collect();
-    let solo_wall = results[0].0;
     let mut metrics = MetricsDoc::new("multiunit");
-    for (n, (wall, per_unit)) in UNITS.into_iter().zip(results) {
-        let mean: u64 =
-            per_unit.iter().map(|r| r.cycles()).sum::<u64>() / per_unit.len().max(1) as u64;
+    let mut solo_wall = None;
+    for n in UNITS {
+        // N independent processes: same generator, distinct seeds, one
+        // full unit each.
+        let mut units: Vec<_> = (0..n as u64)
+            .map(|i| super::concurrent::process(spec, i.wrapping_mul(0x9e37_79b9)))
+            .collect();
+        let report = try_run_multiprocess_mark(
+            &mut units,
+            &mut MemKind::ddr3_default().fresh(),
+            Policy::Lockstep,
+            0,
+        )
+        .expect("multiunit: try_run_multiprocess_mark faulted on clean heaps");
+        let wall = report.end;
+        let solo_wall = *solo_wall.get_or_insert(wall);
+        let vs_serial = (solo_wall * n as u64) as f64 / wall.max(1) as f64;
+        let per_unit = &report.per_process;
+        let mean: u64 = per_unit.iter().map(|r| r.cycles()).sum::<u64>() / n as u64;
         table.row(vec![
             format!("{n}"),
             ms(wall),
-            format!("{:.2}x", (solo_wall * n as u64) as f64 / wall.max(1) as f64),
+            format!("{vs_serial:.2}x"),
             ms(mean),
         ]);
         // Lockstep charges every unit's ledger cycle-for-cycle until
@@ -88,13 +59,9 @@ pub fn run(opts: &Options) -> ExperimentOutput {
             metrics.phase(&format!("units{n}.u{i}.mark"), r.cycles(), 1, r.stalls);
         }
         metrics.gauge(&format!("units{n}.wall_ms"), wall as f64 / 1e6);
-        metrics.gauge(
-            &format!("units{n}.vs_serial"),
-            (solo_wall * n as u64) as f64 / wall.max(1) as f64,
-        );
+        metrics.gauge(&format!("units{n}.vs_serial"), vs_serial);
     }
     ExperimentOutput {
-        id: "multiunit",
         title: "N traversal units on one shared memory system",
         tables: vec![table],
         metrics,

@@ -21,27 +21,6 @@ use crate::metrics::MetricsDoc;
 use crate::runner::MemKind;
 use crate::table::{ms, Table};
 
-/// How the two engines share the clock in one grid point.
-#[derive(Debug, Clone, Copy)]
-enum Mode {
-    /// Mark fully, then sweep — the stop-the-world phase order.
-    Serial,
-    /// Both engines every cycle on one shared memory system.
-    Lockstep,
-    /// Both engines serviced one cycle in `period`.
-    Throttled { period: u64 },
-}
-
-impl Mode {
-    fn label(self) -> &'static str {
-        match self {
-            Mode::Serial => "serial",
-            Mode::Lockstep => "overlapped",
-            Mode::Throttled { .. } => "overlapped/throttled-4",
-        }
-    }
-}
-
 /// Marks one heap while sweeping another, serial vs overlapped.
 pub fn run(opts: &Options) -> ExperimentOutput {
     let mark_spec = by_name("lusearch")
@@ -55,56 +34,58 @@ pub fn run(opts: &Options) -> ExperimentOutput {
         "overlap: mark (lusearch) + sweep (avrora) on one DDR3",
         &["mode", "wall-ms", "mark-ms", "sweep-ms", "vs-serial"],
     );
-    let modes = vec![Mode::Serial, Mode::Lockstep, Mode::Throttled { period: 4 }];
-    let results: Vec<_> = modes
-        .into_iter()
-        .map(|mode| {
-            let mut a = generate_heap(&mark_spec, LayoutKind::Bidirectional);
-            let mut b = generate_heap(&sweep_spec, LayoutKind::Bidirectional);
-            software_mark(&mut b.heap);
-            let mut mem = MemKind::ddr3_default().fresh();
-            let mut unit = TraversalUnit::new(GcUnitConfig::default(), &mut a.heap);
-            let mut rec = ReclamationUnit::new(GcUnitConfig::default(), &b.heap);
-            match mode {
-                Mode::Serial => {
-                    let mark = unit
-                        .try_run_mark(&mut a.heap, &mut mem, 0)
-                        .expect("overlap: TraversalUnit::try_run_mark faulted on a clean heap");
-                    let sweep = rec.run_sweep(&mut b.heap, &mut mem, mark.end);
-                    (mode, sweep.end, mark, sweep)
-                }
-                Mode::Lockstep | Mode::Throttled { .. } => {
-                    let policy = match mode {
-                        Mode::Throttled { period } => Policy::Throttled { period },
-                        _ => Policy::Lockstep,
-                    };
-                    unit.begin(&a.heap, 0);
-                    let mut sweep_eng = SweepEngine::new(&mut rec, 1, 0);
-                    let report = {
-                        let mut mark_eng = MarkEngine::new(&mut unit, 0);
-                        let mut ctx = SocCtx::new(&mut mem, vec![&mut a.heap, &mut b.heap]);
-                        let mut engines: [&mut dyn Engine<SocCtx>; 2] =
-                            [&mut mark_eng, &mut sweep_eng];
-                        Scheduler::new(policy)
-                            .try_run(&mut engines, &mut ctx, 0)
-                            .expect("overlap: Scheduler::try_run of mark and sweep wedged")
-                    };
-                    let mark = unit.result_at(0, report.ends[0]);
-                    (mode, report.end, mark, sweep_eng.into_result())
-                }
-            }
-        })
-        .collect();
-    let serial_wall = results[0].1;
+    // Every mode collects copies of the same two heaps.
+    let marked = generate_heap(&mark_spec, LayoutKind::Bidirectional).heap;
+    let mut swept = generate_heap(&sweep_spec, LayoutKind::Bidirectional).heap;
+    software_mark(&mut swept);
     let mut metrics = MetricsDoc::new("overlap");
-    for (mode, wall, mark, sweep) in results {
-        let label = mode.label();
+    let mut serial_wall = None;
+    // How the two engines share the clock: mark fully, then sweep (the
+    // stop-the-world phase order, no policy), or both on one shared
+    // memory system under a scheduler policy.
+    for (label, policy) in [
+        ("serial", None),
+        ("overlapped", Some(Policy::Lockstep)),
+        (
+            "overlapped/throttled-4",
+            Some(Policy::Throttled { period: 4 }),
+        ),
+    ] {
+        let (a, b) = (&mut marked.clone(), &mut swept.clone());
+        let mut mem = MemKind::ddr3_default().fresh();
+        let mut unit = TraversalUnit::new(GcUnitConfig::default(), a);
+        let mut rec = ReclamationUnit::new(GcUnitConfig::default(), b);
+        let (wall, mark, sweep) = match policy {
+            None => {
+                let mark = unit
+                    .try_run_mark(a, &mut mem, 0)
+                    .expect("overlap: TraversalUnit::try_run_mark faulted on a clean heap");
+                let sweep = rec.run_sweep(b, &mut mem, mark.end);
+                (sweep.end, mark, sweep)
+            }
+            Some(policy) => {
+                unit.begin(a, 0);
+                let mut sweep_eng = SweepEngine::new(&mut rec, 1, 0);
+                let report = {
+                    let mut mark_eng = MarkEngine::new(&mut unit, 0);
+                    let mut ctx = SocCtx::new(&mut mem, vec![a, b]);
+                    let mut engines: [&mut dyn Engine<SocCtx>; 2] = [&mut mark_eng, &mut sweep_eng];
+                    Scheduler::new(policy)
+                        .try_run(&mut engines, &mut ctx, 0)
+                        .expect("overlap: Scheduler::try_run of mark and sweep wedged")
+                };
+                let mark = unit.result_at(0, report.ends[0]);
+                (report.end, mark, sweep_eng.into_result())
+            }
+        };
+        let serial_wall = *serial_wall.get_or_insert(wall);
+        let vs_serial = serial_wall as f64 / wall.max(1) as f64;
         table.row(vec![
             label.into(),
             ms(wall),
             ms(mark.cycles()),
             ms(sweep.cycles()),
-            format!("{:.2}x", serial_wall as f64 / wall.max(1) as f64),
+            format!("{vs_serial:.2}x"),
         ]);
         // Both engines keep exact ledgers under every policy: the mark
         // engine is charged by the scheduler cycle-for-cycle, the sweep
@@ -118,13 +99,9 @@ pub fn run(opts: &Options) -> ExperimentOutput {
             sweep.stalls,
         );
         metrics.gauge(&format!("{key}.wall_ms"), wall as f64 / 1e6);
-        metrics.gauge(
-            &format!("{key}.vs_serial"),
-            serial_wall as f64 / wall.max(1) as f64,
-        );
+        metrics.gauge(&format!("{key}.vs_serial"), vs_serial);
     }
     ExperimentOutput {
-        id: "overlap",
         title: "Overlapped mark + sweep on a shared memory system",
         tables: vec![table],
         metrics,

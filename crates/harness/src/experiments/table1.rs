@@ -63,7 +63,6 @@ pub fn run(_opts: &Options) -> ExperimentOutput {
     metrics.counter("ddr_banks", ddr.banks as u64);
 
     ExperimentOutput {
-        id: "table1",
         title: "Table I: RocketChip configuration",
         tables: vec![proc, mem],
         metrics,

@@ -126,6 +126,17 @@ impl Json {
     }
 }
 
+/// Formats a float as a JSON number: `{:?}` always produces a decimal
+/// point or exponent; non-finite values (not representable in JSON)
+/// become 0.
+pub fn number(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v:?}")
+    } else {
+        "0.0".to_string()
+    }
+}
+
 /// Escapes `v` as a JSON string literal (quotes included).
 pub fn escape(v: &str) -> String {
     let mut s = String::with_capacity(v.len() + 2);

@@ -13,6 +13,7 @@ use std::path::Path;
 
 use tracegc_sim::{StallAccounting, StallReason, TraceEvent};
 
+use crate::json;
 use crate::runner::PauseResult;
 
 /// Schema tag written into every sidecar.
@@ -184,15 +185,15 @@ impl MetricsDoc {
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(1024);
         s.push_str("{\n");
-        let _ = writeln!(s, "  \"schema\": {},", json_string(SCHEMA));
-        let _ = writeln!(s, "  \"id\": {},", json_string(&self.id));
+        let _ = writeln!(s, "  \"schema\": {},", json::escape(SCHEMA));
+        let _ = writeln!(s, "  \"id\": {},", json::escape(&self.id));
         s.push_str("  \"phases\": [");
         for (i, p) in self.phases.iter().enumerate() {
             s.push_str(if i == 0 { "\n" } else { ",\n" });
             let _ = write!(
                 s,
                 "    {{\"name\": {}, \"cycles\": {}, \"lanes\": {}, \"busy\": {}, \"stalls\": {{",
-                json_string(&p.name),
+                json::escape(&p.name),
                 p.cycles,
                 p.lanes,
                 p.stalls.busy_cycles()
@@ -213,7 +214,7 @@ impl MetricsDoc {
         s.push_str("  \"counters\": {");
         for (i, (name, v)) in self.counters.iter().enumerate() {
             s.push_str(if i == 0 { "\n" } else { ",\n" });
-            let _ = write!(s, "    {}: {v}", json_string(name));
+            let _ = write!(s, "    {}: {v}", json::escape(name));
         }
         s.push_str(if self.counters.is_empty() {
             "},\n"
@@ -223,7 +224,7 @@ impl MetricsDoc {
         s.push_str("  \"faults\": {");
         for (i, (name, v)) in self.faults.iter().enumerate() {
             s.push_str(if i == 0 { "\n" } else { ",\n" });
-            let _ = write!(s, "    {}: {v}", json_string(name));
+            let _ = write!(s, "    {}: {v}", json::escape(name));
         }
         s.push_str(if self.faults.is_empty() {
             "},\n"
@@ -233,7 +234,7 @@ impl MetricsDoc {
         s.push_str("  \"gauges\": {");
         for (i, (name, v)) in self.gauges.iter().enumerate() {
             s.push_str(if i == 0 { "\n" } else { ",\n" });
-            let _ = write!(s, "    {}: {}", json_string(name), json_f64(*v));
+            let _ = write!(s, "    {}: {}", json::escape(name), json::number(*v));
         }
         s.push_str(if self.gauges.is_empty() {
             "}\n"
@@ -290,7 +291,7 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
             "\n  {{\"ph\": \"M\", \"pid\": 1, \"tid\": {}, \"name\": \"thread_name\", \
              \"args\": {{\"name\": {}}}}}",
             tid(c),
-            json_string(c)
+            json::escape(c)
         );
     }
     for e in events {
@@ -309,28 +310,13 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
              \"name\": {}, \"cat\": {}, \"args\": {{\"arg\": {}}}}}",
             tid(e.component),
             e.cycle,
-            json_string(e.kind),
-            json_string(e.component),
+            json::escape(e.kind),
+            json::escape(e.component),
             e.arg
         );
     }
     s.push_str("\n]}\n");
     s
-}
-
-/// Escapes `v` as a JSON string literal (quotes included).
-fn json_string(v: &str) -> String {
-    crate::json::escape(v)
-}
-
-/// Formats a float as JSON: `{:?}` always produces a decimal point or
-/// exponent; non-finite values (not representable in JSON) become 0.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "0.0".to_string()
-    }
 }
 
 /// A full JSON well-formedness check (no external crates), built on the
@@ -339,7 +325,7 @@ fn json_f64(v: f64) -> String {
 /// strings, leading-zero numbers, and trailing garbage. Values are not
 /// retained; use [`crate::json::parse`] to read them.
 pub fn json_syntax_check(s: &str) -> Result<(), String> {
-    crate::json::parse(s).map(|_| ())
+    json::parse(s).map(|_| ())
 }
 
 #[cfg(test)]

@@ -4,12 +4,15 @@
 //! unit could perform GC for multiple processes simultaneously, by
 //! tagging references by process and supporting multiple page tables."
 //!
-//! The model: one physical unit whose datapath is time-multiplexed
-//! across per-process *contexts*. Each context carries its own page
-//! table, TLBs and queues (the tag bits of the paper's design select
-//! among them); the single TileLink port and the memory system are
-//! shared, so concurrent collections overlap their memory latencies
-//! while sharing issue bandwidth.
+//! The model: per-process *contexts* on one memory system. Each context
+//! carries its own page table, TLBs and queues (the tag bits of the
+//! paper's design select among them). The scheduler [`Policy`] chooses
+//! the datapath: [`Policy::RoundRobin`] time-multiplexes one shared
+//! datapath and its single TileLink port across the contexts, so
+//! concurrent collections overlap their memory latencies while sharing
+//! issue bandwidth; [`Policy::Lockstep`] gives every context a datapath
+//! of its own (N replicated units), so they share only the memory
+//! system.
 
 use tracegc_heap::{Heap, SocCtx};
 use tracegc_mem::MemSystem;
@@ -45,18 +48,19 @@ impl MultiProcessReport {
     }
 }
 
-/// Marks every process's heap on one shared unit, round-robining the
-/// datapath cycle by cycle. Returns per-process results.
+/// Marks every process's heap on one memory system under `policy`.
+/// Returns per-process results.
 ///
-/// A thin driver: each context becomes a
-/// [`MarkEngine`] and the
-/// [`Scheduler`]'s round-robin policy multiplexes the datapath one
-/// context per cycle, charging per-process stall ledgers: the served
-/// context's bottleneck on its slot,
+/// A thin driver: each context becomes a [`MarkEngine`] on one
+/// [`Scheduler`]. Under [`Policy::RoundRobin`] one shared datapath
+/// serves one context per cycle, charging per-process stall ledgers:
+/// the served context's bottleneck on its slot,
 /// [`PortBusy`](tracegc_sim::StallReason::PortBusy) on cycles the
-/// datapath served someone else. With one process this degenerates to
-/// [`TraversalUnit::try_run_mark`] cycle- and ledger-exactly (proven in
-/// `tests/engine_equivalence.rs`).
+/// datapath served someone else. Under [`Policy::Lockstep`] every
+/// context has a datapath of its own and is stepped every cycle. With
+/// one process either policy degenerates to
+/// [`TraversalUnit::try_run_mark`] cycle- and ledger-exactly (proven
+/// here and in `tests/engine_equivalence.rs`).
 ///
 /// # Errors
 ///
@@ -74,6 +78,7 @@ impl MultiProcessReport {
 pub fn try_run_multiprocess_mark(
     procs: &mut [ProcessContext],
     mem: &mut MemSystem,
+    policy: Policy,
     start: Cycle,
 ) -> Result<MultiProcessReport, SimError> {
     assert!(!procs.is_empty(), "need at least one process");
@@ -93,7 +98,7 @@ pub fn try_run_multiprocess_mark(
             .iter_mut()
             .map(|e| e as &mut dyn Engine<SocCtx>)
             .collect();
-        Scheduler::new(Policy::RoundRobin)
+        Scheduler::new(policy)
             .try_run(&mut dyns, &mut ctx, start)?
             .ends
     };
@@ -149,7 +154,8 @@ mod tests {
     fn every_process_marks_its_own_heap_correctly() {
         let mut procs = vec![context(1500, 1), context(1000, 2), context(500, 3)];
         let mut mem = MemSystem::ddr3(Default::default());
-        let report = try_run_multiprocess_mark(&mut procs, &mut mem, 0).unwrap();
+        let report =
+            try_run_multiprocess_mark(&mut procs, &mut mem, Policy::RoundRobin, 0).unwrap();
         assert_eq!(report.per_process.len(), 3);
         for p in &procs {
             check_marks_match_reachability(&p.heap).unwrap();
@@ -168,14 +174,14 @@ mod tests {
         let solo = {
             let mut procs = vec![context(2000, 9)];
             let mut mem = MemSystem::ddr3(Default::default());
-            try_run_multiprocess_mark(&mut procs, &mut mem, 0)
+            try_run_multiprocess_mark(&mut procs, &mut mem, Policy::RoundRobin, 0)
                 .unwrap()
                 .end
         };
         let duo = {
             let mut procs = vec![context(2000, 9), context(2000, 9)];
             let mut mem = MemSystem::ddr3(Default::default());
-            try_run_multiprocess_mark(&mut procs, &mut mem, 0)
+            try_run_multiprocess_mark(&mut procs, &mut mem, Policy::RoundRobin, 0)
                 .unwrap()
                 .end
         };
@@ -188,28 +194,89 @@ mod tests {
 
     #[test]
     fn single_process_matches_plain_run_mark() {
-        let marked_multi = {
-            let mut procs = vec![context(1200, 4)];
-            let mut mem = MemSystem::ddr3(Default::default());
-            let r = try_run_multiprocess_mark(&mut procs, &mut mem, 0).unwrap();
-            r.per_process[0].objects_marked
-        };
-        let marked_plain = {
+        let plain = {
             let mut heap = build_heap(1200, 4);
             let mut unit = TraversalUnit::new(GcUnitConfig::default(), &mut heap);
             let mut mem = MemSystem::ddr3(Default::default());
-            unit.try_run_mark(&mut heap, &mut mem, 0)
-                .unwrap()
-                .objects_marked
+            unit.try_run_mark(&mut heap, &mut mem, 0).unwrap()
         };
-        assert_eq!(marked_multi, marked_plain);
+        // One context is served every cycle under either datapath model.
+        for policy in [Policy::RoundRobin, Policy::Lockstep] {
+            let mut procs = vec![context(1200, 4)];
+            let mut mem = MemSystem::ddr3(Default::default());
+            let r = try_run_multiprocess_mark(&mut procs, &mut mem, policy.clone(), 0).unwrap();
+            assert_eq!(r.end, plain.end, "{policy:?}");
+            assert_eq!(
+                format!("{:?}", r.per_process[0]),
+                format!("{plain:?}"),
+                "{policy:?}"
+            );
+        }
+    }
+
+    /// The lockstep reference built by hand: one [`MarkEngine`] per
+    /// context on one [`Scheduler`] over one memory system, each result
+    /// read at that engine's completion cycle.
+    fn hand_built_lockstep(
+        procs: &mut [ProcessContext],
+        mem: &mut MemSystem,
+    ) -> (Cycle, Vec<TraversalResult>) {
+        for p in procs.iter_mut() {
+            p.unit.begin(&p.heap, 0);
+        }
+        let (heaps, mut engines): (Vec<&mut Heap>, Vec<MarkEngine>) = procs
+            .iter_mut()
+            .enumerate()
+            .map(|(i, p)| (&mut p.heap, MarkEngine::new(&mut p.unit, i)))
+            .unzip();
+        let mut ctx = SocCtx::new(mem, heaps);
+        let mut dyns: Vec<&mut dyn Engine<SocCtx>> = engines
+            .iter_mut()
+            .map(|e| e as &mut dyn Engine<SocCtx>)
+            .collect();
+        let report = Scheduler::new(Policy::Lockstep)
+            .try_run(&mut dyns, &mut ctx, 0)
+            .unwrap();
+        let per_unit = procs
+            .iter()
+            .zip(&report.ends)
+            .map(|(p, &end)| p.unit.result_at(0, end))
+            .collect();
+        (report.end, per_unit)
+    }
+
+    #[test]
+    fn lockstep_matches_a_hand_built_engine_set() {
+        for n in [2u64, 4] {
+            // Distinct seeds and sizes, so the contexts finish apart.
+            let contexts = || -> Vec<ProcessContext> {
+                (0..n)
+                    .map(|i| context(600 + 300 * i as usize, 10 * n + i))
+                    .collect()
+            };
+            let mut procs = contexts();
+            let mut mem = MemSystem::ddr3(Default::default());
+            let report =
+                try_run_multiprocess_mark(&mut procs, &mut mem, Policy::Lockstep, 0).unwrap();
+            let (end, per_unit) =
+                hand_built_lockstep(&mut contexts(), &mut MemSystem::ddr3(Default::default()));
+            assert_eq!(report.end, end, "{n} contexts");
+            for (i, (got, want)) in report.per_process.iter().zip(&per_unit).enumerate() {
+                assert_eq!(
+                    format!("{got:?}"),
+                    format!("{want:?}"),
+                    "{n} contexts, context {i}"
+                );
+            }
+        }
     }
 
     #[test]
     fn heterogeneous_process_sizes_finish_independently() {
         let mut procs = vec![context(3000, 5), context(300, 6)];
         let mut mem = MemSystem::ddr3(Default::default());
-        let report = try_run_multiprocess_mark(&mut procs, &mut mem, 0).unwrap();
+        let report =
+            try_run_multiprocess_mark(&mut procs, &mut mem, Policy::RoundRobin, 0).unwrap();
         // The small process must finish well before the big one.
         assert!(report.per_process[1].end < report.per_process[0].end);
     }

@@ -582,6 +582,12 @@ impl TraversalUnit {
         self.finish_pass(mem, start, end)
     }
 
+    /// Physical base of the mark queue's spill region, which the driver
+    /// programs into [`Reg::SpillBase`](crate::mmio::Reg::SpillBase).
+    pub(crate) fn spill_base(&self) -> u64 {
+        self.markq.spill_base()
+    }
+
     /// Ends a pass the scheduler ran from `start` to `end`, for every
     /// mark driver. A trap freezes the unit but ends the schedule
     /// normally, and a fault the memory system latched on the pass's

@@ -46,6 +46,7 @@ impl GcUnit {
         let mut regs = MmioRegs::new();
         regs.write(Reg::PageTableRoot, heap.address_space().root());
         regs.write(Reg::RootsPtr, heap.spaces().hwgc_base);
+        regs.write(Reg::SpillBase, traversal.spill_base());
         regs.write(Reg::SpillSize, cfg.spill_bytes);
         Self {
             cfg,
@@ -172,9 +173,16 @@ mod tests {
         let mut mem = MemSystem::ddr3(Default::default());
         let mut unit = GcUnit::new(GcUnitConfig::default(), &mut heap);
         assert_eq!(unit.regs().read(Reg::Status), MmioRegs::STATUS_IDLE);
+        // The driver programs all four configuration registers.
+        let regs = unit.regs();
+        assert_eq!(regs.read(Reg::PageTableRoot), heap.address_space().root());
+        assert_eq!(regs.read(Reg::RootsPtr), heap.spaces().hwgc_base);
+        let spill_base = unit.traversal().spill_base();
+        assert_ne!(spill_base, 0, "the spill region is allocated");
+        assert_eq!(regs.read(Reg::SpillBase), spill_base);
         assert_eq!(
-            unit.regs().read(Reg::PageTableRoot),
-            heap.address_space().root()
+            regs.read(Reg::SpillSize),
+            GcUnitConfig::default().spill_bytes
         );
         unit.try_run_gc_at(&mut heap, &mut mem, 0).unwrap();
         assert_eq!(unit.regs().read(Reg::Status), MmioRegs::STATUS_DONE);

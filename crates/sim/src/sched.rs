@@ -106,10 +106,10 @@
 //!
 //! The process-wide default pacing is [`Pacing::FastForward`],
 //! overridden per process via [`set_default_pacing`] (the experiment
-//! driver's `--sched` flag), per scope via [`with_pacing`] (how the
-//! differential tests run one driver both ways), and per scheduler via
-//! [`Scheduler::pacing`]. A [`with_pacing`] scope reaches the workers
-//! of [`run_partitions`] too.
+//! driver's `--sched` flag) and per scope via [`with_pacing`] (how the
+//! differential tests run one driver both ways). A [`Scheduler`] takes
+//! the pacing in force when [`Scheduler::new`] builds it, and a
+//! [`with_pacing`] scope reaches the workers of [`run_partitions`] too.
 //!
 //! # Exec: bulk-synchronous partition parallelism
 //!
@@ -589,12 +589,6 @@ impl Scheduler {
             pacing: default_pacing(),
             no_progress_limit: DEFAULT_NO_PROGRESS_LIMIT,
         }
-    }
-
-    /// Overrides the pacing for this scheduler only.
-    pub fn pacing(mut self, pacing: Pacing) -> Self {
-        self.pacing = pacing;
-        self
     }
 
     /// Overrides the no-progress watchdog threshold.
@@ -1292,8 +1286,7 @@ mod tests {
                 work: 1,
             };
             let mut log = Vec::new();
-            let report = Scheduler::new(Policy::RoundRobin)
-                .pacing(pacing)
+            let report = with_pacing(pacing, || Scheduler::new(Policy::RoundRobin))
                 .try_run(&mut [&mut a, &mut b], &mut log, 0)
                 .unwrap();
             (log, report.ends)
@@ -1358,8 +1351,7 @@ mod tests {
                 work: 1,
                 ledger: StallAccounting::default(),
             };
-            let report = Scheduler::new(Policy::RoundRobin)
-                .pacing(pacing)
+            let report = with_pacing(pacing, || Scheduler::new(Policy::RoundRobin))
                 .try_run(&mut [&mut a, &mut b], &mut (), 0)
                 .unwrap();
             (report.ends, a.ledger, b.ledger)
@@ -1467,8 +1459,7 @@ mod tests {
                 work: 100,
                 send: Cycle::MAX,
             };
-            let report = Scheduler::new(Policy::Lockstep)
-                .pacing(pacing)
+            let report = with_pacing(pacing, || Scheduler::new(Policy::Lockstep))
                 .try_run(&mut [&mut sleeper, &mut sender], &mut Vec::new(), 0)
                 .unwrap();
             (report.ends, sleeper.ledger, sleeper.steps)
@@ -1491,8 +1482,7 @@ mod tests {
         let run = |pacing: Pacing, reports_input: bool| {
             let mut sleeper = Sleeper::new(1000, reports_input);
             let mut sender = Sender { work: 20, send: 10 };
-            let report = Scheduler::new(Policy::Lockstep)
-                .pacing(pacing)
+            let report = with_pacing(pacing, || Scheduler::new(Policy::Lockstep))
                 .try_run(&mut [&mut sleeper, &mut sender], &mut Vec::new(), 0)
                 .unwrap();
             (report.ends, sleeper.ledger)

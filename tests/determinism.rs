@@ -84,8 +84,11 @@ fn results_are_independent_of_jobs() {
 
     assert_eq!(serial.len(), parallel.len());
     for ((id, s), p) in ids.iter().zip(&serial).zip(&parallel) {
-        assert_eq!(s.output.id, *id, "outputs must come back in request order");
-        assert_eq!(s.output.id, p.output.id);
+        assert_eq!(
+            s.output.metrics.id, *id,
+            "outputs must come back in request order"
+        );
+        assert_eq!(s.output.metrics.id, p.output.metrics.id);
         assert_eq!(s.output.notes, p.output.notes, "{id} notes differ");
         assert_eq!(
             s.output.tables.len(),

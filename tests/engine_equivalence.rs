@@ -279,7 +279,7 @@ fn multiproc_context(n: usize, seed: u64) -> ProcessContext {
 fn multiproc_fingerprint() -> String {
     let mut procs = vec![multiproc_context(1500, 1), multiproc_context(1000, 2)];
     let mut mem = MemSystem::ddr3(Default::default());
-    let report = try_run_multiprocess_mark(&mut procs, &mut mem, 0).unwrap();
+    let report = try_run_multiprocess_mark(&mut procs, &mut mem, Policy::RoundRobin, 0).unwrap();
     format!(
         "end={};p0_end={};p0_marked={};p1_end={};p1_marked={}",
         report.end,
@@ -742,7 +742,8 @@ fn pacing_differential_randomized_round_robin() {
                 .map(|i| multiproc_context(rng.random_range(300..1200usize), seed * 8 + i as u64))
                 .collect();
             let mut mem = MemSystem::ddr3(Default::default());
-            let report = try_run_multiprocess_mark(&mut procs, &mut mem, 0).unwrap();
+            let report =
+                try_run_multiprocess_mark(&mut procs, &mut mem, Policy::RoundRobin, 0).unwrap();
             let per: Vec<String> = report
                 .per_process
                 .iter()
@@ -993,8 +994,7 @@ fn watchdog_trips_identically_under_both_pacings() {
             event: 1_000_000,
             stalls: StallAccounting::default(),
         };
-        let err = Scheduler::new(Policy::Lockstep)
-            .pacing(pacing)
+        let err = with_pacing(pacing, || Scheduler::new(Policy::Lockstep))
             .no_progress_limit(1_000)
             .try_run(&mut [&mut e as &mut dyn Engine<()>], &mut (), 0)
             .expect_err("a wedged engine must deadlock");
@@ -1031,8 +1031,7 @@ fn watchdog_hop_landing_exactly_on_the_deadline_trips_identically() {
             event,
             stalls: StallAccounting::default(),
         };
-        let err = Scheduler::new(Policy::Lockstep)
-            .pacing(pacing)
+        let err = with_pacing(pacing, || Scheduler::new(Policy::Lockstep))
             .no_progress_limit(LIMIT)
             .try_run(&mut [&mut e as &mut dyn Engine<()>], &mut (), 0)
             .expect_err("a wedged engine must deadlock");
@@ -1070,7 +1069,7 @@ fn single_process_multiproc_equals_plain_run_mark_exactly() {
     let multi = {
         let mut procs = [multiproc_context(1200, 4)];
         let mut mem = MemSystem::ddr3(Default::default());
-        let r = try_run_multiprocess_mark(&mut procs, &mut mem, 0).unwrap();
+        let r = try_run_multiprocess_mark(&mut procs, &mut mem, Policy::RoundRobin, 0).unwrap();
         r.per_process[0].clone()
     };
     let plain = {

@@ -20,7 +20,7 @@ fn every_experiment_runs_and_produces_tables() {
             continue;
         }
         let out = run(id, &smoke_opts()).unwrap_or_else(|| panic!("unknown id {id}"));
-        assert_eq!(out.id, id);
+        assert_eq!(out.metrics.id, id);
         assert!(!out.tables.is_empty(), "{id} produced no tables");
         for table in &out.tables {
             assert!(!table.headers.is_empty(), "{id} has headerless table");

@@ -13,7 +13,7 @@ use tracegc::hwgc::{
 };
 use tracegc::mem::MemSystem;
 use tracegc::runner::{run_faulted_mark, run_unit_gc, FaultedMarkRun, MarkOutcome, MemKind};
-use tracegc::sim::{FaultConfig, FaultPlan, FaultSite, SimError};
+use tracegc::sim::{FaultConfig, FaultPlan, FaultSite, Policy, SimError};
 use tracegc::workloads::generate::generate_heap;
 use tracegc::workloads::spec::{by_name, BenchSpec};
 
@@ -308,7 +308,7 @@ fn concurrent_and_multiprocess_errors_are_latched_traps() {
             unit.trap()
         );
         let mut procs: Vec<_> = (0..3).map(|i| context(seed + 100 * i)).collect();
-        let e = try_run_multiprocess_mark(&mut procs, &mut mem(seed), 0)
+        let e = try_run_multiprocess_mark(&mut procs, &mut mem(seed), Policy::RoundRobin, 0)
             .expect_err("these rates always trap");
         assert!(
             procs.iter().any(|p| is_trap_of(&e, &p.unit)),

@@ -23,8 +23,10 @@
 //!
 //! Those two, fig18 and ablE, are the only golden experiments that put
 //! a large heap through the DDR3 model. Their byte comparison is the
-//! `#[ignore]`d `golden_wall_full`, too slow for the debug profile;
-//! `ci.sh` runs it in release, with the other ignored tests over them:
+//! `#[ignore]`d `golden_wall_full` (and, under injected faults,
+//! `faulted_large_heaps_match_their_goldens`), too slow for the debug
+//! profile; `ci.sh` runs them in release, with the other ignored tests
+//! over them:
 //!
 //! ```text
 //! cargo test --release --offline -p tracegc --test golden --test metrics_sidecar \
@@ -61,6 +63,10 @@ fn golden_dir() -> PathBuf {
 /// `ci.sh` runs in release.
 const EXPENSIVE: [&str; 2] = ["fig18", "ablE"];
 
+/// The affordable experiments with goldens in `tests/golden_faulted/`;
+/// the two expensive ones have theirs too.
+const FAULTED: [&str; 5] = ["fig19", "fig21", "ablA", "ablB", "ablC"];
+
 fn smoke_ids() -> Vec<&'static str> {
     experiments::ALL
         .iter()
@@ -73,7 +79,7 @@ fn smoke_ids() -> Vec<&'static str> {
 /// expected bytes)` — the CSV naming scheme the CLI uses for `--out`,
 /// plus the metrics sidecar.
 fn artifacts(done: &CompletedExperiment) -> Vec<(String, String)> {
-    let id = done.output.id;
+    let id = done.output.metrics.id.as_str();
     let mut files = Vec::new();
     let n = done.output.tables.len();
     for (i, table) in done.output.tables.iter().enumerate() {
@@ -114,7 +120,7 @@ fn assert_wall(ids: &[&str]) {
     let manifest = read_manifest();
     let completed = run_ids(ids, &golden_opts()).expect("known ids");
     for done in &completed {
-        let id = done.output.id;
+        let id = done.output.metrics.id.as_str();
         let produced = artifacts(done);
         let names: Vec<String> = produced.iter().map(|(n, _)| n.clone()).collect();
         assert_eq!(
@@ -212,7 +218,8 @@ fn regenerate_goldens() {
     for done in &completed {
         let produced = artifacts(done);
         let names: Vec<String> = produced.iter().map(|(n, _)| n.clone()).collect();
-        manifest.push_str(&format!("{}: {}\n", done.output.id, names.join(" ")));
+        let id = &done.output.metrics.id;
+        manifest.push_str(&format!("{id}: {}\n", names.join(" ")));
         for (name, bytes) in produced {
             std::fs::write(dir.join(name), bytes).unwrap();
         }
@@ -223,32 +230,70 @@ fn regenerate_goldens() {
 /// Fault-injected full collections (trap, software fallback, then the
 /// unit's sweep) have goldens of their own in `tests/golden_faulted/`,
 /// outside the manifest: the CLI's `--fault-rate 1e-3 --fault-seed 7`
-/// at the smoke point, which degrades 27 collections. Both pacings
-/// must reproduce every file there byte for byte. Regenerate after an
-/// intentional model change with
+/// at the smoke point. Both pacings must reproduce every file there
+/// byte for byte. This test covers the affordable experiments, which
+/// degrade 27 collections, and fails on a file no faulted experiment
+/// owns; `faulted_large_heaps_match_their_goldens` covers fig18 and
+/// ablE. Regenerate after an intentional model change with
 ///
 /// ```text
+/// rm -f tests/golden_faulted/*
 /// experiments --scale 0.015 --pauses 1 --jobs 1 --fault-rate 1e-3 --fault-seed 7 \
-///     --out tests/golden_faulted fig19 fig21 ablA ablB ablC
+///     --out tests/golden_faulted fig19 fig21 ablA ablB ablC fig18 ablE
 /// ```
 #[test]
 fn faulted_collections_match_their_goldens() {
-    let opts = Options {
-        fault: Some(FaultConfig::uniform(7, 1e-3)),
-        ..golden_opts()
-    };
+    for name in faulted_goldens().keys() {
+        let owner = artifact_owner(name);
+        assert!(
+            FAULTED.contains(&owner) || EXPENSIVE.contains(&owner),
+            "tests/golden_faulted/{name} belongs to no faulted experiment"
+        );
+    }
+    assert_faulted(&FAULTED);
+}
+
+/// fig18 and ablE under the same fault config: every one of their 14
+/// collections traps and falls back to the software mark on the two
+/// large heaps before the unit sweeps. `ci.sh` runs it in release.
+#[test]
+#[ignore = "fig18/ablE force their own workload scale (minutes under the debug profile); ci.sh runs it in release"]
+fn faulted_large_heaps_match_their_goldens() {
+    assert_faulted(&EXPENSIVE);
+}
+
+/// The experiment a golden file belongs to: the CLI names it
+/// `<id>.csv`, `<id>_<i>.csv` or `<id>.metrics.json`.
+fn artifact_owner(name: &str) -> &str {
+    let stem = name.split('.').next().unwrap_or(name);
+    stem.split_once('_').map_or(stem, |(id, _)| id)
+}
+
+/// Every file in `tests/golden_faulted/`, by name.
+fn faulted_goldens() -> BTreeMap<String, String> {
     let dir = golden_dir().join("../golden_faulted");
-    let on_disk: BTreeMap<String, String> = std::fs::read_dir(&dir)
+    std::fs::read_dir(&dir)
         .unwrap()
         .map(|entry| {
             let path = entry.unwrap().path();
             let name = path.file_name().unwrap().to_str().unwrap().to_string();
             (name, std::fs::read_to_string(&path).unwrap())
         })
-        .collect();
+        .collect()
+}
+
+/// Runs `ids` under the faulted config with both pacings and compares
+/// their artifacts with the goldens those ids own: the same file names
+/// and the same bytes, and exit code 2.
+fn assert_faulted(ids: &[&str]) {
+    let opts = Options {
+        fault: Some(FaultConfig::uniform(7, 1e-3)),
+        ..golden_opts()
+    };
+    let mut on_disk = faulted_goldens();
+    on_disk.retain(|name, _| ids.contains(&artifact_owner(name)));
     for pacing in [Pacing::FastForward, Pacing::Lockstep] {
-        let ids = ["fig19", "fig21", "ablA", "ablB", "ablC"];
-        let done = with_pacing(pacing, || run_ids(&ids, &opts)).expect("known ids");
+        let done = with_pacing(pacing, || run_ids(ids, &opts)).expect("known ids");
         assert_eq!(exit_code_for(&done), 2, "{pacing:?}: these runs degrade");
         let produced: BTreeMap<String, String> = done.iter().flat_map(artifacts).collect();
         let names = |files: &BTreeMap<String, String>| files.keys().cloned().collect::<Vec<_>>();

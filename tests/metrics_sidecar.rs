@@ -66,7 +66,7 @@ fn sidecars_and_csvs_are_identical_across_jobs_and_par_engines() {
             b.output.metrics.to_json(),
             r.output.metrics.to_json(),
             "{} sidecar differs at --jobs 4",
-            b.output.id
+            b.output.metrics.id
         );
         let csv = |c: &tracegc::experiments::CompletedExperiment| {
             c.output
@@ -75,7 +75,12 @@ fn sidecars_and_csvs_are_identical_across_jobs_and_par_engines() {
                 .map(tracegc::table::Table::to_csv)
                 .collect::<Vec<_>>()
         };
-        assert_eq!(csv(b), csv(r), "{} CSV differs at --jobs 4", b.output.id);
+        assert_eq!(
+            csv(b),
+            csv(r),
+            "{} CSV differs at --jobs 4",
+            b.output.metrics.id
+        );
     }
 }
 
